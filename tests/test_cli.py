@@ -5,7 +5,7 @@ import contextlib
 import pytest
 
 from pmcat.cli import main
-from pmcat.fixtures import FIXTURES, fixture_path
+from pmcat.fixtures import FIXTURES, build, fixture_path
 
 
 def run_cli(*argv):
@@ -76,6 +76,33 @@ def test_reports_match_goldens():
                   / "expected" / f"{name}.check.json")
         code, out = run_cli("check", str(fixture_path(name)), "--format", "json")
         assert out == golden.read_text(), name
+        assert code == json.loads(out)["exit_code"]
+
+
+def _endpoints(name):
+    value = build(name)
+    objects = getattr(value, "rc", value).cat.objects
+    return ("--from", objects[0], "--to", objects[-1])
+
+
+def test_command_reports_match_goldens():
+    """``segal --full`` pins the B_k object ids, ``export`` the
+    classification nerve's simplex order and operator tables, and
+    ho/saturate/yoneda/mapspace every report the zigzag categories feed
+    (P4 ``ho`` exits 2, so it has no report)."""
+    import pathlib
+    calls = [(name, "segal", ("--full",)) for name in ("pt", "I1", "Iw")]
+    calls += [(name, "export", ()) for name in ("pt", "I1", "Iw", "P4")]
+    for name in FIXTURES:
+        for command in ("ho", "saturate", "yoneda", "mapspace"):
+            if (name, command) != ("P4", "ho"):
+                calls.append((name, command,
+                              _endpoints(name) if command == "mapspace" else ()))
+    for name, command, flags in calls:
+        golden = (pathlib.Path(fixture_path(name)).parent
+                  / "expected" / f"{name}.{command}.json")
+        code, out = run_cli(command, str(fixture_path(name)), *flags, "--format", "json")
+        assert out == golden.read_text(), (name, command)
         assert code == json.loads(out)["exit_code"]
 
 
