@@ -18,8 +18,8 @@ from pmcat.hammock import (
 print("== zigzags over the rigid interval (only identities marked) ==")
 i1 = build("I1")
 zc = zigzag_category(i1.rc, "0", "1")
-print("zigzags 0 ~> 1:", list(zc.zigzags))
-print("zigzags 1 ~> 0:", list(zigzag_category(i1.rc, "1", "0").zigzags) or "none")
+print("zigzags 0 ~> 1 (left, mid, right):", [zc.diagrams[o][1] for o in zc.objects])
+print("zigzags 1 ~> 0:", list(zigzag_category(i1.rc, "1", "0").objects) or "none")
 
 print()
 print("== mapping spaces are nerves of zigzag categories ==")

@@ -8,7 +8,10 @@ are established by exhaustive checking rather than by proof.
 Modules:
 
 - ``fincat``   finite categories, functors, pushout/pullback search
-- ``relcat``   relative categories, two-out-of-three / two-out-of-six
+- ``relcat``   relative categories, two-out-of-three / two-out-of-six,
+               and ``diagram_category``, the one engine behind every
+               category of shaped diagrams (A_k, B_k, zigzag hammocks,
+               the arrow category of W, the classification nerve)
 - ``pmc``      weak-equivalence calculus structures and their axioms
 - ``sset``     truncated (bi)simplicial sets, nerves, pi0, homology
 - ``smith``    Smith normal form over the integers

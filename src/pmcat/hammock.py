@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from ._util import UnionFind
 from .fincat import FinCategory, StructuralError
+from .relcat import diagram_category, ARROW, WEQ_BACK
 from .pmc import Calculus, CalculusError
 from .sset import nerve
 
@@ -44,7 +45,8 @@ class Zigzag:
 
     @property
     def key(self):
-        return f"{self.left}|{self.mid}|{self.right}"
+        """The arrows (left, mid, right): the zigzag within its hom."""
+        return (self.left, self.mid, self.right)
 
 
 def identity_zigzag(rc, a):
@@ -58,84 +60,25 @@ def zigzag_of_morphism(rc, f):
                   cat.identity[cat.src[f]], f, cat.identity[cat.tgt[f]])
 
 
-class ZigzagCategory(FinCategory):
-    """Category of zigzags with fixed endpoints.
-
-    ``zigzags`` maps object ids back to Zigzag values;
-    ``components``` maps morphism ids to their (x, y) parts.
-    """
-
-    def __init__(self, endpoints, weq_components, objects, rows, identity, comp,
-                 zigzags, components):
-        super().__init__(objects, rows, identity, comp)
-        self.endpoints = endpoints
-        self.weq_components = weq_components
-        self.zigzags = zigzags
-        self.components = components
+HAMMOCK = (WEQ_BACK, ARROW, WEQ_BACK)
 
 
-def zigzag_category(rc, a, b, weq_components=True):
+def zigzag_category(rc, a, b):
     """Complete enumeration of zigzags a ~> b and their morphisms.
 
-    With ``weq_components`` (the default convention) morphisms are pairs
-    of weak equivalences; with it off, arbitrary commuting pairs.
+    Objects are diagrams (A, X, Y, B), (left, mid, right); morphisms are
+    componentwise weak equivalences with identity components at the
+    fixed ends A and B.
     """
     cat = rc.cat
     if a not in set(cat.objects) or b not in set(cat.objects):
         raise StructuralError(f"unknown endpoints ({a}, {b})")
-    zigzags = {}
-    order = []
-    for x in cat.objects:
-        for left in rc.weq_hom(x, a):
-            for y in cat.objects:
-                for right in rc.weq_hom(b, y):
-                    for mid in cat.hom(x, y):
-                        z = Zigzag(a, b, left, mid, right)
-                        zigzags[z.key] = z
-                        order.append(z.key)
-    rows = []
-    identity = {}
-    components = {}
-    for zid in order:
-        z = zigzags[zid]
-        x_obj, y_obj = cat.src[z.left], cat.tgt[z.right]
-        for zid2 in order:
-            z2 = zigzags[zid2]
-            x2, y2 = cat.src[z2.left], cat.tgt[z2.right]
-            xs = rc.weq_hom(x_obj, x2) if weq_components else cat.hom(x_obj, x2)
-            ys = rc.weq_hom(y_obj, y2) if weq_components else cat.hom(y_obj, y2)
-            for xm in xs:
-                if cat.comp[(xm, z2.left)] != z.left:
-                    continue
-                for ym in ys:
-                    if (cat.comp[(z.mid, ym)] == cat.comp[(xm, z2.mid)]
-                            and cat.comp[(z.right, ym)] == z2.right):
-                        if zid == zid2 and cat.is_identity(xm) and cat.is_identity(ym):
-                            mid_id = f"id:{zid}"
-                            identity[zid] = mid_id
-                        else:
-                            mid_id = f"[{xm};{ym}]{zid}=>{zid2}"
-                        rows.append((mid_id, zid, zid2))
-                        components[mid_id] = (xm, ym)
-    comp = {}
-    src_of = {r[0]: r[1] for r in rows}
-    tgt_of = {r[0]: r[2] for r in rows}
-    lookup = {}
-    for mid_id, (xm, ym) in components.items():
-        lookup[(src_of[mid_id], tgt_of[mid_id], xm, ym)] = mid_id
-    for m1, (x1, y1) in components.items():
-        for m2, (x2, y2) in components.items():
-            if tgt_of[m1] == src_of[m2]:
-                key = (src_of[m1], tgt_of[m2],
-                       cat.comp[(x1, x2)], cat.comp[(y1, y2)])
-                comp[(m1, m2)] = lookup[key]
-    return ZigzagCategory((a, b), weq_components, order, rows, identity, comp,
-                          zigzags, components)
+    return diagram_category(rc, HAMMOCK, fixed=(a, b))
 
 
-def mapping_space(rc, a, b, n_max, weq_components=True):
+def mapping_space(rc, a, b, n_max):
     """Nerve of the zigzag category."""
-    return nerve(zigzag_category(rc, a, b, weq_components), n_max)
+    return nerve(zigzag_category(rc, a, b), n_max)
 
 
 def ho_compose(pms, z1, z2, calculus=None):
@@ -195,7 +138,7 @@ class HoConsistencyError(ValueError):
     """Class-level composition failed to be well defined or lawful."""
 
 
-def homotopy_category(pms, weq_components=True):
+def homotopy_category(pms):
     """Hom-sets, identities and composition of the homotopy category,
     with composition induced by ho_compose on every pair of
     representatives (well-definedness is asserted, not assumed) and the
@@ -209,7 +152,7 @@ def homotopy_category(pms, weq_components=True):
     members = {}
     for a in cat.objects:
         for b in cat.objects:
-            zc = zigzag_category(rc, a, b, weq_components)
+            zc = zigzag_category(rc, a, b)
             zigzag_cats[(a, b)] = zc
             uf = UnionFind(zc.objects)
             for m in zc.morphisms:
@@ -218,8 +161,8 @@ def homotopy_category(pms, weq_components=True):
             classes[(a, b)] = cls
             for i, group in enumerate(cls):
                 cid = f"[{a}=>{b}#{i}]"
-                members[cid] = frozenset(group)
-                for key in group:
+                members[cid] = frozenset(zc.diagrams[o][1] for o in group)
+                for key in members[cid]:
                     class_of[(a, b, key)] = cid
     objects = list(cat.objects)
     rows = []
@@ -241,9 +184,9 @@ def homotopy_category(pms, weq_components=True):
                         cid2 = f"[{b}=>{c}#{j}]"
                         results = set()
                         for key1 in members[cid1]:
-                            z1 = zigzag_cats[(a, b)].zigzags[key1]
+                            z1 = Zigzag(a, b, *key1)
                             for key2 in members[cid2]:
-                                z2 = zigzag_cats[(b, c)].zigzags[key2]
+                                z2 = Zigzag(b, c, *key2)
                                 out = ho_compose(pms, z1, z2, calc)
                                 results.add(class_of[(a, c, out.key)])
                         if len(results) != 1:
@@ -445,13 +388,13 @@ class SaturationReport:
         }
 
 
-def check_saturation(pms, weq_components=True):
+def check_saturation(pms):
     """A map should be marked exactly when its class becomes invertible
     in the homotopy category.  Requires a verified structure; see
     diagnostic_saturation for the oracle-driven variant on a raw
     relative category."""
     rc = pms.rc
-    ho = homotopy_category(pms, weq_components)
+    ho = homotopy_category(pms)
     isos = []
     for f in rc.cat.morphisms:
         cid = ho.image_of_morphism(rc, f)
@@ -462,7 +405,7 @@ def check_saturation(pms, weq_components=True):
     not_iso = tuple(f for f in rc.weq if f not in iso_set)
     verdict = "pass" if not unmarked and not not_iso else "fail"
     return SaturationReport(
-        "verified-structure", "weq-components" if weq_components else "all-maps",
+        "verified-structure", "weq-components",
         verdict, tuple(isos), unmarked, not_iso,
         ["invertibility decided by exhaustive two-sided inverse search "
          "over homotopy-category classes"])

@@ -24,7 +24,9 @@ maps are forced.
 from dataclasses import dataclass
 
 from .fincat import StructuralError, Violation, find_pushout, find_pullback
-from .relcat import validate_relative, check_two_of_six, PropertyReport
+from .relcat import (
+    validate_relative, check_two_of_six, PropertyReport, diagram_transitions, WEQ,
+)
 
 
 class CalculusError(ValueError):
@@ -81,17 +83,12 @@ def trivial_partial_model_structure(rc, v_sub=()):
 
 
 def weq_squares(rc):
-    """All morphisms of the arrow category of the marked subcategory:
-    tuples (w, w2, a, b) with everything marked and b.w = w2.a."""
-    cat = rc.cat
-    out = []
-    for w in rc.weq:
-        for w2 in rc.weq:
-            for a in rc.weq_hom(cat.src[w], cat.src[w2]):
-                for b in rc.weq_hom(cat.tgt[w], cat.tgt[w2]):
-                    if cat.comp[(w, b)] == cat.comp[(a, w2)]:
-                        out.append((w, w2, a, b))
-    return out
+    """All morphisms of the arrow category Arr(W) of the marked
+    subcategory, in its morphism order: tuples (w, w2, a, b) with
+    everything marked and b.w = w2.a."""
+    diagrams, transitions = diagram_transitions(rc, (WEQ,))
+    return [(diagrams[s][1][0], diagrams[t][1][0]) + comps
+            for s, t, comps in transitions]
 
 
 @dataclass
@@ -209,6 +206,9 @@ def verify_partial_model(pms):
 
     squares = weq_squares(rc)
     square_set = set(squares)
+    out_of = {}             # w -> the squares out of w, as in Arr(W)
+    for sq in squares:
+        out_of.setdefault(sq[0], []).append(sq)
     mid_of = {w: pms.factorization[w][1] for w in rc.weq if w in pms.factorization}
     for sq in squares:
         w, w2, a, b = sq
@@ -238,9 +238,7 @@ def verify_partial_model(pms):
                 f_wit.append((sq, f"identity square has middle {m}"))
     for sq1 in squares:
         w, w2, a, b = sq1
-        for sq2 in squares:
-            if sq2[0] != w2:
-                continue
+        for sq2 in out_of.get(w2, ()):
             _, w3, a2, b2 = sq2
             pasted = (w, w3, cat.comp[(a, a2)], cat.comp[(b, b2)])
             m1, m2, m12 = pms.middle.get(sq1), pms.middle.get(sq2), pms.middle.get(pasted)

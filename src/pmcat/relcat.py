@@ -1,13 +1,21 @@
-"""Relative categories and the two-out-of-three / two-out-of-six scans.
+"""Relative categories, the two-out-of-three / two-out-of-six scans, and
+categories of shaped diagrams.
 
 A relative category is a finite category with a marked wide subcategory
 of weak equivalences: every identity is marked and marked morphisms are
 closed under composition.  The property checkers scan every composable
 pair (respectively triple) and return either a pass or a concrete
 witness.
+
+:func:`diagram_category` is the one engine behind every category of
+small diagrams the toolkit builds: the chain categories A_k, the
+zigzag-chain categories B_k, the three-arrow zigzag (hammock)
+categories, the arrow category of the weak equivalences, and through
+the A_k the classification nerve.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ._util import UnionFind
 from .fincat import FinCategory, StructuralError, Violation, ValidationReport
@@ -151,139 +159,173 @@ def restrict_to_weq(rc):
     return RelCategory(sub, sub.morphisms)
 
 
-def _enumerate_functors(source, target):
-    """All functors source -> target, deterministically ordered.
+# -- categories of shaped diagrams ----------------------------------------------
 
-    Backtracks over object images first, then morphism images hom-set by
-    hom-set with composition constraints checked incrementally.
+@dataclass(frozen=True)
+class Slot:
+    """One arrow of a diagram shape: forward (vertex i -> vertex i+1) or
+    backward (vertex i+1 -> vertex i), optionally required to be marked."""
+
+    backward: bool = False
+    marked: bool = False
+
+
+ARROW = Slot()
+WEQ = Slot(marked=True)
+WEQ_BACK = Slot(backward=True, marked=True)
+
+
+class DiagramCategory(FinCategory):
+    """Diagrams of one shape in a relative category, with componentwise
+    marked natural transformations as morphisms.
+
+    ``diagrams`` maps an object id to its (vertex tuple, arrow tuple) and
+    ``components`` a morphism id to its components, one per vertex.
+    Objects and morphisms are looked up by their parts with
+    :meth:`object_of` and :meth:`lookup`; only this module knows how ids
+    are spelled.
     """
-    src_objs = list(source.objects)
-    non_id = [m for m in source.morphisms if not source.is_identity(m)]
-    results = []
 
-    def assign_mor(obj_map, j, mor_map):
-        if j == len(non_id):
-            for (f, g), h in source.comp.items():
-                if target.comp[(mor_map[f], mor_map[g])] != mor_map[h]:
-                    return
-            results.append((dict(obj_map), dict(mor_map)))
-            return
-        m = non_id[j]
-        a, b = obj_map[source.src[m]], obj_map[source.tgt[m]]
-        for n in target.hom(a, b):
-            mor_map[m] = n
-            ok = True
-            for m0, n0 in list(mor_map.items()):
-                if source.composable(m0, m):
-                    h = source.comp[(m0, m)]
-                    if h in mor_map and target.comp[(n0, n)] != mor_map[h]:
-                        ok = False
-                        break
-                if source.composable(m, m0):
-                    h = source.comp[(m, m0)]
-                    if h in mor_map and target.comp[(n, n0)] != mor_map[h]:
-                        ok = False
-                        break
-            if ok:
-                assign_mor(obj_map, j + 1, mor_map)
-            del mor_map[m]
+    def __init__(self, base, objects, rows, identity, diagrams, components):
+        super().__init__(objects, rows, identity, {})
+        self.diagrams = diagrams
+        self.components = components
+        self._object_of = {d: o for o, d in diagrams.items()}
+        by_parts = {(self.src[m], self.tgt[m], c): m for m, c in components.items()}
+        self._by_parts = by_parts
+        # the composition table, over composable pairs only; a composite
+        # is missing only when the marking is not closed under composition,
+        # which validate() then reports
+        compose = base.comp.__getitem__
+        comp, src, tgt = self.comp, self.src, self.tgt
+        for m1 in self.morphisms:
+            c1, s = components[m1], src[m1]
+            for m2 in self._by_src.get(tgt[m1], ()):
+                h = by_parts.get((s, tgt[m2], tuple(map(compose, zip(c1, components[m2])))))
+                if h is not None:
+                    comp[(m1, m2)] = h
 
-    def assign_obj(i, obj_map):
-        if i == len(src_objs):
-            mor_map = {source.identity[o]: target.identity[obj_map[o]] for o in src_objs}
-            assign_mor(obj_map, 0, mor_map)
-            return
-        for t in target.objects:
-            obj_map[src_objs[i]] = t
-            assign_obj(i + 1, obj_map)
-        del obj_map[src_objs[i]]
+    def object_of(self, objs, arrows):
+        """Id of the diagram with these vertices and arrows, or None."""
+        return self._object_of.get((tuple(objs), tuple(arrows)))
 
-    assign_obj(0, {})
-    return results
+    def lookup(self, src_id, tgt_id, comps):
+        """Id of the morphism with these ends and components, or None."""
+        return self._by_parts.get((src_id, tgt_id, tuple(comps)))
 
 
-def _natural_transformations(source, target, F, G):
-    """All natural transformations F => G as component dicts."""
-    objs = list(source.objects)
-    results = []
-
-    def extend(i, components):
-        if i == len(objs):
-            results.append(dict(components))
-            return
-        o = objs[i]
-        for c in target.hom(F[0][o], G[0][o]):
-            components[o] = c
-            ok = True
-            for m in source.morphisms:
-                a, b = source.src[m], source.tgt[m]
-                if a in components and b in components:
-                    if target.comp[(F[1][m], components[b])] != target.comp[(components[a], G[1][m])]:
-                        ok = False
-                        break
-            if ok:
-                extend(i + 1, components)
-            del components[o]
-
-    extend(0, {})
-    return results
+def _shaped_diagrams(rc, slots, first, last):
+    cat = rc.cat
+    if not slots:
+        return [((o,), ()) for o in cat.objects
+                if first in (None, o) and last in (None, o)]
+    head = slots[0]
+    out = []
+    for m in cat.morphisms:
+        if head.marked and not rc.is_weq(m):
+            continue
+        a, b = (cat.tgt[m], cat.src[m]) if head.backward else (cat.src[m], cat.tgt[m])
+        if first is None or a == first:
+            out.append(((a, b), (m,)))
+    for slot in slots[1:]:
+        step, end = (cat.into, cat.src) if slot.backward else (cat.out_of, cat.tgt)
+        out = [(objs + (end[m],), arrows + (m,))
+               for objs, arrows in out for m in step(objs[-1])
+               if not slot.marked or rc.is_weq(m)]
+    if last is not None:
+        out = [d for d in out if d[0][-1] == last]
+    return out
 
 
-class RelFunctorCategory(RelCategory):
-    """Relative category of relative functors; keeps the dictionaries
-    behind the synthetic object/morphism ids."""
+def diagram_transitions(rc, slots, fixed=None):
+    """The diagrams of a shape and the maps between them, without the
+    category around them: (diagrams, transitions).
 
-    def __init__(self, cat, weq, functors, transformations):
-        super().__init__(cat, weq)
-        self.functors = functors              # object id -> (obj_map, mor_map)
-        self.transformations = transformations  # morphism id -> (src, tgt, components)
-
-
-def relative_functor_category(target_rc, source_rc):
-    """The relative category of relative functors source -> target.
-
-    Objects are functors sending marked morphisms to marked morphisms,
-    morphisms are all natural transformations, and a transformation is
-    marked when every component is.  Objects are named F0, F1, ... in
-    enumeration order and morphisms t0, t1, ...
+    ``diagrams`` lists every (vertices, arrows) of the shape, the first
+    arrow in category order and later arrows out of (forward) or into
+    (backward) the last vertex reached.  ``transitions`` lists every
+    (source index, target index, components).  From each source diagram
+    the components are extended one vertex at a time through marked maps,
+    and each slot's target arrow is sought only among the morphisms
+    between the two target vertices; components at a fixed end are
+    identities.  Per source, transitions are stably sorted by target
+    index.  See :func:`diagram_category` for ``slots`` and ``fixed``.
     """
-    src_cat, tgt_cat = source_rc.cat, target_rc.cat
-    functors = [
-        (om, mm) for om, mm in _enumerate_functors(src_cat, tgt_cat)
-        if all(target_rc.is_weq(mm[w]) for w in source_rc.weq)
-    ]
-    obj_ids = [f"F{i}" for i in range(len(functors))]
-    table = dict(zip(obj_ids, functors))
+    cat = rc.cat
+    slots = tuple(slots)
+    first, last = fixed if fixed is not None else (None, None)
+    diagrams = _shaped_diagrams(rc, slots, first, last)
+    comp, tgt, is_weq = cat.comp, cat.tgt, rc.is_weq
+    # a diagram is determined by its arrows, or by its vertex if it has none
+    index = {arrows or objs: i for i, (objs, arrows) in enumerate(diagrams)}
+    weq_out = {o: [m for m in cat.out_of(o) if is_weq(m)] for o in cat.objects}
+    top = len(slots)
+
+    def choices(i, o):
+        if (i == 0 and first is not None) or (i == top and last is not None):
+            return (cat.identity[o],)
+        return weq_out[o]
+
+    out = []
+    for a, (objs, arrows) in enumerate(diagrams):
+        partial = [((c,), ()) for c in choices(0, objs[0])]
+        for i, (slot, arrow) in enumerate(zip(slots, arrows)):
+            nxt = []
+            for comps, targets in partial:
+                prev = comps[-1]
+                for c in choices(i + 1, objs[i + 1]):
+                    if slot.backward:      # arrow: vertex i+1 -> vertex i
+                        side = comp[(arrow, prev)]
+                        for b in cat.hom(tgt[c], tgt[prev]):
+                            if comp[(c, b)] == side and (not slot.marked or is_weq(b)):
+                                nxt.append((comps + (c,), targets + (b,)))
+                    else:
+                        side = comp[(arrow, c)]
+                        for b in cat.hom(tgt[prev], tgt[c]):
+                            if comp[(prev, b)] == side and (not slot.marked or is_weq(b)):
+                                nxt.append((comps + (c,), targets + (b,)))
+            partial = nxt
+        found = [(index[targets or (tgt[comps[0]],)], comps) for comps, targets in partial]
+        found.sort(key=itemgetter(0))
+        out.extend((a, b, comps) for b, comps in found)
+    return diagrams, out
+
+
+def _parts_id(parts):
+    return "(" + ",".join(parts) + ")"
+
+
+def diagram_category(rc, slots, fixed=None):
+    """The category of diagrams of a shape in ``rc``.
+
+    ``slots`` is a sequence of :class:`Slot`; ``fixed`` optionally pins
+    the (first, last) vertex, either of which may be None.  Morphisms are
+    componentwise marked maps commuting with every arrow.  An arrowless
+    shape keeps the object and morphism ids of ``rc.cat``, so it is the
+    marked subcategory, its morphisms ordered by source, then target.
+    """
+    cat = rc.cat
+    slots = tuple(slots)
+    diagrams, transitions = diagram_transitions(rc, slots, fixed)
+    obj_ids = [_parts_id(arrows) if slots else objs[0] for objs, arrows in diagrams]
     rows = []
-    trans = {}
-    comp = {}
-    counter = 0
-    all_trans = {}
-    for i, Fi in enumerate(functors):
-        for j, Gj in enumerate(functors):
-            for comps in _natural_transformations(src_cat, tgt_cat, Fi, Gj):
-                is_id = i == j and all(
-                    comps[o] == tgt_cat.identity[Fi[0][o]] for o in src_cat.objects)
-                tid = f"id:F{i}" if is_id else f"t{counter}"
-                if not is_id:
-                    counter += 1
-                rows.append((tid, obj_ids[i], obj_ids[j]))
-                trans[tid] = (obj_ids[i], obj_ids[j], comps)
-                all_trans.setdefault((i, j), []).append(tid)
-    lookup = {}
-    for tid, (a, b, comps) in trans.items():
-        key = (a, b, tuple(comps[o] for o in src_cat.objects))
-        lookup[key] = tid
-    for tid1, (a1, b1, c1) in trans.items():
-        for tid2, (a2, b2, c2) in trans.items():
-            if b1 == a2:
-                composite = tuple(tgt_cat.comp[(c1[o], c2[o])] for o in src_cat.objects)
-                comp[(tid1, tid2)] = lookup[(a1, b2, composite)]
-    identity = {f"F{i}": f"id:F{i}" for i in range(len(functors))}
-    cat = FinCategory(obj_ids, rows, identity, comp)
-    weq = [tid for tid, (_, _, comps) in trans.items()
-           if all(target_rc.is_weq(c) for c in comps.values())]
-    return RelFunctorCategory(cat, weq, table, trans)
+    identity = {}
+    components = {}
+    for a, b, comps in transitions:
+        sid, tid = obj_ids[a], obj_ids[b]
+        is_id = a == b and all(cat.is_identity(c) for c in comps)
+        if not slots:
+            mid = comps[0]
+        elif is_id:
+            mid = f"id:{sid}"
+        else:
+            mid = f"{_parts_id(comps)}:{sid}=>{tid}"
+        if is_id:
+            identity[sid] = mid
+        rows.append((mid, sid, tid))
+        components[mid] = comps
+    return DiagramCategory(cat, obj_ids, rows, identity,
+                           dict(zip(obj_ids, diagrams)), components)
 
 
 def random_preorder_relcat(seed, max_objects=6, edge_p=0.35, weq_p=0.5):

@@ -34,175 +34,31 @@ reading explicitly so it can be audited.
 from dataclasses import dataclass, field
 
 from .fincat import (
-    FinCategory, Functor, StructuralError, check_functor,
-    strict_pullback_category, category_isomorphism,
+    Functor, StructuralError, check_functor, strict_pullback_category,
+    category_isomorphism,
 )
-from .relcat import restrict_to_weq
+from .relcat import diagram_category, ARROW, WEQ, WEQ_BACK
 from .pmc import Calculus, CalculusError
-from .sset import nerve, pi0, homology, _k_chains_with_objects, _row_transitions
+from .sset import nerve, pi0, homology
 from .hammock import check_saturation
 
 
-def _tuple_id(parts):
-    return "(" + ",".join(parts) + ")"
-
-
-class DiagramCategory(FinCategory):
-    """Category of shaped diagrams in a base category: objects carry an
-    (objects, arrows) pair, morphisms a component tuple."""
-
-    def __init__(self, k, objects, rows, identity, comp, diagrams, components):
-        super().__init__(objects, rows, identity, comp)
-        self.k = k
-        self.diagrams = diagrams        # object id -> (objs, arrows)
-        self.components = components    # morphism id -> component tuple
-        self.morphism_by_parts = {}
-        for m in self.morphisms:
-            self.morphism_by_parts[(self.src[m], self.tgt[m], components[m])] = m
-
-    def lookup(self, src_id, tgt_id, comps):
-        return self.morphism_by_parts.get((src_id, tgt_id, tuple(comps)))
-
-
-class ChainCategory(DiagramCategory):
-    pass
-
-
-class ZigzagChainCategory(DiagramCategory):
-    pass
-
-
-def _diagram_category(cls, k, rc, shapes, transitions):
-    """Assemble a DiagramCategory from enumerated objects and morphisms.
-
-    ``shapes``: list of (objs, arrows); ``transitions``: list of
-    (src index, tgt index, component tuple)."""
-    obj_ids = []
-    diagrams = {}
-    for objs, arrows in shapes:
-        oid = _tuple_id(arrows) if arrows else objs[0]
-        obj_ids.append(oid)
-        diagrams[oid] = (objs, arrows)
-    rows = []
-    identity = {}
-    components = {}
-    cat = rc.cat
-    for a, b, comps in transitions:
-        sid, tid = obj_ids[a], obj_ids[b]
-        if a == b and all(cat.is_identity(c) for c in comps):
-            mid = f"id:{sid}"
-            identity[sid] = mid
-        else:
-            mid = f"{_tuple_id(comps)}:{sid}=>{tid}"
-        rows.append((mid, sid, tid))
-        components[mid] = tuple(comps)
-    src_of = {r[0]: r[1] for r in rows}
-    tgt_of = {r[0]: r[2] for r in rows}
-    lookup = {(src_of[m], tgt_of[m], c): m for m, c in components.items()}
-    by_src = {}
-    for m in components:
-        by_src.setdefault(src_of[m], []).append(m)
-    comp = {}
-    for m1, c1 in components.items():
-        for m2 in by_src.get(tgt_of[m1], ()):
-            c2 = components[m2]
-            comp[(m1, m2)] = lookup[
-                (src_of[m1], tgt_of[m2], tuple(cat.comp[(x, y)] for x, y in zip(c1, c2)))]
-    return cls(k, obj_ids, rows, identity, comp, diagrams, components)
-
-
 def chain_category(rc, k):
-    """The category of k-chains with marked componentwise maps.
+    """The category A_k of k-chains with marked componentwise maps.
 
-    At k = 0 this is literally the marked subcategory (same object and
+    At k = 0 this is the marked subcategory itself (same object and
     morphism ids)."""
     if k < 0:
         raise StructuralError("chain length must be >= 0")
-    cat = rc.cat
-    if k == 0:
-        sub = restrict_to_weq(rc).cat
-        diagrams = {o: ((o,), ()) for o in sub.objects}
-        components = {m: (m,) for m in sub.morphisms}
-        out = ChainCategory.__new__(ChainCategory)
-        FinCategory.__init__(out, sub.objects, sub.morphism_rows(), sub.identity, sub.comp)
-        out.k = 0
-        out.diagrams = diagrams
-        out.components = components
-        out.morphism_by_parts = {
-            (sub.src[m], sub.tgt[m], (m,)): m for m in sub.morphisms}
-        return out
-    shapes = _k_chains_with_objects(cat, k)
-    transitions = _row_transitions(rc, shapes)
-    return _diagram_category(ChainCategory, k, rc, shapes, transitions)
-
-
-def _zigzag_shapes(rc, k):
-    """Objects of B_k: arrow tuples (b1, x, w, y, b2..bk) with x, y, w
-    marked, plus their object tuples (c0..c_{k+3})."""
-    cat = rc.cat
-    shapes = []
-    for b1 in cat.morphisms:
-        c0, c1 = cat.src[b1], cat.tgt[b1]
-        for x in (m for m in cat.out_of(c1) if rc.is_weq(m)):
-            c2 = cat.tgt[x]
-            for w in (m for m in cat.into(c2) if rc.is_weq(m)):
-                c3 = cat.src[w]
-                for y in (m for m in cat.out_of(c3) if rc.is_weq(m)):
-                    c4 = cat.tgt[y]
-                    prefix_objs = (c0, c1, c2, c3, c4)
-                    prefix_arrows = (b1, x, w, y)
-                    stack = [(prefix_objs, prefix_arrows)]
-                    for _ in range(k - 1):
-                        nxt = []
-                        for objs, arrows in stack:
-                            for b in cat.out_of(objs[-1]):
-                                nxt.append((objs + (cat.tgt[b],), arrows + (b,)))
-                        stack = nxt
-                    shapes.extend(stack)
-    return shapes
-
-
-def _zigzag_transitions(rc, shapes):
-    """Componentwise marked maps between zigzag shapes; the w slot is
-    the only backward arrow (position 2 receives it)."""
-    cat = rc.cat
-    out = []
-    for a, (objs1, arrows1) in enumerate(shapes):
-        n = len(objs1)
-        for b, (objs2, arrows2) in enumerate(shapes):
-            found = []
-
-            def extend(i, comps):
-                if i == n:
-                    found.append(tuple(comps))
-                    return
-                for m in rc.weq_hom(objs1[i], objs2[i]):
-                    if i >= 1:
-                        slot = i - 1
-                        a1, a2 = arrows1[slot], arrows2[slot]
-                        if slot == 2:  # backward arrow: positions 3 -> 2
-                            if cat.comp[(a1, comps[2])] != cat.comp[(m, a2)]:
-                                continue
-                        else:
-                            if cat.comp[(a1, m)] != cat.comp[(comps[i - 1], a2)]:
-                                continue
-                    comps.append(m)
-                    extend(i + 1, comps)
-                    comps.pop()
-
-            extend(0, [])
-            for comps in found:
-                out.append((a, b, comps))
-    return out
+    return diagram_category(rc, (ARROW,) * k)
 
 
 def zigzag_chain_category(rc, k):
-    """Complete enumeration of B_k (k >= 2)."""
+    """Complete enumeration of B_k (k >= 2): arrow tuples
+    (b1, x, w, y, b2..bk) with x, w, y marked and w backward."""
     if k < 2:
         raise StructuralError("zigzag chain categories need k >= 2")
-    shapes = _zigzag_shapes(rc, k)
-    transitions = _zigzag_transitions(rc, shapes)
-    return _diagram_category(ZigzagChainCategory, k, rc, shapes, transitions)
+    return diagram_category(rc, (ARROW, WEQ, WEQ_BACK, WEQ) + (ARROW,) * (k - 1))
 
 
 def insert_identities(rc, k, a_k=None, b_k=None):
@@ -227,10 +83,9 @@ def embedding_parts(rc, k, a_k=None, b_k=None):
         i1 = cat.identity[c1]
         new_arrows = (arrows[0], i1, i1, i1) + arrows[1:]
         new_objs = (objs[0], c1, c1, c1, c1) + objs[2:]
-        target = _tuple_id(new_arrows)
-        if target not in b_k.diagrams:
+        target = b_k.object_of(new_objs, new_arrows)
+        if target is None:
             raise StructuralError(f"image of {oid} missing from B_{k}")
-        assert b_k.diagrams[target] == (new_objs, new_arrows)
         obj_map[oid] = target
     mor_map = {}
     for m in a_k.morphisms:
@@ -436,9 +291,8 @@ def build_retraction(pms, k, parts=None):
     def functor_obj(name):
         out = {}
         for oid in b_k.objects:
-            objs, arrows = data[oid][name]
-            tid = _tuple_id(arrows)
-            if tid not in b_k.diagrams:
+            tid = b_k.object_of(*data[oid][name])
+            if tid is None:
                 errors.append(f"{name}({oid}) is not an object of B_{k}")
             out[oid] = tid
         return out

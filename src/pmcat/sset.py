@@ -14,6 +14,8 @@ degrees strictly below ``n_max``, and the API refuses to go higher.
 from dataclasses import dataclass
 
 from ._util import UnionFind
+from .fincat import Functor
+from .relcat import diagram_category, ARROW
 from .smith import smith_invariants
 
 
@@ -35,6 +37,45 @@ class AbelianGroup:
 
     def to_dict(self):
         return {"rank": self.rank, "torsion": list(self.torsion)}
+
+
+def _identity_violations(n_max, sizes, faces, degeneracies):
+    """Violations of the simplicial identities among the operators of a
+    truncated simplicial set given by its level sizes and index tables."""
+    bad = []
+    for n in range(2, n_max + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                fj, fi = faces[(n, j)], faces[(n, i)]
+                gi, gj1 = faces[(n - 1, i)], faces[(n - 1, j - 1)]
+                for x in range(sizes[n]):
+                    if gi[fj[x]] != gj1[fi[x]]:
+                        bad.append(f"d{i} d{j} != d{j - 1} d{i} at dim {n} index {x}")
+    for n in range(0, n_max - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                si, sj = degeneracies[(n, i)], degeneracies[(n, j)]
+                s2i, s2j1 = degeneracies[(n + 1, i)], degeneracies[(n + 1, j + 1)]
+                for x in range(sizes[n]):
+                    if s2i[sj[x]] != s2j1[si[x]]:
+                        bad.append(f"s{i} s{j} != s{j + 1} s{i} at dim {n} index {x}")
+    for n in range(0, n_max):
+        for j in range(n + 1):
+            sj = degeneracies[(n, j)]
+            for i in range(n + 2):
+                di = faces[(n + 1, i)]
+                for x in range(sizes[n]):
+                    y = di[sj[x]]
+                    if i == j or i == j + 1:
+                        if y != x:
+                            bad.append(f"d{i} s{j} != id at dim {n} index {x}")
+                    elif i < j:
+                        if n >= 1 and y != degeneracies[(n - 1, j - 1)][faces[(n, i)][x]]:
+                            bad.append(f"d{i} s{j} != s{j - 1} d{i} at dim {n} index {x}")
+                    else:
+                        if n >= 1 and y != degeneracies[(n - 1, j)][faces[(n, i - 1)][x]]:
+                            bad.append(f"d{i} s{j} != s{j} d{i - 1} at dim {n} index {x}")
+    return bad
 
 
 class TruncatedSimplicialSet:
@@ -64,40 +105,9 @@ class TruncatedSimplicialSet:
     def validate_identities(self):
         """All simplicial identities among operators defined within the
         truncation; returns a list of violation strings (empty = pass)."""
-        bad = []
-        for n in range(2, self.n_max + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    fj, fi = self.faces[(n, j)], self.faces[(n, i)]
-                    gi, gj1 = self.faces[(n - 1, i)], self.faces[(n - 1, j - 1)]
-                    for x in range(self.size(n)):
-                        if gi[fj[x]] != gj1[fi[x]]:
-                            bad.append(f"d{i} d{j} != d{j - 1} d{i} at dim {n} index {x}")
-        for n in range(0, self.n_max - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    si, sj = self.degeneracies[(n, i)], self.degeneracies[(n, j)]
-                    s2i, s2j1 = self.degeneracies[(n + 1, i)], self.degeneracies[(n + 1, j + 1)]
-                    for x in range(self.size(n)):
-                        if s2i[sj[x]] != s2j1[si[x]]:
-                            bad.append(f"s{i} s{j} != s{j + 1} s{i} at dim {n} index {x}")
-        for n in range(0, self.n_max):
-            for j in range(n + 1):
-                sj = self.degeneracies[(n, j)]
-                for i in range(n + 2):
-                    di = self.faces[(n + 1, i)]
-                    for x in range(self.size(n)):
-                        y = di[sj[x]]
-                        if i == j or i == j + 1:
-                            if y != x:
-                                bad.append(f"d{i} s{j} != id at dim {n} index {x}")
-                        elif i < j:
-                            if n >= 1 and y != self.degeneracies[(n - 1, j - 1)][self.faces[(n, i)][x]]:
-                                bad.append(f"d{i} s{j} != s{j - 1} d{i} at dim {n} index {x}")
-                        else:
-                            if n >= 1 and y != self.degeneracies[(n - 1, j)][self.faces[(n, i - 1)][x]]:
-                                bad.append(f"d{i} s{j} != s{j} d{i - 1} at dim {n} index {x}")
-        return bad
+        return _identity_violations(
+            self.n_max, [self.size(n) for n in range(self.n_max + 1)],
+            self.faces, self.degeneracies)
 
     def degenerate_indices(self, n):
         """Indices in dimension n that are images of a degeneracy."""
@@ -284,18 +294,11 @@ class TruncatedBisimplicialSet:
                 degs = {(n, i): self.vdegens[(fixed, n, i)]
                         for n in range(0, self.n_max) for i in range(n + 1)}
                 top = self.n_max
-            return sizes, faces, degs, top
+            return top, sizes, faces, degs
 
         for direction, other_top in (("h", self.n_max), ("v", self.k_max)):
             for fixed in range(other_top + 1):
-                sizes, faces, degs, top = level_tables(direction, fixed)
-                fake = TruncatedSimplicialSet.__new__(TruncatedSimplicialSet)
-                fake.n_max = top
-                fake.simplices = [list(range(sz)) for sz in sizes]
-                fake.faces = faces
-                fake.degeneracies = degs
-                fake.index = None
-                for msg in fake.validate_identities():
+                for msg in _identity_violations(*level_tables(direction, fixed)):
                     bad.append(f"{direction} at level {fixed}: {msg}")
 
         # the two directions commute
@@ -344,46 +347,27 @@ class TruncatedBisimplicialSet:
         return bad
 
 
-def _row_transitions(rc, rows):
-    """For each pair of k-chains, the componentwise marked natural maps
-    row -> row2; returns a list of (row_idx, row2_idx, step) tuples."""
-    cat = rc.cat
-    out = []
-    for a, (objs1, arrows1) in enumerate(rows):
-        for b, (objs2, arrows2) in enumerate(rows):
-            k = len(arrows1)
-            partial = []
-
-            def extend(i, comps):
-                if i == len(objs1):
-                    partial.append(tuple(comps))
-                    return
-                for m in rc.weq_hom(objs1[i], objs2[i]):
-                    if i >= 1:
-                        if cat.comp[(comps[-1], arrows2[i - 1])] != cat.comp[(arrows1[i - 1], m)]:
-                            continue
-                    comps.append(m)
-                    extend(i + 1, comps)
-                    comps.pop()
-
-            extend(0, [])
-            for step in partial:
-                out.append((a, b, step))
-    return out
+def nerve_map_tables(F, source, target):
+    """Index tables, per dimension, of the simplicial map between the
+    nerves ``source`` and ``target`` induced by the functor F."""
+    tables = {0: [target.index[0][F.obj_map[o]] for o in source.simplices[0]]}
+    mor_map = F.mor_map
+    for n in range(1, min(source.n_max, target.n_max) + 1):
+        index = target.index[n]
+        tables[n] = [index[tuple(mor_map[m] for m in chain)]
+                     for chain in source.simplices[n]]
+    return tables
 
 
-def _k_chains_with_objects(cat, k):
-    """All k-chains as (object tuple, arrow tuple)."""
-    if k == 0:
-        return [((o,), ()) for o in cat.objects]
-    rows = [((cat.src[m], cat.tgt[m]), (m,)) for m in cat.morphisms]
-    for _ in range(k - 1):
-        nxt = []
-        for objs, arrows in rows:
-            for m in cat.out_of(objs[-1]):
-                nxt.append((objs + (cat.tgt[m],), arrows + (m,)))
-        rows = nxt
-    return rows
+def _chain_operator(a_k, a_next, objects, components):
+    """The functor between chain categories that acts on vertex tuples
+    and arrow tuples by ``objects`` and on component tuples by
+    ``components``."""
+    obj_map = {o: a_next.object_of(*objects(*d)) for o, d in a_k.diagrams.items()}
+    mor_map = {m: a_next.lookup(obj_map[a_k.src[m]], obj_map[a_k.tgt[m]],
+                                components(c))
+               for m, c in a_k.components.items()}
+    return Functor(a_k, a_next, obj_map, mor_map)
 
 
 def rezk_nerve(rc, k_max=4, n_max=4):
@@ -394,90 +378,59 @@ def rezk_nerve(rc, k_max=4, n_max=4):
     column, all squares commuting.  Levels: k = 0 is the nerve of the
     marked subcategory; n = 0 is the set of k-chains of the category.
 
-    A grid is stored canonically as (object rows, horizontal arrow
-    rows, vertical step rows).
+    Column k is the nerve of the chain category A_k, which gives the
+    vertical operators; the horizontal ones are induced by the functors
+    A_k -> A_{k-1} (drop or compose at a vertex) and A_k -> A_{k+1}
+    (repeat a vertex).  A grid is stored canonically as (object rows,
+    horizontal arrow rows, vertical step rows).
     """
     cat = rc.cat
+    chains = [diagram_category(rc, (ARROW,) * k) for k in range(k_max + 1)]
+    nerves = [nerve(a_k, n_max) for a_k in chains]
     simplices = {}
-    rows_per_k = {}
-    trans_per_k = {}
-    for k in range(k_max + 1):
-        rows = _k_chains_with_objects(cat, k)
-        rows_per_k[k] = rows
-        trans = {}
-        for a, b, step in _row_transitions(rc, rows):
-            trans.setdefault(a, []).append((b, step))
-        trans_per_k[k] = trans
-        # grids: sequences of n steps
-        seqs = [((a,), ()) for a in range(len(rows))]
-        for n in range(n_max + 1):
+    vfaces, vdegens = {}, {}
+    for k, (a_k, s) in enumerate(zip(chains, nerves)):
+        diagrams, components = a_k.diagrams, a_k.components
+        simplices[(k, 0)] = [((diagrams[o][0],), (diagrams[o][1],), ())
+                             for o in s.simplices[0]]
+        for n in range(1, n_max + 1):
             level = []
-            for row_idxs, steps in seqs:
-                objs = tuple(rows_per_k[k][r][0] for r in row_idxs)
-                hs = tuple(rows_per_k[k][r][1] for r in row_idxs)
-                level.append((objs, hs, steps))
+            for chain in s.simplices[n]:
+                rows = [diagrams[a_k.src[chain[0]]]] + [diagrams[a_k.tgt[m]] for m in chain]
+                level.append((tuple(r[0] for r in rows), tuple(r[1] for r in rows),
+                              tuple(components[m] for m in chain)))
             simplices[(k, n)] = level
-            if n < n_max:
-                nxt = []
-                for row_idxs, steps in seqs:
-                    for b, step in trans.get(row_idxs[-1], ()):
-                        nxt.append((row_idxs + (b,), steps + (step,)))
-                seqs = nxt
+        vfaces.update(((k, n, j), t) for (n, j), t in s.faces.items())
+        vdegens.update(((k, n, j), t) for (n, j), t in s.degeneracies.items())
 
-    index = {kn: {s: i for i, s in enumerate(v)} for kn, v in simplices.items()}
-    hfaces, vfaces, hdegens, vdegens = {}, {}, {}, {}
+    def face(k, i):
+        def objects(objs, arrows):
+            if i == 0:
+                new = arrows[1:]
+            elif i == k:
+                new = arrows[:-1]
+            else:
+                new = arrows[:i - 1] + (cat.comp[(arrows[i - 1], arrows[i])],) + arrows[i + 1:]
+            return objs[:i] + objs[i + 1:], new
+        return _chain_operator(chains[k], chains[k - 1], objects,
+                               lambda c: c[:i] + c[i + 1:])
 
-    def hface(grid, i, k):
-        objs, hs, vs = grid
-        new_objs = tuple(row[:i] + row[i + 1:] for row in objs)
-        if k == 1:
-            new_hs = tuple(() for _ in hs)
-        elif i == 0:
-            new_hs = tuple(row[1:] for row in hs)
-        elif i == k:
-            new_hs = tuple(row[:-1] for row in hs)
-        else:
-            new_hs = tuple(row[:i - 1] + (cat.comp[(row[i - 1], row[i])],) + row[i + 1:]
-                           for row in hs)
-        new_vs = tuple(step[:i] + step[i + 1:] for step in vs)
-        return (new_objs, new_hs, new_vs)
+    def degeneracy(k, i):
+        def objects(objs, arrows):
+            return (objs[:i + 1] + objs[i:],
+                    arrows[:i] + (cat.identity[objs[i]],) + arrows[i:])
+        return _chain_operator(chains[k], chains[k + 1], objects,
+                               lambda c: c[:i + 1] + c[i:])
 
-    def hdegen(grid, i):
-        objs, hs, vs = grid
-        new_objs = tuple(row[:i + 1] + row[i:] for row in objs)
-        new_hs = tuple(row[:i] + (cat.identity[objs[r][i]],) + row[i:]
-                       for r, row in enumerate(hs))
-        new_vs = tuple(step[:i + 1] + step[i:] for step in vs)
-        return (new_objs, new_hs, new_vs)
-
-    def vface(grid, j, n):
-        objs, hs, vs = grid
-        if j == 0:
-            return (objs[1:], hs[1:], vs[1:])
-        if j == n:
-            return (objs[:-1], hs[:-1], vs[:-1])
-        merged = tuple(cat.comp[(vs[j - 1][i], vs[j][i])] for i in range(len(vs[j])))
-        return (objs[:j] + objs[j + 1:], hs[:j] + hs[j + 1:],
-                vs[:j - 1] + (merged,) + vs[j + 1:])
-
-    def vdegen(grid, j):
-        objs, hs, vs = grid
-        idstep = tuple(cat.identity[o] for o in objs[j])
-        return (objs[:j + 1] + objs[j:], hs[:j + 1] + hs[j:],
-                vs[:j] + (idstep,) + vs[j:])
-
-    for (k, n), level in simplices.items():
-        for i in range(k + 1) if k >= 1 else ():
-            hfaces[(k, n, i)] = [index[(k - 1, n)][hface(g, i, k)] for g in level]
-        for j in range(n + 1) if n >= 1 else ():
-            vfaces[(k, n, j)] = [index[(k, n - 1)][vface(g, j, n)] for g in level]
-        if k < k_max:
-            for i in range(k + 1):
-                hdegens[(k, n, i)] = [index[(k + 1, n)][hdegen(g, i)] for g in level]
-        if n < n_max:
-            for j in range(n + 1):
-                vdegens[(k, n, j)] = [index[(k, n + 1)][vdegen(g, j)] for g in level]
-
+    hfaces, hdegens = {}, {}
+    for k in range(1, k_max + 1):
+        for i in range(k + 1):
+            tables = nerve_map_tables(face(k, i), nerves[k], nerves[k - 1])
+            hfaces.update(((k, n, i), t) for n, t in tables.items())
+    for k in range(k_max):
+        for i in range(k + 1):
+            tables = nerve_map_tables(degeneracy(k, i), nerves[k], nerves[k + 1])
+            hdegens.update(((k, n, i), t) for n, t in tables.items())
     return TruncatedBisimplicialSet(k_max, n_max, simplices, hfaces, vfaces,
                                     hdegens, vdegens)
 

@@ -19,7 +19,10 @@ the cone complex must be acyclic one degree beyond the target range.
 from dataclasses import dataclass, field
 
 from .fincat import Functor, StructuralError
-from .sset import nerve, pi0, homology, normalized_boundaries, homology_of_boundaries
+from .sset import (
+    nerve, nerve_map_tables, pi0, homology, normalized_boundaries,
+    homology_of_boundaries,
+)
 from .hammock import zigzag_category, bounded_localization_oracle, homotopy_category
 
 MODEL_NOTE = ("width-one zigzag model; presheaf action materialized on marked "
@@ -63,18 +66,6 @@ class SSetMap:
         return all(t == list(range(len(t))) for t in self.tables.values())
 
 
-def _functor_nerve_map(F, nerve_src, nerve_tgt):
-    """Simplicial map of nerves induced by a functor given on ids."""
-    tables = {}
-    n_max = min(nerve_src.n_max, nerve_tgt.n_max)
-    tables[0] = [nerve_tgt.index[0][F.obj_map[o]] for o in nerve_src.simplices[0]]
-    for n in range(1, n_max + 1):
-        tables[n] = [
-            nerve_tgt.index[n][tuple(F.mor_map[m] for m in chain)]
-            for chain in nerve_src.simplices[n]]
-    return SSetMap(nerve_src, nerve_tgt, tables)
-
-
 @dataclass
 class SimplicialPresheaf:
     """Value table of one object under the embedding."""
@@ -82,7 +73,7 @@ class SimplicialPresheaf:
     source: str
     n_max: int
     values: dict           # object B -> TruncatedSimplicialSet
-    zigzag_cats: dict      # object B -> ZigzagCategory
+    zigzag_cats: dict      # object B -> zigzag DiagramCategory
     action: dict           # marked g: B' -> B  ->  SSetMap value(B') -> value(B)
     model: str = MODEL_NOTE
 
@@ -101,23 +92,25 @@ def yoneda_object(rc, a, n_max):
     action = {}
     for g in rc.weq:
         b_prime, b = cat.src[g], cat.tgt[g]
-        src_zc, tgt_zc = zcs[b_prime], zcs[b]
-        obj_map = {}
-        for zid, z in src_zc.zigzags.items():
-            image = tgt_zc.zigzags[
-                f"{cat.comp[(z.left, g)]}|{z.mid}|{z.right}"]
-            obj_map[zid] = image.key
-        # morphisms keep their components
-        mor_map = {}
-        for m, (x, y) in src_zc.components.items():
-            sid, tid = obj_map[src_zc.src[m]], obj_map[src_zc.tgt[m]]
-            if sid == tid and cat.is_identity(x) and cat.is_identity(y):
-                mor_map[m] = tgt_zc.identity[sid]
-            else:
-                mor_map[m] = f"[{x};{y}]{sid}=>{tid}"
-        F = Functor(src_zc, tgt_zc, obj_map, mor_map)
-        action[g] = _functor_nerve_map(F, values[b_prime], values[b])
+        F = _hammock_map(cat, zcs[b_prime], zcs[b], lambda objs, arrows: (
+            (b,) + objs[1:], (cat.comp[(arrows[0], g)],) + arrows[1:]))
+        action[g] = SSetMap(values[b_prime], values[b],
+                            nerve_map_tables(F, values[b_prime], values[b]))
     return SimplicialPresheaf(a, n_max, values, zcs, action)
+
+
+def _hammock_map(cat, src_zc, tgt_zc, move):
+    """The functor between zigzag categories that moves each zigzag by
+    ``move`` (on its vertices and arrows) and keeps the inner components
+    of each morphism; the components at the fixed ends are identities."""
+    obj_map = {o: tgt_zc.object_of(*move(*d)) for o, d in src_zc.diagrams.items()}
+    mor_map = {}
+    for m, comps in src_zc.components.items():
+        sid, tid = obj_map[src_zc.src[m]], obj_map[src_zc.tgt[m]]
+        ends = tgt_zc.diagrams[sid][0]
+        mor_map[m] = tgt_zc.lookup(
+            sid, tid, (cat.identity[ends[0]],) + comps[1:-1] + (cat.identity[ends[-1]],))
+    return Functor(src_zc, tgt_zc, obj_map, mor_map)
 
 
 def check_presheaf_action(rc, presheaf):
@@ -151,20 +144,11 @@ def weq_induced_presheaf_maps(rc, w, n_max):
     ya_prime = yoneda_object(rc, a_prime, n_max)
     maps = {}
     for b in cat.objects:
-        src_zc = ya_prime.zigzag_cats[b]
-        tgt_zc = ya.zigzag_cats[b]
-        obj_map = {}
-        for zid, z in src_zc.zigzags.items():
-            obj_map[zid] = f"{z.left}|{z.mid}|{cat.comp[(w, z.right)]}"
-        mor_map = {}
-        for m, (x, y) in src_zc.components.items():
-            sid, tid = obj_map[src_zc.src[m]], obj_map[src_zc.tgt[m]]
-            if sid == tid and cat.is_identity(x) and cat.is_identity(y):
-                mor_map[m] = tgt_zc.identity[sid]
-            else:
-                mor_map[m] = f"[{x};{y}]{sid}=>{tid}"
-        F = Functor(src_zc, tgt_zc, obj_map, mor_map)
-        maps[b] = _functor_nerve_map(F, ya_prime.values[b], ya.values[b])
+        F = _hammock_map(cat, ya_prime.zigzag_cats[b], ya.zigzag_cats[b],
+                         lambda objs, arrows: (objs[:-1] + (a,),
+                                               arrows[:-1] + (cat.comp[(w, arrows[-1])],)))
+        maps[b] = SSetMap(ya_prime.values[b], ya.values[b],
+                          nerve_map_tables(F, ya_prime.values[b], ya.values[b]))
     return ya, ya_prime, maps
 
 

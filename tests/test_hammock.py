@@ -59,8 +59,7 @@ def test_rigid_interval_has_one_zigzag_forward():
     rc = i1_pms().rc
     zc = zigzag_category(rc, "0", "1")
     assert len(zc.objects) == 1
-    z = zc.zigzags[zc.objects[0]]
-    assert (z.left, z.mid, z.right) == ("id:0", "01", "id:1")
+    assert zc.diagrams[zc.objects[0]] == (("0", "0", "1", "1"), ("id:0", "01", "id:1"))
 
 
 def test_rigid_interval_reverse_is_empty():
@@ -79,7 +78,7 @@ def test_enumeration_matches_brute_force():
         for a in rc.cat.objects:
             for b in rc.cat.objects:
                 zc = zigzag_category(rc, a, b)
-                keys = {(z.left, z.mid, z.right) for z in zc.zigzags.values()}
+                keys = {zc.diagrams[o][1] for o in zc.objects}
                 assert keys == brute_zigzags(rc, a, b)
 
 
@@ -87,20 +86,9 @@ def test_zigzag_category_is_category_with_marked_components():
     rc = iw_pms().rc
     zc = zigzag_category(rc, "1", "0")
     assert zc.validate().ok
-    for m, (x, y) in zc.components.items():
+    for m, (end0, x, y, end1) in zc.components.items():
         assert rc.is_weq(x) and rc.is_weq(y)
-
-
-def test_all_maps_convention_flag():
-    # the non-default convention admits at least the marked morphisms
-    # and still forms a category
-    rc = RelCategory(chain_poset(3), ["02", "13"])
-    strict = zigzag_category(rc, "0", "3")
-    loose = zigzag_category(rc, "0", "3", weq_components=False)
-    assert set(strict.objects) == set(loose.objects)
-    assert len(loose.morphisms) >= len(strict.morphisms)
-    assert loose.validate().ok
-    assert loose.weq_components is False and strict.weq_components is True
+        assert end0 == "id:1" and end1 == "id:0"
 
 
 def test_oracle_rejects_tiny_bounds():
@@ -119,8 +107,9 @@ def test_mapping_space_contains_identity_component():
     for pms in (iw_pms(), b2_pms()):
         for a in pms.rc.cat.objects:
             ms = mapping_space(pms.rc, a, a, 1)
-            iz = identity_zigzag(pms.rc, a)
-            assert iz.key in ms.simplices[0]
+            i = pms.rc.cat.identity[a]
+            zc = zigzag_category(pms.rc, a, a)
+            assert zc.object_of((a,) * 4, (i,) * 3) in ms.simplices[0]
 
 
 # -- composition --------------------------------------------------------------

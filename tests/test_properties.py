@@ -2,13 +2,13 @@
 
 from hypothesis import given, settings, strategies as st
 
-from pmcat.fincat import find_pushout, find_pullback, category_isomorphism
+from pmcat.fincat import find_pushout, find_pullback
 from pmcat.relcat import (
     RelCategory, random_preorder_relcat, validate_relative, restrict_to_weq,
-    homotopically_full_subcategory, relative_functor_category,
+    homotopically_full_subcategory,
 )
 from pmcat.sset import nerve, rezk_nerve, pi0, homology
-from conftest import terminal_category, boolean_lattice
+from conftest import boolean_lattice
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 
@@ -97,17 +97,6 @@ def test_restrict_to_weq_is_fully_marked_and_lawful(seed):
     assert sub.weq == sub.cat.morphisms
     assert sub.cat.validate().ok
     assert validate_relative(sub).ok
-
-
-@settings(max_examples=15, deadline=None)
-@given(seeds)
-def test_functor_category_from_point_on_random_fixtures(seed):
-    rc = random_preorder_relcat(seed, max_objects=4)
-    pt = RelCategory(terminal_category(), [])
-    fc = relative_functor_category(rc, pt)
-    iso = category_isomorphism(fc.cat, rc.cat)
-    assert iso is not None
-    assert {iso[1][m] for m in fc.weq} == set(rc.weq)
 
 
 def test_boolean_lattice_slide_instance():

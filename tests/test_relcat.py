@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 from pmcat.fincat import StructuralError
 from pmcat.relcat import (
     RelCategory, validate_relative, check_two_of_three, check_two_of_six,
-    homotopically_full_subcategory, relative_functor_category,
+    homotopically_full_subcategory,
     restrict_to_weq, random_preorder_relcat,
 )
-from conftest import chain_poset, walking_iso, terminal_category
+from conftest import chain_poset, walking_iso
 
 
 def iw():
@@ -151,40 +151,6 @@ def test_homotopically_full_idempotent_and_monotone():
     assert small.cat.objects == again.cat.objects
     bigger = homotopically_full_subcategory(rc, ["0", "1"])
     assert set(small.cat.objects) <= set(bigger.cat.objects)
-
-
-# -- relative functor categories --------------------------------------------
-
-def test_functor_category_from_point_is_target():
-    from pmcat.fincat import category_isomorphism
-    pt = RelCategory(terminal_category(), [])
-    for rc in (iw(), i1(), p4()):
-        fc = relative_functor_category(rc, pt)
-        iso = category_isomorphism(fc.cat, rc.cat)
-        assert iso is not None
-        obj_map, mor_map = iso
-        # marked transformations correspond to marked morphisms
-        assert {mor_map[m] for m in fc.weq} == set(rc.weq)
-
-
-def test_functor_category_counts_interval():
-    # functors [1] -> [1] are the monotone maps 00, 01, 11: three of them
-    fc = relative_functor_category(iw(), i1())
-    assert len(fc.cat.objects) == 3
-
-
-def test_functor_category_walking_iso_to_rigid_interval():
-    j = walking_iso()
-    src = RelCategory(j, j.morphisms)
-    fc = relative_functor_category(i1(), src)
-    # the iso must land in W = identities, so only constant functors qualify
-    assert len(fc.cat.objects) == 2
-
-
-def test_functor_category_is_valid_relative_category():
-    fc = relative_functor_category(iw(), i1())
-    assert fc.cat.validate().ok
-    assert validate_relative(fc).ok
 
 
 # -- restriction to the marked subcategory -----------------------------------
