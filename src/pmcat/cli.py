@@ -2,7 +2,9 @@
 
 Exit codes: 0 when every requested check passes, 1 when a verified
 property fails (a witness is printed), 2 for unusable input (parse
-error, unresolved id, non-closed composition table) or bad usage.
+error, unresolved id, non-closed composition table, or weak
+equivalences that are not a subcategory where a nerve composes them) or
+bad usage (unknown flags, malformed or negative counts).
 
 Reports are emitted on stdout as human-readable text or, with
 ``--format json``, as a versioned machine-readable document that is
@@ -82,6 +84,21 @@ def _load(args, need_calculus=False):
     return value
 
 
+def _load_closed(args):
+    """The document's relative category, refused unless its marked maps
+    form a wide subcategory: the diagram categories behind the nerves
+    compose marked maps componentwise."""
+    value = _load(args)
+    rc = value.rc if isinstance(value, PartialModelStructure) else value
+    rel = validate_relative(rc)
+    if not rel.ok:
+        v = rel.violations[0]
+        raise DocumentError(0, f"the weak equivalences are not a subcategory "
+                               f"(pmcat check lists every violation): "
+                               f"{v.law} {v.witness}: {v.detail}")
+    return value, rc
+
+
 def cmd_check(args):
     value = _load(args)
     if isinstance(value, PartialModelStructure):
@@ -111,8 +128,7 @@ def cmd_check(args):
 
 
 def cmd_nerve(args):
-    value = _load(args)
-    rc = value.rc if isinstance(value, PartialModelStructure) else value
+    _value, rc = _load_closed(args)
     b = rezk_nerve(rc, args.kmax, args.nmax)
     violations = b.validate_identities()
     counts = {f"({k},{n})": b.size(k, n)
@@ -135,8 +151,7 @@ def cmd_segal(args):
         result = {"kind": "fiber-square", "axioms": axioms.to_dict(),
                   "note": "structure does not satisfy the axioms; not attempted"}
         return _report("segal", args, result, 1)
-    ks = tuple(int(k) for k in args.k.split(","))
-    report = verify_segal(pms, ks, args.dims, cell_budget=args.cell_budget,
+    report = verify_segal(pms, args.k, args.dims, cell_budget=args.cell_budget,
                           allow_large=args.allow_large)
     result = {"kind": "fiber-square", "summary": report.describe().splitlines()}
     payload = report.to_dict()
@@ -206,21 +221,18 @@ def cmd_saturate(args):
 
 
 def cmd_yoneda(args):
-    value = _load(args)
-    if isinstance(value, PartialModelStructure):
-        pms = value if verify_partial_model(value).passed else None
-        rc = value.rc
-    else:
-        pms, rc = None, value
+    value, rc = _load_closed(args)
+    pms = None
+    if isinstance(value, PartialModelStructure) and verify_partial_model(value).passed:
+        pms = value
     report = verify_yoneda_relative(rc, args.dims, pms=pms)
     result = {"kind": "mapping-space-embedding", **report.to_dict()}
     return _report("yoneda", args, result, 0 if report.passed else 1)
 
 
 def cmd_export(args):
-    value = _load(args)
-    rc = value.rc if isinstance(value, PartialModelStructure) else value
     if args.what == "rezk-nerve":
+        _value, rc = _load_closed(args)
         b = rezk_nerve(rc, args.kmax, args.nmax)
         data = {
             "kind": "bisimplicial-set",
@@ -235,6 +247,8 @@ def cmd_export(args):
             "v_degeneracies": {f"({k},{n},{i})": v for (k, n, i), v in sorted(b.vdegens.items())},
         }
     else:
+        value = _load(args)
+        rc = value.rc if isinstance(value, PartialModelStructure) else value
         s = nerve(rc.cat, args.nmax)
         data = {
             "kind": "simplicial-set",
@@ -256,6 +270,29 @@ def _grid_dict(grid):
             "vertical": [list(r) for r in vs]}
 
 
+def _count(text):
+    """A non-negative integer flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _chain_lengths(text):
+    """``--k``: comma-separated chain lengths, each at least 2."""
+    try:
+        ks = tuple(int(k) for k in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if any(k < 2 for k in ks):
+        raise argparse.ArgumentTypeError(f"chain lengths must be >= 2, got {text!r}")
+    return ks
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pmcat",
@@ -274,15 +311,16 @@ def build_parser():
 
     p = sub.add_parser("nerve", help="classification nerve with identity checks")
     common(p)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--kmax", type=_count, default=4)
+    p.add_argument("--nmax", type=_count, default=4)
     p.set_defaults(func=cmd_nerve)
 
     p = sub.add_parser("segal", help="strict fiber identity, retraction "
                                      "certificate, nerve corroboration")
     common(p)
-    p.add_argument("--k", default="2,3", help="comma-separated chain lengths")
-    p.add_argument("--dims", type=int, default=2)
+    p.add_argument("--k", type=_chain_lengths, default="2,3",
+                   help="comma-separated chain lengths, each >= 2")
+    p.add_argument("--dims", type=_count, default=2)
     p.add_argument("--cell-budget", type=int, default=200_000)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--full", action="store_true",
@@ -297,7 +335,7 @@ def build_parser():
     common(p)
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="tgt", required=True)
-    p.add_argument("--nmax", type=int, default=2)
+    p.add_argument("--nmax", type=_count, default=2)
     p.set_defaults(func=cmd_mapspace)
 
     p = sub.add_parser("saturate", help="marking versus invertibility after localization")
@@ -309,14 +347,14 @@ def build_parser():
 
     p = sub.add_parser("yoneda", help="mapping-space embedding diagnostics")
     common(p)
-    p.add_argument("--dims", type=int, default=2)
+    p.add_argument("--dims", type=_count, default=2)
     p.set_defaults(func=cmd_yoneda)
 
     p = sub.add_parser("export", help="dump a (bi)simplicial set")
     common(p)
     p.add_argument("--what", choices=("rezk-nerve", "nerve"), default="rezk-nerve")
-    p.add_argument("--kmax", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=2)
+    p.add_argument("--kmax", type=_count, default=2)
+    p.add_argument("--nmax", type=_count, default=2)
     p.set_defaults(func=cmd_export)
 
     return parser

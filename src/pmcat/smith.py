@@ -1,15 +1,36 @@
 """Smith normal form over the integers.
 
 Exact arbitrary-precision arithmetic throughout; no floating point.
-The matrix is taken as sparse columns.  A sparse phase eliminates with
-unit pivots chosen to limit fill-in (each such pivot contributes an
-invariant factor 1); whatever remains is finished off with the classic
-dense algorithm.
+The matrix is taken as sparse columns and reduced by unit lows:
+
+- Each column, in order, is reduced against the pivot column that owns
+  its lowest (largest-row) entry until that entry is new.  A pivot's
+  lowest entry is +-1, so the quotient is exact over Z and every step
+  is a unimodular column operation.
+- A reduced column whose lowest entry is +-1 becomes the pivot of that
+  row and contributes the invariant factor 1.  The pivot rows and
+  columns form a unit-triangular minor, so every r x r minor of the
+  pivot columns has gcd 1.
+- A column whose lowest entry is not a unit stops there.  At the end
+  each such column is cleared of every pivot row, from the largest down;
+  the matrix is then that unimodular minor beside a block with no pivot
+  rows, whose invariant factors the classic dense algorithm finds.
+
+On the boundary and coboundary matrices of nerves every pivot is a unit,
+so the dense block is empty there.  The pivot rows can be collected in
+``lows``; ``sset.homology_of_boundaries`` uses them to clear columns of
+the next coboundary, which is exact because those pivots are units and
+the coboundary squares to zero.
 
 >>> smith_invariants([{0: 2}, {1: 4}], 2)
 [2, 4]
 >>> smith_invariants([{0: 1, 1: 1}], 2)
 [1]
+>>> lows = set()
+>>> smith_invariants([{0: 1, 1: -1}, {0: 1, 2: -1}, {1: 1, 2: -1}], 3, lows)
+[1, 1]
+>>> sorted(lows)
+[1, 2]
 """
 
 
@@ -85,79 +106,53 @@ def _dense_snf(entries):
     return divisors
 
 
-def smith_invariants(columns, nrows):
+def _subtract(col, pivot, row):
+    """Clear ``col``'s entry in ``row`` in place with the pivot column
+    whose entry there is +-1."""
+    f = col[row] * pivot[row]  # entry / pivot, since the pivot is a unit
+    for r, v in pivot.items():
+        nv = col.get(r, 0) - f * v
+        if nv:
+            col[r] = nv
+        else:
+            del col[r]
+
+
+def smith_invariants(columns, nrows, lows=None):
     """Invariant factors of the integer matrix whose sparse columns are
     given as dicts {row: value}.  Zero entries may be present and are
-    ignored.  Returns d_1 | d_2 | ... (all positive; the rank is the
-    length of the list)."""
-    cols = {}
-    rows = {}
-    for c, col in enumerate(columns):
-        cc = {r: v for r, v in col.items() if v}
-        if cc:
-            cols[c] = cc
-            for r, v in cc.items():
-                rows.setdefault(r, {})[c] = v
-    ones = 0
-
-    def delete(r, c):
-        for c2 in list(rows[r]):
-            cols[c2].pop(r, None)
-            if not cols[c2]:
-                del cols[c2]
-        del rows[r]
-        if c in cols:
-            for r2 in list(cols[c]):
-                rows[r2].pop(c, None)
-                if not rows[r2]:
-                    del rows[r2]
-            del cols[c]
-
-    while cols:
-        # hunt for a unit pivot with small fill, scanning a bounded sample
-        best = None
-        best_cost = None
-        scanned = 0
-        for c in cols:
-            col = cols[c]
-            for r, v in col.items():
-                if v in (1, -1):
-                    cost = (len(col) - 1) * (len(rows[r]) - 1)
-                    if best_cost is None or cost < best_cost:
-                        best, best_cost = (r, c), cost
-                    scanned += 1
-                    if best_cost == 0 or scanned > 256:
-                        break
-            if best_cost == 0 or scanned > 256:
-                break
-        if best is None:
-            break
-        r, c = best
-        pv = cols[c][r]
-        pivot_col = dict(cols[c])
-        # clear row r from the other columns (column operations)
-        for c2 in list(rows[r]):
-            if c2 == c:
-                continue
-            f = rows[r][c2] * pv  # entry / pivot since pivot is a unit
-            col2 = cols[c2]
-            for r2, v2 in pivot_col.items():
-                nv = col2.get(r2, 0) - f * v2
-                if nv:
-                    col2[r2] = nv
-                    rows.setdefault(r2, {})[c2] = nv
+    ignored; the columns are not modified.  Returns d_1 | d_2 | ... (all
+    positive; the rank is the length of the list).  If ``lows`` is a
+    set, the rows of the unit pivots are added to it."""
+    pivots = {}  # row -> reduced column whose lowest entry is +-1 there
+    stuck = []   # reduced columns whose lowest entry is not a unit
+    for col in columns:
+        if 0 in col.values():
+            col = {r: v for r, v in col.items() if v}
+        owned = False
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                if col[low] in (1, -1):
+                    pivots[low] = col
                 else:
-                    if r2 in col2:
-                        del col2[r2]
-                        del rows[r2][c2]
-            if not col2:
-                del cols[c2]
-        # the leftover entries of column c die by free row operations
-        delete(r, c)
-        ones += 1
-
+                    stuck.append(col)
+                break
+            if not owned:
+                col, owned = dict(col), True
+            _subtract(col, pivot, low)
     residual = {}
-    for c, col in cols.items():
+    for c, col in enumerate(stuck):
+        col = dict(col)
+        while True:
+            hits = [r for r in col if r in pivots]
+            if not hits:
+                break
+            row = max(hits)
+            _subtract(col, pivots[row], row)
         for r, v in col.items():
             residual[(r, c)] = v
-    return [1] * ones + _dense_snf(residual)
+    if lows is not None:
+        lows.update(pivots)
+    return [1] * len(pivots) + _dense_snf(residual)

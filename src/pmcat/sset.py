@@ -6,7 +6,8 @@ dimensions.  All simplicial identities among operators that stay inside
 the truncation can be (and in the tests are) checked exhaustively.
 
 Homology uses the normalized chain complex -- the quotient by degenerate
-simplices -- with integer coefficients and Smith normal form.  Because
+simplices -- with integer coefficients and the Smith normal form of its
+coboundaries, cleared degree by degree.  Because
 the complex is truncated at ``n_max``, homology is only trusted in
 degrees strictly below ``n_max``, and the API refuses to go higher.
 """
@@ -172,11 +173,28 @@ def normalized_boundaries(s, up_to):
 
 def homology_of_boundaries(dims, boundaries, up_to):
     """Homology groups H_0..H_up_to of a chain complex given by sparse
-    boundary columns; needs boundaries up to degree up_to + 1."""
+    boundary columns; needs boundaries up to degree up_to + 1.
+
+    Reduces the coboundaries from low degree to high: a transpose has
+    the same invariant factors.  The column of every n-simplex that was
+    a unit pivot row of the coboundary into degree n is dropped from the
+    coboundary out of degree n ("clearing"): that pivot makes the
+    column, plus lower ones, the coboundary of a cochain, whose
+    coboundary is zero.
+    """
     ranks = {}
     torsions = {}
-    for n, cols in boundaries.items():
-        inv = smith_invariants(cols, dims[n - 1] if n - 1 < len(dims) else 0)
+    pivot_rows = {}
+    for n in sorted(boundaries):
+        cols = boundaries[n]
+        cobs = [{} for _ in range(dims[n - 1])]
+        for j, col in enumerate(cols):
+            for r, v in col.items():
+                cobs[r][j] = v
+        cleared = pivot_rows.get(n - 1, ())
+        lows = pivot_rows[n] = set()
+        inv = smith_invariants([c for i, c in enumerate(cobs) if i not in cleared],
+                               len(cols), lows)
         ranks[n] = len(inv)
         torsions[n] = tuple(d for d in inv if d != 1)
     out = []

@@ -54,3 +54,11 @@ def walking_iso():
 
 def terminal_category():
     return FinCategory.build(["*"], [], {})
+
+
+def cyclic_group(n):
+    """The group Z/n as a one-object category; ``g<i>`` is i in Z/n."""
+    rows = [(f"g{i}", "*", "*") for i in range(1, n)]
+    comp = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" if (i + j) % n else "id:*"
+            for i in range(1, n) for j in range(1, n)}
+    return FinCategory.build(["*"], rows, comp)

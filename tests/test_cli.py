@@ -48,6 +48,60 @@ def test_missing_composite_exits_two(tmp_path):
     assert code == 2
 
 
+OPEN_MARKING = ("relcat-version 1\nobject 0\nobject 1\nobject 2\n"
+                "morphism 01 0 1\nmorphism 12 1 2\nmorphism 02 0 2\n"
+                "compose 01 12 02\nweq 01\nweq 12\n")
+
+
+@pytest.mark.parametrize("argv", [("nerve",), ("export",), ("yoneda",)])
+def test_nerve_commands_refuse_marking_not_closed(tmp_path, argv):
+    # 01 and 12 are marked, their composite 02 is not
+    doc = tmp_path / "open.relcat"
+    doc.write_text(OPEN_MARKING)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv[0], str(doc), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "not-closed ('01', '12')" in err.getvalue()
+
+
+def test_check_reports_marking_not_closed(tmp_path):
+    doc = tmp_path / "open.relcat"
+    doc.write_text(OPEN_MARKING)
+    code, out = run_cli("check", str(doc), "--format", "json")
+    assert code == 1
+    violations = json.loads(out)["result"]["relative_laws"]["violations"]
+    assert [v["law"] for v in violations] == ["not-closed"]
+    assert violations[0]["witness"] == ["01", "12"]
+
+
+def test_export_plain_nerve_ignores_marking(tmp_path):
+    doc = tmp_path / "open.relcat"
+    doc.write_text(OPEN_MARKING)
+    code, _ = run_cli("export", str(doc), "--what", "nerve")
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("segal", "Iw", "--k", "abc"), "comma-separated integers"),
+    (("segal", "Iw", "--k", "2,1"), ">= 2"),
+    (("segal", "Iw", "--dims", "-1"), ">= 0"),
+    (("yoneda", "Iw", "--dims", "-1"), ">= 0"),
+    (("nerve", "Iw", "--kmax", "-1"), ">= 0"),
+    (("nerve", "Iw", "--nmax", "x"), "expected an integer"),
+    (("export", "Iw", "--what", "nerve", "--nmax", "-2"), ">= 0"),
+    (("mapspace", "Iw", "--from", "0", "--to", "1", "--nmax", "-1"), ">= 0"),
+])
+def test_bad_flag_values_exit_two(argv, message):
+    command, fixture, *flags = argv
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        main([command, str(fixture_path(fixture)), *flags])
+    assert exc.value.code == 2
+    assert message in err.getvalue()
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         err = io.StringIO()

@@ -1,7 +1,9 @@
+import doctest
 import random
 
 from hypothesis import given, settings, strategies as st
 
+import pmcat.smith
 from pmcat.smith import smith_invariants
 
 
@@ -73,3 +75,27 @@ def test_rank_of_unimodular_block():
     cols = [{0: 1, 1: 2}, {0: 3, 1: 4}]
     inv = smith_invariants(cols, 2)
     assert len(inv) == 2 and inv[0] == 1 and inv[1] == 2
+
+
+def test_module_doctests():
+    result = doctest.testmod(pmcat.smith)
+    assert result.attempted > 0 and result.failed == 0
+
+
+def test_lows_are_the_unit_pivot_rows():
+    # boundary of a triangle: rank 2, the pivots own rows 1 and 2
+    lows = set()
+    cols = [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
+    assert smith_invariants(cols, 3, lows) == [1, 1]
+    assert lows == {1, 2}
+    # a non-unit lowest entry is no pivot, whatever it divides
+    lows = set()
+    assert smith_invariants([{0: 1, 1: 2}], 2, lows) == [1]
+    assert lows == set()
+
+
+def test_columns_are_not_modified():
+    cols = [{0: 1, 1: 1}, {0: 1, 1: 1, 2: 0}, {1: 2}]
+    before = [dict(c) for c in cols]
+    smith_invariants(cols, 3)
+    assert cols == before

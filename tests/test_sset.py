@@ -1,12 +1,18 @@
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pmcat.relcat import RelCategory, restrict_to_weq
+from pmcat.relcat import RelCategory, random_preorder_relcat, restrict_to_weq
+from pmcat.smith import smith_invariants
 from pmcat.sset import (
     TruncationError, AbelianGroup, nerve, rezk_nerve, diagonal, pi0, homology,
+    homology_of_boundaries, normalized_boundaries,
 )
-from conftest import chain_poset, boolean_lattice, walking_iso, terminal_category
+from conftest import (
+    chain_poset, boolean_lattice, walking_iso, terminal_category, cyclic_group,
+)
 
 
 def iw():
@@ -142,6 +148,99 @@ def test_homology_matches_independent_oracle():
         mine = homology(nerve(cat, 3), 2)
         oracle = sympy_nerve_homology(cat, 3, 2)
         assert mine == oracle
+    # classifying spaces of finite cyclic groups: torsion in odd degrees
+    for n in (2, 3):
+        cat = cyclic_group(n)
+        mine = homology(nerve(cat, 5), 4)
+        oracle = sympy_nerve_homology(cat, 5, 4)
+        z_n = AbelianGroup(0, (n,))
+        assert mine == oracle == [
+            AbelianGroup(1), z_n, AbelianGroup(0), z_n, AbelianGroup(0)]
+
+
+def raw_homology(dims, boundaries, up_to):
+    """Reference for ``homology_of_boundaries``: Smith normal form of
+    every boundary matrix as given, with no transpose and no clearing."""
+    inv = {n: smith_invariants(cols, dims[n - 1]) for n, cols in boundaries.items()}
+    return [AbelianGroup(dims[i] - len(inv.get(i, ())) - len(inv.get(i + 1, ())),
+                         tuple(d for d in inv.get(i + 1, ()) if d != 1))
+            for i in range(up_to + 1)]
+
+
+def conjugated_complex(rng, top):
+    """A random complex C_0 <- ... <- C_top with d.d = 0 and known
+    homology: a direct sum of free generators and blocks Z --d--> Z, each
+    C_n then changed by a random unimodular basis.  Returns (dims,
+    boundaries, expected homology up to top - 1)."""
+    free = [rng.randint(0, 2) for _ in range(top + 1)]
+    blocks = {}  # degree n -> factors d_1 | d_2 | ... of blocks C_n -> C_{n-1}
+    for n in range(1, top + 1):
+        factors = [rng.choice((1, 2, 3))]
+        for _ in range(rng.randint(0, 3)):
+            factors.append(factors[-1] * rng.choice((1, 2, 3)))
+        blocks[n] = factors[:rng.randint(0, len(factors))]
+    dims = [free[n] + len(blocks.get(n, ())) + len(blocks.get(n + 1, ()))
+            for n in range(top + 1)]
+    # basis of C_n: free generators, then sources of blocks into n - 1,
+    # then targets of blocks out of n + 1
+    normal = {}
+    for n in range(1, top + 1):
+        mat = [[0] * dims[n] for _ in range(dims[n - 1])]
+        for b, d in enumerate(blocks[n]):
+            row = free[n - 1] + len(blocks.get(n - 1, ())) + b
+            mat[row][free[n] + b] = d
+        normal[n] = mat
+    bases = []  # (U, U^-1) per degree, products of elementary operations
+    for n in range(top + 1):
+        m = dims[n]
+        u = [[int(i == j) for j in range(m)] for i in range(m)]
+        u_inv = [row[:] for row in u]
+        for _ in range(2 * m if m > 1 else 0):
+            i, j = rng.sample(range(m), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            for row in u:                  # U <- U (I + c e_ij)
+                row[j] += c * row[i]
+            u_inv[i] = [a - c * b for a, b in zip(u_inv[i], u_inv[j])]
+        bases.append((u, u_inv))
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    boundaries = {}
+    for n in range(1, top + 1):
+        mat = normal[n]
+        if dims[n - 1] and dims[n]:
+            mat = mul(mul(bases[n - 1][0], mat), bases[n][1])
+        boundaries[n] = [{r: mat[r][c] for r in range(dims[n - 1]) if mat[r][c]}
+                         for c in range(dims[n])]
+    expected = [AbelianGroup(free[n], tuple(d for d in blocks.get(n + 1, ()) if d != 1))
+                for n in range(top)]
+    return dims, boundaries, expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_reduced_homology_matches_raw_on_conjugated_complexes(seed):
+    rng = random.Random(seed)
+    top = rng.randint(1, 4)
+    dims, boundaries, expected = conjugated_complex(rng, top)
+    for n in range(2, top + 1):
+        for col in boundaries[n]:  # d.d = 0
+            image = {}
+            for r, v in col.items():
+                for r2, v2 in boundaries[n - 1][r].items():
+                    image[r2] = image.get(r2, 0) + v * v2
+            assert not any(image.values())
+    mine = homology_of_boundaries(dims, boundaries, top - 1)
+    assert mine == raw_homology(dims, boundaries, top - 1) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_reduced_homology_matches_raw_on_random_nerves(seed):
+    cat = random_preorder_relcat(seed, max_objects=5).cat
+    dims, boundaries = normalized_boundaries(nerve(cat, 4), 4)
+    assert homology_of_boundaries(dims, boundaries, 3) == raw_homology(dims, boundaries, 3)
 
 
 def test_homology_equivalence_invariance():
