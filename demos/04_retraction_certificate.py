@@ -10,19 +10,14 @@ connecting i.r and r.i with the identities.
 """
 
 from pmcat.fixtures import build
-from pmcat.segal import (
-    chain_category, zigzag_chain_category, embedding_parts,
-    build_retraction, verify_segal,
-)
+from pmcat.segal import embedding_parts, build_retraction, verify_segal
 
 pms = build("Iw")
 rc = pms.rc
 
 print("== the categories for k = 2 over the marked interval ==")
-a2 = chain_category(rc, 2)
-b2 = zigzag_chain_category(rc, 2)
+h, a2, b2, a_prime = embedding_parts(rc, 2)
 print(f"A_2: {len(a2.objects)} chains;  B_2: {len(b2.objects)} zigzag chains")
-h, _, _, a_prime = embedding_parts(rc, 2, a2, b2)
 print(f"embedding image A'_2: {len(a_prime.objects)} of {len(b2.objects)} objects")
 
 print()

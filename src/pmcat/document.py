@@ -40,7 +40,7 @@ class DocumentError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-def parse_document(text, origin="<string>"):
+def parse_document(text):
     """Parse a .relcat document.
 
     Returns a PartialModelStructure when calculus data is present, else
@@ -102,21 +102,24 @@ def parse_document(text, origin="<string>"):
             need(line_no, parts, 2, "weq <morphism>")
             weq.append(parts[1])
             line_of[("weq", parts[1])] = line_no
-        elif head == "u":
-            need(line_no, parts, 2, "u <morphism>")
-            u_sub.append(parts[1])
-            has_calculus = True
-        elif head == "v":
-            need(line_no, parts, 2, "v <morphism>")
-            v_sub.append(parts[1])
+        elif head in ("u", "v"):
+            need(line_no, parts, 2, f"{head} <morphism>")
+            (u_sub if head == "u" else v_sub).append(parts[1])
+            line_of.setdefault((head, parts[1]), line_no)
             has_calculus = True
         elif head == "factor":
             need(line_no, parts, 5, "factor <w> <u> <mid> <v>")
-            factor[parts[1]] = (parts[2], parts[3], parts[4])
+            w, entry = parts[1], tuple(parts[2:])
+            if factor.setdefault(w, entry) != entry:
+                raise DocumentError(line_no, f"conflicting factorization for {w}")
+            line_of.setdefault(("factor", w), line_no)
             has_calculus = True
         elif head == "middle":
             need(line_no, parts, 6, "middle <w> <w2> <a> <b> <m>")
-            middle[(parts[1], parts[2], parts[3], parts[4])] = parts[5]
+            sq, m = tuple(parts[1:5]), parts[5]
+            if middle.setdefault(sq, m) != m:
+                raise DocumentError(line_no, f"conflicting middle map for {sq}")
+            line_of.setdefault(("middle", sq), line_no)
             has_calculus = True
         else:
             raise DocumentError(line_no, f"unknown directive '{head}'")
@@ -155,24 +158,26 @@ def parse_document(text, origin="<string>"):
     for name, sub in (("u", u_sub), ("v", v_sub)):
         for m in sub:
             if m not in all_mor:
-                raise DocumentError(0, f"unknown morphism {m} in {name} block")
+                raise DocumentError(line_of[(name, m)], f"unknown morphism {m} in {name} block")
     for w, (u, mid, v) in factor.items():
         for m in (w, u, v):
             if m not in all_mor:
-                raise DocumentError(0, f"unknown morphism {m} in factor block")
+                raise DocumentError(line_of[("factor", w)],
+                                    f"unknown morphism {m} in factor block")
         if mid not in declared:
-            raise DocumentError(0, f"unknown object {mid} in factor block")
+            raise DocumentError(line_of[("factor", w)], f"unknown object {mid} in factor block")
     for sq, m in middle.items():
         for x in sq + (m,):
             if x not in all_mor:
-                raise DocumentError(0, f"unknown morphism {x} in middle block")
+                raise DocumentError(line_of[("middle", sq)],
+                                    f"unknown morphism {x} in middle block")
     return PartialModelStructure(rc, u_sub, v_sub, factor, middle)
 
 
 def parse_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_document(fh.read(), origin=path)
+            return parse_document(fh.read())
     except OSError as e:
         raise DocumentError(0, f"cannot read {path}: {e.strerror}") from None
 

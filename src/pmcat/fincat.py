@@ -186,15 +186,14 @@ class FinCategory:
             self._by_tgt.setdefault(self.tgt[m], []).append(m)
 
     @classmethod
-    def build(cls, objects, morphisms, comp, validate=True):
+    def build(cls, objects, morphisms, comp):
         """Assemble a category, auto-generating missing identities.
 
         ``morphisms`` lists non-identity (or explicitly given identity)
         morphisms as (id, src, tgt); ``comp`` gives (f, g) -> g.f for
         pairs of non-identity morphisms.  Identities get the reserved id
-        ``id:<object>`` and their composites are filled in.  With
-        ``validate`` the result is law-checked and CategoryLawError is
-        raised on failure.
+        ``id:<object>`` and their composites are filled in.  The result
+        is law-checked and CategoryLawError is raised on failure.
         """
         objects = list(objects)
         morphisms = [tuple(m) for m in morphisms]
@@ -218,7 +217,7 @@ class FinCategory:
         report = validate_category(objects, morphisms, identity, comp)
         if report.structural:
             raise StructuralError(report.describe())
-        if validate and not report.ok:
+        if not report.ok:
             raise CategoryLawError(report)
         return cls(objects, morphisms, identity, comp)
 
@@ -227,9 +226,6 @@ class FinCategory:
         return validate_category(self.objects, rows, self.identity, self.comp)
 
     # -- accessors ---------------------------------------------------
-
-    def morphism_rows(self):
-        return [(m, self.src[m], self.tgt[m]) for m in self.morphisms]
 
     def hom(self, a, b):
         return tuple(self._hom.get((a, b), ()))
@@ -249,10 +245,6 @@ class FinCategory:
             return self.comp[(f, g)]
         except KeyError:
             raise StructuralError(f"morphisms do not compose: {g} after {f}") from None
-
-    def then(self, f, g):
-        """Diagrammatic order: f followed by g."""
-        return self.compose(g, f)
 
     def composable(self, f, g):
         """True when f can be followed by g."""
@@ -303,12 +295,6 @@ class Functor:
         self.obj_map = dict(obj_map)
         self.mor_map = dict(mor_map)
 
-    def on_obj(self, o):
-        return self.obj_map[o]
-
-    def on_mor(self, m):
-        return self.mor_map[m]
-
     @classmethod
     def identity(cls, cat):
         return cls(cat, cat, {o: o for o in cat.objects},
@@ -318,12 +304,6 @@ class Functor:
     def constant(cls, source, target, obj):
         return cls(source, target, {o: obj for o in source.objects},
                    {m: target.identity[obj] for m in source.morphisms})
-
-    def after(self, other):
-        """self . other (apply other first)."""
-        return Functor(other.source, self.target,
-                       {o: self.obj_map[other.obj_map[o]] for o in other.source.objects},
-                       {m: self.mor_map[other.mor_map[m]] for m in other.source.morphisms})
 
     def __repr__(self):
         return f"Functor({self.source!r} -> {self.target!r})"

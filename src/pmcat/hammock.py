@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from ._util import UnionFind
 from .fincat import FinCategory, StructuralError
 from .relcat import diagram_category, ARROW, WEQ_BACK
-from .pmc import Calculus, CalculusError
+from .pmc import CalculusError
 from .sset import nerve
 
 
@@ -81,7 +81,7 @@ def mapping_space(rc, a, b, n_max):
     return nerve(zigzag_category(rc, a, b), n_max)
 
 
-def ho_compose(pms, z1, z2, calculus=None):
+def ho_compose(pms, z1, z2):
     """Normalized composite of composable zigzags via calculus moves.
 
     Steps: (1) merge the two wrong-way maps through the shared endpoint
@@ -91,13 +91,12 @@ def ho_compose(pms, z1, z2, calculus=None):
     """
     if z1.target != z2.source:
         raise StructuralError(f"zigzags do not compose: {z1} then {z2}")
-    calc = calculus if calculus is not None else Calculus(pms)
     cat = pms.rc.cat
     back = cat.comp[(z2.left, z1.right)]          # X2 -> Y1, marked
-    u, mid_obj, v = calc.factor(back)
-    pb = calc.pullback(v, z1.mid)                 # cospan Y1 <- M, X1 ->
+    u, mid_obj, v = pms.factor(back)
+    pb = pms.pullback(v, z1.mid)                  # cospan Y1 <- M, X1 ->
     q, p = pb.leg_f, pb.leg_g                     # q: P -> M, p: P -> X1
-    po = calc.pushout(u, z2.mid)                  # span M <- X2 -> Y2
+    po = pms.pushout(u, z2.mid)                   # span M <- X2 -> Y2
     mq, uq = po.leg_f, po.leg_g                   # mq: M -> Q, uq: Y2 -> Q
     left = cat.comp[(p, z1.left)]
     mid = cat.comp[(q, mq)]
@@ -117,11 +116,10 @@ class HoCategory:
     the class morphism id.
     """
 
-    def __init__(self, cat, members, class_of, zigzag_categories):
+    def __init__(self, cat, members, class_of):
         self.cat = cat
         self.members = members
         self.class_of = class_of
-        self.zigzag_categories = zigzag_categories
 
     def hom_classes(self, a, b):
         return self.cat.hom(a, b)
@@ -145,15 +143,12 @@ def homotopy_category(pms):
     category laws re-verified exhaustively at class level."""
     rc = pms.rc
     cat = rc.cat
-    calc = Calculus(pms)
-    zigzag_cats = {}
     classes = {}          # (a, b) -> list of tuple of zigzag keys
     class_of = {}         # (a, b, key) -> class id
     members = {}
     for a in cat.objects:
         for b in cat.objects:
             zc = zigzag_category(rc, a, b)
-            zigzag_cats[(a, b)] = zc
             uf = UnionFind(zc.objects)
             for m in zc.morphisms:
                 uf.union(zc.src[m], zc.tgt[m])
@@ -187,7 +182,7 @@ def homotopy_category(pms):
                             z1 = Zigzag(a, b, *key1)
                             for key2 in members[cid2]:
                                 z2 = Zigzag(b, c, *key2)
-                                out = ho_compose(pms, z1, z2, calc)
+                                out = ho_compose(pms, z1, z2)
                                 results.add(class_of[(a, c, out.key)])
                         if len(results) != 1:
                             raise HoConsistencyError(
@@ -198,7 +193,7 @@ def homotopy_category(pms):
     report = ho_cat.validate()
     if not report.ok:
         raise HoConsistencyError("class-level laws fail:\n" + report.describe())
-    return HoCategory(ho_cat, members, class_of, zigzag_cats)
+    return HoCategory(ho_cat, members, class_of)
 
 
 # -- bounded localization oracle ---------------------------------------------

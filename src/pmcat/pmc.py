@@ -35,7 +35,14 @@ class CalculusError(ValueError):
 
 
 class PartialModelStructure:
-    """Relative category plus (U, V, factorization, middle maps)."""
+    """Relative category plus (U, V, factorization, middle maps).
+
+    The structure answers the moves of the calculus: :meth:`factor`,
+    :meth:`middle_map`, :meth:`pushout` and :meth:`pullback`.  A missing
+    ingredient raises CalculusError, which is unreachable once
+    verify_partial_model has passed.  Each pushout and pullback is
+    searched once and remembered, found or not.
+    """
 
     def __init__(self, rc, u_sub, v_sub, factorization, middle):
         cat = rc.cat
@@ -52,6 +59,7 @@ class PartialModelStructure:
         self._v_set = frozenset(self.v_sub)
         self.factorization = dict(factorization)   # w -> (u, mid object, v)
         self.middle = dict(middle)                 # (w, w2, a, b) -> m
+        self._witnesses = {}                       # (kind, a, f) -> witness or None
 
     def in_u(self, m):
         return m in self._u_set
@@ -64,6 +72,29 @@ class PartialModelStructure:
             return self.factorization[w]
         except KeyError:
             raise CalculusError(f"no factorization recorded for {w}") from None
+
+    def middle_map(self, square):
+        m = self.middle.get(square)
+        if m is None:
+            raise CalculusError(f"no middle map recorded for {square}")
+        return m
+
+    def _witness(self, kind, search, a, f):
+        key = (kind, a, f)
+        if key not in self._witnesses:
+            self._witnesses[key] = search(self.rc.cat, a, f)
+        wit = self._witnesses[key]
+        if wit is None:
+            raise CalculusError(f"no {kind} of {a} along {f}")
+        return wit
+
+    def pushout(self, u, f):
+        """The pushout witness of the span (u, f)."""
+        return self._witness("pushout", find_pushout, u, f)
+
+    def pullback(self, v, f):
+        """The pullback witness of the cospan (v, f)."""
+        return self._witness("pullback", find_pullback, v, f)
 
 
 def trivial_partial_model_structure(rc, v_sub=()):
@@ -160,10 +191,12 @@ def verify_partial_model(pms):
     u_wit += [(u,) for u in pms.u_sub if not rc.is_weq(u)]
     for u in pms.u_sub:
         for f in cat.out_of(cat.src[u]):
-            wit = find_pushout(cat, u, f)
-            if wit is None:
+            try:
+                wit = pms.pushout(u, f)
+            except CalculusError:
                 u_wit.append((u, f, "no pushout"))
-            elif not pms.in_u(wit.leg_g):
+                continue
+            if not pms.in_u(wit.leg_g):
                 u_wit.append((u, f, f"pushed-out leg {wit.leg_g} not in U"))
     verdicts.append(("c-i:u-pushout-closure", PropertyReport(
         "u-pushout-closure", not u_wit, u_wit, u_notes)))
@@ -174,10 +207,12 @@ def verify_partial_model(pms):
     v_wit += [(v,) for v in pms.v_sub if not rc.is_weq(v)]
     for v in pms.v_sub:
         for f in cat.into(cat.tgt[v]):
-            wit = find_pullback(cat, v, f)
-            if wit is None:
+            try:
+                wit = pms.pullback(v, f)
+            except CalculusError:
                 v_wit.append((v, f, "no pullback"))
-            elif not pms.in_v(wit.leg_g):
+                continue
+            if not pms.in_v(wit.leg_g):
                 v_wit.append((v, f, f"pulled-back leg {wit.leg_g} not in V"))
     verdicts.append(("c-ii:v-pullback-closure", PropertyReport(
         "v-pullback-closure", not v_wit, v_wit, [])))
@@ -272,56 +307,12 @@ def factorization_middle_map(pms, square):
             or cat.src[b] != cat.tgt[w] or cat.tgt[b] != cat.tgt[w2]
             or cat.comp[(w, b)] != cat.comp[(a, w2)]):
         raise StructuralError(f"square {square} does not commute")
-    m = pms.middle.get(square)
-    if m is None:
-        raise CalculusError(f"no middle map recorded for {square}")
+    m = pms.middle_map(square)
     u1, mid1, v1 = pms.factor(w)
     u2, mid2, v2 = pms.factor(w2)
     if cat.comp[(u1, m)] != cat.comp[(a, u2)] or cat.comp[(v1, b)] != cat.comp[(m, v2)]:
         raise CalculusError(f"recorded middle map {m} does not commute for {square}")
     return m
-
-
-class Calculus:
-    """Cached access to the moves a verified structure guarantees:
-    factorizations, middle maps, pushouts of U-maps, pullbacks of
-    V-maps.  A missing ingredient raises CalculusError, which is
-    unreachable once verify_partial_model has passed."""
-
-    def __init__(self, pms):
-        self.pms = pms
-        self.cat = pms.rc.cat
-        self._pushouts = {}
-        self._pullbacks = {}
-
-    def factor(self, w):
-        return self.pms.factor(w)
-
-    def middle(self, square):
-        m = self.pms.middle.get(square)
-        if m is None:
-            raise CalculusError(f"no middle map recorded for {square}")
-        return m
-
-    def pushout(self, u, f):
-        key = (u, f)
-        wit = self._pushouts.get(key)
-        if wit is None:
-            wit = find_pushout(self.cat, u, f)
-            if wit is None:
-                raise CalculusError(f"no pushout of {u} along {f}")
-            self._pushouts[key] = wit
-        return wit
-
-    def pullback(self, v, f):
-        key = (v, f)
-        wit = self._pullbacks.get(key)
-        if wit is None:
-            wit = find_pullback(self.cat, v, f)
-            if wit is None:
-                raise CalculusError(f"no pullback of {v} along {f}")
-            self._pullbacks[key] = wit
-        return wit
 
 
 def weq_restriction_diagnostic(pms):

@@ -11,14 +11,15 @@ witness.
 small diagrams the toolkit builds: the chain categories A_k, the
 zigzag-chain categories B_k, the three-arrow zigzag (hammock)
 categories, the arrow category of the weak equivalences, and through
-the A_k the classification nerve.
+the A_k the classification nerve.  :func:`diagram_functor` builds the
+functors between them that move diagrams and components.
 """
 
 from dataclasses import dataclass
 from operator import itemgetter
 
 from ._util import UnionFind
-from .fincat import FinCategory, StructuralError, Violation, ValidationReport
+from .fincat import FinCategory, Functor, StructuralError, Violation, ValidationReport
 
 
 class RelCategory:
@@ -43,9 +44,6 @@ class RelCategory:
 
     def is_weq(self, m):
         return m in self._weq_set
-
-    def weq_hom(self, a, b):
-        return tuple(m for m in self.cat.hom(a, b) if m in self._weq_set)
 
     def __repr__(self):
         return f"RelCategory({len(self.cat.objects)} objects, {len(self.weq)}/{len(self.cat.morphisms)} marked)"
@@ -326,6 +324,18 @@ def diagram_category(rc, slots, fixed=None):
         components[mid] = comps
     return DiagramCategory(cat, obj_ids, rows, identity,
                            dict(zip(obj_ids, diagrams)), components)
+
+
+def diagram_functor(source, target, diagrams, components):
+    """The functor between diagram categories that moves each diagram by
+    ``diagrams`` (on its vertex and arrow tuples, returning both) and
+    each morphism by ``components`` (on its component tuple).  An image
+    that is not a diagram or morphism of ``target`` maps to None."""
+    obj_map = {o: target.object_of(*diagrams(*d)) for o, d in source.diagrams.items()}
+    src, tgt, lookup = source.src, source.tgt, target.lookup
+    mor_map = {m: lookup(obj_map[src[m]], obj_map[tgt[m]], components(c))
+               for m, c in source.components.items()}
+    return Functor(source, target, obj_map, mor_map)
 
 
 def random_preorder_relcat(seed, max_objects=6, edge_p=0.35, weq_p=0.5):

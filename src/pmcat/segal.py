@@ -13,9 +13,9 @@ For a relative category (C, W):
       c0 --b1--> c1 --x--> c2 <--w-- c3 --y--> c4 --b2--> ... --bk-->
 
   with x, y, w marked.
-* ``insert_identities(rc, k)`` is the embedding A_k -> B_k that fills
-  the x, w, y slots with identities; its image is the full subcategory
-  A'_k.
+* ``embedding_parts(rc, k)`` holds the embedding h: A_k -> B_k that
+  fills the x, w, y slots with identities; its image is the full
+  subcategory A'_k.
 * ``build_retraction(pms, k)`` constructs the retraction
   r: B_k -> A'_k together with the zigzag of natural weak equivalences
   connecting i.r with the identity of B_k (four transformations through
@@ -37,8 +37,8 @@ from .fincat import (
     Functor, StructuralError, check_functor, strict_pullback_category,
     category_isomorphism,
 )
-from .relcat import diagram_category, ARROW, WEQ, WEQ_BACK
-from .pmc import Calculus, CalculusError
+from .relcat import diagram_category, diagram_functor, ARROW, WEQ, WEQ_BACK
+from .pmc import CalculusError
 from .sset import nerve, pi0, homology
 from .hammock import check_saturation
 
@@ -61,42 +61,26 @@ def zigzag_chain_category(rc, k):
     return diagram_category(rc, (ARROW, WEQ, WEQ_BACK, WEQ) + (ARROW,) * (k - 1))
 
 
-def insert_identities(rc, k, a_k=None, b_k=None):
-    """The embedding h: A_k -> B_k filling x, w, y with identities.
-
-    Injective on objects and morphisms; its image spans the full
-    subcategory A'_k (see :func:`embedding_parts` for the bundle)."""
-    return embedding_parts(rc, k, a_k, b_k)[0]
-
-
-def embedding_parts(rc, k, a_k=None, b_k=None):
-    """(h, A_k, B_k, A'_k), with A'_k the full subcategory of B_k on the
-    image objects (ids preserved)."""
+def embedding_parts(rc, k):
+    """(h, A_k, B_k, A'_k): the embedding h: A_k -> B_k filling x, w, y
+    with identities, injective on objects and morphisms, and A'_k, the
+    full subcategory of B_k on its image objects (ids preserved)."""
     cat = rc.cat
-    if a_k is None:
-        a_k = chain_category(rc, k)
-    if b_k is None:
-        b_k = zigzag_chain_category(rc, k)
-    obj_map = {}
-    for oid, (objs, arrows) in a_k.diagrams.items():
-        c1 = objs[1]
-        i1 = cat.identity[c1]
-        new_arrows = (arrows[0], i1, i1, i1) + arrows[1:]
-        new_objs = (objs[0], c1, c1, c1, c1) + objs[2:]
-        target = b_k.object_of(new_objs, new_arrows)
-        if target is None:
+    a_k = chain_category(rc, k)
+    b_k = zigzag_chain_category(rc, k)
+
+    def fill(objs, arrows):
+        i1 = cat.identity[objs[1]]
+        return (objs[0],) + (objs[1],) * 4 + objs[2:], (arrows[0], i1, i1, i1) + arrows[1:]
+
+    h = diagram_functor(a_k, b_k, fill, lambda c: (c[0],) + (c[1],) * 4 + c[2:])
+    for oid in a_k.objects:
+        if h.obj_map[oid] is None:
             raise StructuralError(f"image of {oid} missing from B_{k}")
-        obj_map[oid] = target
-    mor_map = {}
     for m in a_k.morphisms:
-        comps = a_k.components[m]
-        new_comps = (comps[0], comps[1], comps[1], comps[1], comps[1]) + comps[2:]
-        img = b_k.lookup(obj_map[a_k.src[m]], obj_map[a_k.tgt[m]], new_comps)
-        if img is None:
+        if h.mor_map[m] is None:
             raise StructuralError(f"image of morphism {m} missing from B_{k}")
-        mor_map[m] = img
-    h = Functor(a_k, b_k, obj_map, mor_map)
-    a_prime = b_k.full_subcategory(sorted(set(obj_map.values()),
+    a_prime = b_k.full_subcategory(sorted(set(h.obj_map.values()),
                                           key=b_k.objects.index))
     return h, a_k, b_k, a_prime
 
@@ -192,31 +176,22 @@ def build_retraction(pms, k, parts=None):
     """
     rc = pms.rc
     cat = rc.cat
-    calc = Calculus(pms)
     if parts is None:
         parts = embedding_parts(rc, k)
     h, a_k, b_k, a_prime = parts
 
     errors = []
     witnesses = []
-    seen_witness = {}
+    recorded = set()
 
-    def record_pushout(u, f):
-        wit = calc.pushout(u, f)
-        key = ("pushout", u, f)
-        if key not in seen_witness:
-            seen_witness[key] = wit
-            witnesses.append(("pushout", u, f, wit.apex, wit.leg_f, wit.leg_g,
-                              wit.verify(cat, u, f)))
-        return wit
-
-    def record_pullback(v, f):
-        wit = calc.pullback(v, f)
-        key = ("pullback", v, f)
-        if key not in seen_witness:
-            seen_witness[key] = wit
-            witnesses.append(("pullback", v, f, wit.apex, wit.leg_f, wit.leg_g,
-                              wit.verify(cat, v, f)))
+    def record(kind, a, f):
+        """The structure's pushout or pullback of (a, f), re-verified
+        and listed in the certificate the first time it is used."""
+        wit = getattr(pms, kind)(a, f)
+        if (kind, a, f) not in recorded:
+            recorded.add((kind, a, f))
+            witnesses.append((kind, a, f, wit.apex, wit.leg_f, wit.leg_g,
+                              wit.verify(cat, a, f)))
         return wit
 
     # -- object-level data ---------------------------------------------------
@@ -234,7 +209,7 @@ def build_retraction(pms, k, parts=None):
         c = objs
         xb1 = cat.comp[(b1, x)]
         b2y = cat.comp[(y, bs[0])] if bs else None
-        u1, m1_obj, v1 = calc.factor(w)
+        u1, m1_obj, v1 = pms.factor(w)
         factorizations.setdefault(w, (u1, m1_obj, v1))
 
         t1_arrows = (xb1, cat.identity[c[2]], w, y) + bs
@@ -249,14 +224,14 @@ def build_retraction(pms, k, parts=None):
         bars = []
         t2_tail = (b2y,) + bs[1:]
         for j, arrow in enumerate(t2_tail):
-            wit = record_pushout(us[-1], arrow)
+            wit = record("pushout", us[-1], arrow)
             bars.append(wit.leg_f)      # M_j -> M_{j+1}
             us.append(wit.leg_g)        # next u
             mids.append(wit.apex)
         t3_arrows = (xb1, cat.identity[c[2]], v1, cat.identity[m1_obj]) + tuple(bars)
         t3_objs = (c[0], c[2], c[2], m1_obj, m1_obj) + tuple(mids[1:])
 
-        pb = record_pullback(v1, xb1)
+        pb = record("pullback", v1, xb1)
         bar_xb1 = pb.leg_f              # P -> M1
         bar_v1 = pb.leg_g               # P -> c0
         p_obj = pb.apex
@@ -325,11 +300,11 @@ def build_retraction(pms, k, parts=None):
         w_t = b_k.diagrams[tgt_o][1][2]
         square = (w_s, w_t, comps[3], comps[2])
         try:
-            mu = [calc.middle(square)]
+            mu = [pms.middle_map(square)]
             # comparisons into the pushout tower of the target
             src_tail_arrows = d_s["t2"][1][4:]
             for j in range(len(src_tail_arrows)):
-                wit_s = seen_witness[("pushout", d_s["us"][j], src_tail_arrows[j])]
+                wit_s = pms.pushout(d_s["us"][j], src_tail_arrows[j])
                 leg_m = cat.comp[(mu[-1], d_t["bars"][j])]
                 leg_c = cat.comp[(comps[5 + j], d_t["us"][j + 1])]
                 mu.append(comparison_from_cocone(wit_s, d_t["mids"][j + 1], leg_m, leg_c))
@@ -337,7 +312,7 @@ def build_retraction(pms, k, parts=None):
             errors.append(f"comparison data missing for morphism {m}: {e}")
             continue
         # express the source pullback cone as a competitor of the target one
-        wit_t = seen_witness[("pullback", d_t["v1"], d_t["t1"][1][0])]
+        wit_t = pms.pullback(d_t["v1"], d_t["t1"][1][0])
         comp_map_t = dict(wit_t.comparisons)
         leg_m1 = cat.comp[(d_s["bar_xb1"], mu[0])]
         leg_c0 = cat.comp[(d_s["bar_v1"], comps[0])]
@@ -378,9 +353,7 @@ def build_retraction(pms, k, parts=None):
 
     # -- transformations and naturality -----------------------------------------
     identity_f = Functor.identity(b_k)
-    ir_obj = {o: r_obj[o] for o in b_k.objects}
-    ir_mor = {m: r_mor[m] for m in b_k.morphisms}
-    ir_f = Functor(b_k, b_k, ir_obj, ir_mor)
+    ir_f = Functor(b_k, b_k, r_obj, r_mor)
 
     def make_record(name, src_f, tgt_f, comp_table):
         rec = TransformationRecord(name, src_f, tgt_f, dict(comp_table))
@@ -393,12 +366,13 @@ def build_retraction(pms, k, parts=None):
     def check_naturality(rec, src_functor, tgt_functor, comp_table,
                          domain_morphisms):
         for m in domain_morphisms:
-            src_o = b_k.src[m]
-            tgt_o = b_k.tgt[m]
+            left = comp_table.get(b_k.src[m])
+            right = comp_table.get(b_k.tgt[m])
+            if left is None or right is None:
+                rec.missing.append(m)
+                continue
             f_m = b_k.components[src_functor.mor_map[m]]
             g_m = b_k.components[tgt_functor.mor_map[m]]
-            left = comp_table[src_o]
-            right = comp_table[tgt_o]
             for i in range(len(f_m)):
                 if cat.comp[(left[i], g_m[i])] != cat.comp[(f_m[i], right[i])]:
                     rec.naturality_failures.append((m, i))
@@ -436,7 +410,7 @@ def build_retraction(pms, k, parts=None):
         tail = (d["t2"][1][4],) + d["t2"][1][5:]
         ok = True
         for j in range(len(tail)):
-            wit = seen_witness[("pushout", d["us"][j], tail[j])]
+            wit = pms.pushout(d["us"][j], tail[j])
             comp_map = dict(wit.comparisons)
             apex2 = objs[5 + j]
             leg_m = cat.comp[(vs[-1], tail[j])]
@@ -458,22 +432,8 @@ def build_retraction(pms, k, parts=None):
     check_naturality(rec5, ir_f, t3_f, phi4, a_morphisms)
     rec6 = make_record("tau: T3|A' => 1", "T3|A'", "1|A'", tau)
     rec7 = make_record("psi = tau . phi4: r.i => 1 (on A')", "r.i", "1|A'", psi)
-    # naturality of tau and psi over A'_k
-    for rec, table, src_f, tgt_f in ((rec6, tau, t3_f, identity_f),
-                                     (rec7, psi, ir_f, identity_f)):
-        for m in a_morphisms:
-            src_o, tgt_o = b_k.src[m], b_k.tgt[m]
-            f_m = b_k.components[src_f.mor_map[m]]
-            g_m = b_k.components[m]
-            left = table.get(src_o)
-            right = table.get(tgt_o)
-            if left is None or right is None:
-                rec.missing.append(m)
-                continue
-            for i in range(len(g_m)):
-                if cat.comp[(left[i], g_m[i])] != cat.comp[(f_m[i], right[i])]:
-                    rec.naturality_failures.append((m, i))
-                    break
+    check_naturality(rec6, t3_f, identity_f, tau, a_morphisms)
+    check_naturality(rec7, ir_f, identity_f, psi, a_morphisms)
 
     cert = SegalCertificate(
         k, object_rows,
@@ -548,20 +508,6 @@ def _count_chains(cat, n):
     return sum(counts.values())
 
 
-def segal_projections(rc, k, a_k_minus=None, a_1=None, a_0=None):
-    """The two functors of the strict fiber square: last-object from
-    A_{k-1} and source-object from A_1, both into A_0."""
-    a_k_minus = a_k_minus if a_k_minus is not None else chain_category(rc, k - 1)
-    a_1 = a_1 if a_1 is not None else chain_category(rc, 1)
-    a_0 = a_0 if a_0 is not None else chain_category(rc, 0)
-    f_obj = {oid: a_k_minus.diagrams[oid][0][-1] for oid in a_k_minus.objects}
-    f_mor = {m: a_k_minus.components[m][-1] for m in a_k_minus.morphisms}
-    g_obj = {oid: a_1.diagrams[oid][0][0] for oid in a_1.objects}
-    g_mor = {m: a_1.components[m][0] for m in a_1.morphisms}
-    return (Functor(a_k_minus, a_0, f_obj, f_mor),
-            Functor(a_1, a_0, g_obj, g_mor))
-
-
 def check_strict_segal_identity(rc, k, cache=None):
     """A_k is isomorphic, as a category, to the strict fiber product of
     A_{k-1} and A_1 over A_0."""
@@ -572,7 +518,11 @@ def check_strict_segal_identity(rc, k, cache=None):
             cache[i] = chain_category(rc, i)
         return cache[i]
 
-    F, G = segal_projections(rc, k, a_k_minus=ak(k - 1), a_1=ak(1), a_0=ak(0))
+    # last vertex of a (k-1)-chain and first vertex of a 1-chain, in A_0
+    F = diagram_functor(ak(k - 1), ak(0), lambda objs, arrows: (objs[-1:], ()),
+                        lambda c: c[-1:])
+    G = diagram_functor(ak(1), ak(0), lambda objs, arrows: (objs[:1], ()),
+                        lambda c: c[:1])
     pb = strict_pullback_category(F, G)
     return category_isomorphism(ak(k), pb) is not None
 

@@ -15,8 +15,7 @@ degrees strictly below ``n_max``, and the API refuses to go higher.
 from dataclasses import dataclass
 
 from ._util import UnionFind
-from .fincat import Functor
-from .relcat import diagram_category, ARROW
+from .relcat import diagram_category, diagram_functor, ARROW
 from .smith import smith_invariants
 
 
@@ -79,6 +78,39 @@ def _identity_violations(n_max, sizes, faces, degeneracies):
     return bad
 
 
+def simplicial_map_violations(tables, source, target, n_max):
+    """Where index tables fail to be a simplicial map.
+
+    ``tables[n]`` sends the n-simplices of the source to those of the
+    target; ``source`` and ``target`` are (faces, degeneracies) pairs
+    keyed (n, i).  Every face and degeneracy up to dimension ``n_max``
+    must commute with the tables; returns a list of violation strings
+    (empty = pass).
+    """
+    bad = []
+    src_faces, src_degens = source
+    tgt_faces, tgt_degens = target
+    for n in range(1, n_max + 1):
+        here, below = tables[n], tables[n - 1]
+        for i in range(n + 1):
+            op = tgt_faces[(n, i)]
+            before = [op[y] for y in here]
+            after = [below[y] for y in src_faces[(n, i)]]
+            if before != after:
+                bad.extend(f"face ({n},{i}) at {x}"
+                           for x, (p, q) in enumerate(zip(before, after)) if p != q)
+    for n in range(n_max):
+        here, above = tables[n], tables[n + 1]
+        for i in range(n + 1):
+            op = tgt_degens[(n, i)]
+            before = [op[y] for y in here]
+            after = [above[y] for y in src_degens[(n, i)]]
+            if before != after:
+                bad.extend(f"degeneracy ({n},{i}) at {x}"
+                           for x, (p, q) in enumerate(zip(before, after)) if p != q)
+    return bad
+
+
 class TruncatedSimplicialSet:
     """Simplex sets per dimension 0..n_max with operator index tables.
 
@@ -96,12 +128,6 @@ class TruncatedSimplicialSet:
 
     def size(self, n):
         return len(self.simplices[n])
-
-    def face(self, n, i, idx):
-        return self.faces[(n, i)][idx]
-
-    def degeneracy(self, n, i, idx):
-        return self.degeneracies[(n, i)][idx]
 
     def validate_identities(self):
         """All simplicial identities among operators defined within the
@@ -292,76 +318,38 @@ class TruncatedBisimplicialSet:
         return len(self.simplices[(k, n)])
 
     def validate_identities(self):
-        """Horizontal and vertical simplicial identities plus the
-        commutation of the two directions; list of violations."""
+        """Horizontal and vertical simplicial identities, and every
+        horizontal face and degeneracy as a simplicial map between
+        vertical columns; list of violations."""
+        k_max, n_max = self.k_max, self.n_max
         bad = []
+        rows = [({(k, i): self.hfaces[(k, n, i)]
+                  for k in range(1, k_max + 1) for i in range(k + 1)},
+                 {(k, i): self.hdegens[(k, n, i)]
+                  for k in range(k_max) for i in range(k + 1)})
+                for n in range(n_max + 1)]
+        columns = [({(n, j): self.vfaces[(k, n, j)]
+                     for n in range(1, n_max + 1) for j in range(n + 1)},
+                    {(n, j): self.vdegens[(k, n, j)]
+                     for n in range(n_max) for j in range(n + 1)})
+                   for k in range(k_max + 1)]
+        for n, (faces, degs) in enumerate(rows):
+            sizes = [self.size(k, n) for k in range(k_max + 1)]
+            bad.extend(f"h at level {n}: {msg}"
+                       for msg in _identity_violations(k_max, sizes, faces, degs))
+        for k, (faces, degs) in enumerate(columns):
+            sizes = [self.size(k, n) for n in range(n_max + 1)]
+            bad.extend(f"v at level {k}: {msg}"
+                       for msg in _identity_violations(n_max, sizes, faces, degs))
 
-        def level_tables(direction, fixed):
-            # view one direction as a simplicial set at the other fixed
-            if direction == "h":
-                sizes = [self.size(k, fixed) for k in range(self.k_max + 1)]
-                faces = {(k, i): self.hfaces[(k, fixed, i)]
-                         for k in range(1, self.k_max + 1) for i in range(k + 1)}
-                degs = {(k, i): self.hdegens[(k, fixed, i)]
-                        for k in range(0, self.k_max) for i in range(k + 1)}
-                top = self.k_max
-            else:
-                sizes = [self.size(fixed, n) for n in range(self.n_max + 1)]
-                faces = {(n, i): self.vfaces[(fixed, n, i)]
-                         for n in range(1, self.n_max + 1) for i in range(n + 1)}
-                degs = {(n, i): self.vdegens[(fixed, n, i)]
-                        for n in range(0, self.n_max) for i in range(n + 1)}
-                top = self.n_max
-            return top, sizes, faces, degs
-
-        for direction, other_top in (("h", self.n_max), ("v", self.k_max)):
-            for fixed in range(other_top + 1):
-                for msg in _identity_violations(*level_tables(direction, fixed)):
-                    bad.append(f"{direction} at level {fixed}: {msg}")
-
-        # the two directions commute
-        for k in range(self.k_max + 1):
-            for n in range(self.n_max + 1):
-                cnt = self.size(k, n)
-                for i in range(k + 1) if k >= 1 else ():
-                    for j in range(n + 1) if n >= 1 else ():
-                        hf = self.hfaces[(k, n, i)]
-                        vf = self.vfaces[(k, n, j)]
-                        vf2 = self.vfaces[(k - 1, n, j)]
-                        hf2 = self.hfaces[(k, n - 1, i)]
-                        for x in range(cnt):
-                            if vf2[hf[x]] != hf2[vf[x]]:
-                                bad.append(f"dh{i} dv{j} disagree at ({k},{n}) index {x}")
-                if k < self.k_max and n >= 1:
-                    for i in range(k + 1):
-                        for j in range(n + 1):
-                            hd = self.hdegens[(k, n, i)]
-                            vf = self.vfaces[(k, n, j)]
-                            vf2 = self.vfaces[(k + 1, n, j)]
-                            hd2 = self.hdegens[(k, n - 1, i)]
-                            for x in range(cnt):
-                                if vf2[hd[x]] != hd2[vf[x]]:
-                                    bad.append(f"sh{i} dv{j} disagree at ({k},{n}) index {x}")
-                if n < self.n_max and k >= 1:
-                    for i in range(k + 1):
-                        for j in range(n + 1):
-                            vd = self.vdegens[(k, n, j)]
-                            hf = self.hfaces[(k, n, i)]
-                            hf2 = self.hfaces[(k, n + 1, i)]
-                            vd2 = self.vdegens[(k - 1, n, j)]
-                            for x in range(cnt):
-                                if hf2[vd[x]] != vd2[hf[x]]:
-                                    bad.append(f"dh{i} sv{j} disagree at ({k},{n}) index {x}")
-                if k < self.k_max and n < self.n_max:
-                    for i in range(k + 1):
-                        for j in range(n + 1):
-                            hd = self.hdegens[(k, n, i)]
-                            vd = self.vdegens[(k, n, j)]
-                            vd2 = self.vdegens[(k + 1, n, j)]
-                            hd2 = self.hdegens[(k, n + 1, i)]
-                            for x in range(cnt):
-                                if vd2[hd[x]] != hd2[vd[x]]:
-                                    bad.append(f"sh{i} sv{j} disagree at ({k},{n}) index {x}")
+        for k in range(k_max + 1):
+            for i in range(k + 1):
+                for name, ops, other in (("dh", self.hfaces, k - 1), ("sh", self.hdegens, k + 1)):
+                    if 0 <= other <= k_max:
+                        tables = [ops[(k, n, i)] for n in range(n_max + 1)]
+                        bad.extend(f"{name}{i} out of column {k}: {msg}" for msg in
+                                   simplicial_map_violations(tables, columns[k],
+                                                             columns[other], n_max))
         return bad
 
 
@@ -375,17 +363,6 @@ def nerve_map_tables(F, source, target):
         tables[n] = [index[tuple(mor_map[m] for m in chain)]
                      for chain in source.simplices[n]]
     return tables
-
-
-def _chain_operator(a_k, a_next, objects, components):
-    """The functor between chain categories that acts on vertex tuples
-    and arrow tuples by ``objects`` and on component tuples by
-    ``components``."""
-    obj_map = {o: a_next.object_of(*objects(*d)) for o, d in a_k.diagrams.items()}
-    mor_map = {m: a_next.lookup(obj_map[a_k.src[m]], obj_map[a_k.tgt[m]],
-                                components(c))
-               for m, c in a_k.components.items()}
-    return Functor(a_k, a_next, obj_map, mor_map)
 
 
 def rezk_nerve(rc, k_max=4, n_max=4):
@@ -430,14 +407,14 @@ def rezk_nerve(rc, k_max=4, n_max=4):
             else:
                 new = arrows[:i - 1] + (cat.comp[(arrows[i - 1], arrows[i])],) + arrows[i + 1:]
             return objs[:i] + objs[i + 1:], new
-        return _chain_operator(chains[k], chains[k - 1], objects,
+        return diagram_functor(chains[k], chains[k - 1], objects,
                                lambda c: c[:i] + c[i + 1:])
 
     def degeneracy(k, i):
         def objects(objs, arrows):
             return (objs[:i + 1] + objs[i:],
                     arrows[:i] + (cat.identity[objs[i]],) + arrows[i:])
-        return _chain_operator(chains[k], chains[k + 1], objects,
+        return diagram_functor(chains[k], chains[k + 1], objects,
                                lambda c: c[:i + 1] + c[i:])
 
     hfaces, hdegens = {}, {}

@@ -18,16 +18,21 @@ the cone complex must be acyclic one degree beyond the target range.
 
 from dataclasses import dataclass, field
 
-from .fincat import Functor, StructuralError
+from .fincat import StructuralError
+from .relcat import diagram_functor
 from .sset import (
     nerve, nerve_map_tables, pi0, homology, normalized_boundaries,
-    homology_of_boundaries,
+    homology_of_boundaries, simplicial_map_violations,
 )
 from .hammock import zigzag_category, bounded_localization_oracle, homotopy_category
 
 MODEL_NOTE = ("width-one zigzag model; presheaf action materialized on marked "
               "maps only; agreement with wider hammocks beyond components and "
               "low homology is not decided by this tool")
+
+# word-length bound of the localization oracle behind the hom comparison
+# when no verified structure is supplied
+ORACLE_BOUND = 7
 
 
 class SSetMap:
@@ -42,19 +47,10 @@ class SSetMap:
     def check_simplicial(self):
         """Commutation with every face and degeneracy inside the
         truncation; list of violations."""
-        bad = []
         s, t = self.source, self.target
-        for n in range(1, min(s.n_max, t.n_max) + 1):
-            for i in range(n + 1):
-                for x in range(s.size(n)):
-                    if t.faces[(n, i)][self.tables[n][x]] != self.tables[n - 1][s.faces[(n, i)][x]]:
-                        bad.append(f"face ({n},{i}) at {x}")
-        for n in range(0, min(s.n_max, t.n_max)):
-            for i in range(n + 1):
-                for x in range(s.size(n)):
-                    if t.degeneracies[(n, i)][self.tables[n][x]] != self.tables[n + 1][s.degeneracies[(n, i)][x]]:
-                        bad.append(f"degeneracy ({n},{i}) at {x}")
-        return bad
+        return simplicial_map_violations(
+            self.tables, (s.faces, s.degeneracies), (t.faces, t.degeneracies),
+            min(s.n_max, t.n_max))
 
     def compose(self, other):
         """self after other."""
@@ -92,25 +88,13 @@ def yoneda_object(rc, a, n_max):
     action = {}
     for g in rc.weq:
         b_prime, b = cat.src[g], cat.tgt[g]
-        F = _hammock_map(cat, zcs[b_prime], zcs[b], lambda objs, arrows: (
-            (b,) + objs[1:], (cat.comp[(arrows[0], g)],) + arrows[1:]))
+        F = diagram_functor(
+            zcs[b_prime], zcs[b],
+            lambda objs, arrows: ((b,) + objs[1:], (cat.comp[(arrows[0], g)],) + arrows[1:]),
+            lambda comps: (cat.identity[b],) + comps[1:])
         action[g] = SSetMap(values[b_prime], values[b],
                             nerve_map_tables(F, values[b_prime], values[b]))
     return SimplicialPresheaf(a, n_max, values, zcs, action)
-
-
-def _hammock_map(cat, src_zc, tgt_zc, move):
-    """The functor between zigzag categories that moves each zigzag by
-    ``move`` (on its vertices and arrows) and keeps the inner components
-    of each morphism; the components at the fixed ends are identities."""
-    obj_map = {o: tgt_zc.object_of(*move(*d)) for o, d in src_zc.diagrams.items()}
-    mor_map = {}
-    for m, comps in src_zc.components.items():
-        sid, tid = obj_map[src_zc.src[m]], obj_map[src_zc.tgt[m]]
-        ends = tgt_zc.diagrams[sid][0]
-        mor_map[m] = tgt_zc.lookup(
-            sid, tid, (cat.identity[ends[0]],) + comps[1:-1] + (cat.identity[ends[-1]],))
-    return Functor(src_zc, tgt_zc, obj_map, mor_map)
 
 
 def check_presheaf_action(rc, presheaf):
@@ -144,9 +128,10 @@ def weq_induced_presheaf_maps(rc, w, n_max):
     ya_prime = yoneda_object(rc, a_prime, n_max)
     maps = {}
     for b in cat.objects:
-        F = _hammock_map(cat, ya_prime.zigzag_cats[b], ya.zigzag_cats[b],
-                         lambda objs, arrows: (objs[:-1] + (a,),
-                                               arrows[:-1] + (cat.comp[(w, arrows[-1])],)))
+        F = diagram_functor(
+            ya_prime.zigzag_cats[b], ya.zigzag_cats[b],
+            lambda objs, arrows: (objs[:-1] + (a,), arrows[:-1] + (cat.comp[(w, arrows[-1])],)),
+            lambda comps: comps[:-1] + (cat.identity[a],))
         maps[b] = SSetMap(ya_prime.values[b], ya.values[b],
                           nerve_map_tables(F, ya_prime.values[b], ya.values[b]))
     return ya, ya_prime, maps
@@ -247,7 +232,7 @@ class YonedaReport:
         }
 
 
-def verify_yoneda_relative(rc, n_dims, pms=None, oracle_bound=7):
+def verify_yoneda_relative(rc, n_dims, pms=None):
     """Levelwise component-bijection and homology-isomorphism checks for
     every marked map, plus the component-level hom comparison at every
     pair of objects.
@@ -287,13 +272,13 @@ def verify_yoneda_relative(rc, n_dims, pms=None, oracle_bound=7):
                 expected = len(ho.hom_classes(a, b))
                 source = "homotopy category"
             else:
-                orep = bounded_localization_oracle(rc, a, b, oracle_bound)
+                orep = bounded_localization_oracle(rc, a, b, ORACLE_BOUND)
                 if not orep.stable:
                     report.notes.append(
                         f"oracle unstable at ({a},{b}); comparison inconclusive")
                     continue
                 expected = orep.count
-                source = f"word oracle (bound {oracle_bound})"
+                source = f"word oracle (bound {ORACLE_BOUND})"
             if presheaf_classes != expected:
                 report.failures.append(
                     (a, b, "hom-comparison",

@@ -223,3 +223,14 @@ def test_ho_subcommand():
     assert code == 0
     hom = json.loads(out)["result"]["hom_class_counts"]
     assert all(v == 1 for v in hom.values())
+
+
+def test_conflicting_factor_line_exits_two(tmp_path):
+    doc = tmp_path / "twice.relcat"
+    doc.write_text("relcat-version 1\nobject 0\nobject 1\nmorphism f 0 1\nweq f\n"
+                   "factor f f 1 id:1\nfactor f id:0 0 f\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli("check", str(doc))
+    assert code == 2
+    assert "line 7: conflicting factorization for f" in err.getvalue()

@@ -114,3 +114,49 @@ middle id:0 id:0 id:0 id:0 id:0
 """
     value = parse_document(doc)
     assert isinstance(value, PartialModelStructure)
+
+
+INTERVAL_CALCULUS = """relcat-version 1
+object 0
+object 1
+morphism f 0 1
+weq f
+u f
+factor f f 1 id:1
+middle f f id:0 id:1 id:1
+"""
+
+
+@pytest.mark.parametrize("extra, line, message", [
+    ("factor f id:0 0 f\n", 9, "conflicting factorization for f"),
+    ("middle f f id:0 id:1 f\n", 9, "conflicting middle map"),
+])
+def test_conflicting_calculus_duplicate_names_its_line(extra, line, message):
+    with pytest.raises(DocumentError) as err:
+        parse_document(INTERVAL_CALCULUS + extra)
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
+def test_repeated_calculus_lines_that_agree_are_accepted():
+    doc = INTERVAL_CALCULUS + "factor f f 1 id:1\nmiddle f f id:0 id:1 id:1\n"
+    pms = parse_document(doc)
+    assert pms.factorization == {"f": ("f", "1", "id:1")}
+    assert pms.middle == {("f", "f", "id:0", "id:1"): "id:1"}
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("u nope\n", "unknown morphism nope in u block"),
+    ("v nope\n", "unknown morphism nope in v block"),
+    ("factor f nope 1 id:1\n", "unknown morphism nope in factor block"),
+    ("factor id:0 id:0 ghost id:0\n", "unknown object ghost in factor block"),
+    ("middle id:0 id:0 id:0 id:0 nope\n", "unknown morphism nope in middle block"),
+])
+def test_unknown_calculus_id_reports_its_line(extra, message):
+    # the offending directive is the document's line 9, after the header
+    # and the eight lines of INTERVAL_CALCULUS, with one line of padding
+    doc = INTERVAL_CALCULUS.replace("factor f f 1 id:1\n", "") + "# padding\n" + extra
+    with pytest.raises(DocumentError) as err:
+        parse_document(doc)
+    assert err.value.line == 9
+    assert message in str(err.value)

@@ -1,0 +1,44 @@
+"""Guards for what uses pmcat from outside ``src/``: the benchmark's
+per-layer metrics and the demos."""
+
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import pmcat
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_layer_metrics_resolve(monkeypatch):
+    # every per-layer metric of BENCHMARK.json names a span that exists
+    # once the tracer is installed; a renamed function raises KeyError
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    for layer in spans.LAYERS:
+        importlib.import_module(f"pmcat.{layer}")
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    tracer = spans.Tracer()
+    tracer.install(pmcat)
+    try:
+        totals = tracer.totals()
+        for name in names:
+            if not name.startswith("trace."):
+                assert spans.layer_value(tracer, totals, name) == 0, name
+    finally:
+        tracer.uninstall()
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -126,9 +126,8 @@ def test_zigzag_chain_is_category():
 # -- the embedding ------------------------------------------------------------------
 
 def test_insert_identities_returns_checked_functor():
-    from pmcat.segal import insert_identities
     from pmcat.fincat import Functor
-    h = insert_identities(iw_rc(), 2)
+    h = embedding_parts(iw_rc(), 2)[0]
     assert isinstance(h, Functor)
     assert check_functor(h).ok
 

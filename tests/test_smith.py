@@ -3,6 +3,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import pmcat.fincat
 import pmcat.smith
 from pmcat.smith import smith_invariants
 
@@ -78,8 +79,9 @@ def test_rank_of_unimodular_block():
 
 
 def test_module_doctests():
-    result = doctest.testmod(pmcat.smith)
-    assert result.attempted > 0 and result.failed == 0
+    for module in (pmcat.smith, pmcat.fincat):
+        result = doctest.testmod(module)
+        assert result.attempted > 0 and result.failed == 0, module.__name__
 
 
 def test_lows_are_the_unit_pivot_rows():

@@ -314,6 +314,23 @@ def test_rezk_identities_hold():
     assert rezk_nerve(p4, 2, 2).validate_identities() == []
 
 
+@pytest.mark.parametrize("tables, key, target, expected", [
+    ("hfaces", (2, 1, 1), (1, 1), 38),
+    ("hdegens", (1, 2, 0), (2, 2), 41),
+    ("vfaces", (2, 2, 1), (2, 1), 48),
+    ("vdegens", (1, 1, 1), (1, 2), 32),
+])
+def test_rezk_identities_catch_a_corrupted_entry(tables, key, target, expected):
+    # the law checks must fail when one operator entry is wrong; the
+    # counts pin how many identities and commutations that entry breaks
+    cat = boolean_lattice()
+    b = rezk_nerve(RelCategory(cat, cat.morphisms), 3, 3)
+    assert b.validate_identities() == []
+    table = getattr(b, tables)[key]
+    table[0] = (table[0] + 1) % b.size(*target)
+    assert len(b.validate_identities()) == expected
+
+
 def test_rezk_level_zero_matches_nerve_of_marked_subcategory():
     for rc in (iw(), i1(), RelCategory(chain_poset(3), ["02", "13"])):
         b = rezk_nerve(rc, 2, 3)

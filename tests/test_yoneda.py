@@ -1,3 +1,5 @@
+import pytest
+
 from pmcat.relcat import RelCategory
 from pmcat.pmc import trivial_partial_model_structure
 from pmcat.sset import pi0
@@ -56,6 +58,15 @@ def test_weq_induced_maps_are_simplicial():
     ya, ya_prime, maps = weq_induced_presheaf_maps(rc, "01", 3)
     for b, mp in maps.items():
         assert mp.check_simplicial() == []
+
+
+@pytest.mark.parametrize("n, expected", [(0, 4), (1, 8), (2, 4)])
+def test_check_simplicial_catches_a_corrupted_entry(n, expected):
+    ya, ya_prime, maps = weq_induced_presheaf_maps(iw_rc(), "01", 2)
+    mp = maps["1"]
+    assert mp.check_simplicial() == []
+    mp.tables[n][0] = (mp.tables[n][0] + 1) % mp.target.size(n)
+    assert len(mp.check_simplicial()) == expected
 
 
 def test_interval_weq_induces_component_bijections():
