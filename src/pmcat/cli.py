@@ -139,6 +139,7 @@ def cmd_nerve(args):
         "n_max": args.nmax,
         "bidegree_counts": counts,
         "identity_violations": violations[:10],
+        "identity_violations_total": len(violations),
         "identities_ok": not violations,
     }
     return _report("nerve", args, result, 0 if not violations else 1)
@@ -321,7 +322,7 @@ def build_parser():
     p.add_argument("--k", type=_chain_lengths, default="2,3",
                    help="comma-separated chain lengths, each >= 2")
     p.add_argument("--dims", type=_count, default=2)
-    p.add_argument("--cell-budget", type=int, default=200_000)
+    p.add_argument("--cell-budget", type=_count, default=200_000)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--full", action="store_true",
                    help="embed full per-object rows in the json certificate")
@@ -360,9 +361,14 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on first use, once per process
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         report = args.func(args)
     except DocumentError as e:

@@ -17,17 +17,18 @@ The matrix is taken as sparse columns and reduced by unit lows:
   rows, whose invariant factors the classic dense algorithm finds.
 
 On the boundary and coboundary matrices of nerves every pivot is a unit,
-so the dense block is empty there.  The pivot rows can be collected in
-``lows``; ``sset.homology_of_boundaries`` uses them to clear columns of
-the next coboundary, which is exact because those pivots are units and
-the coboundary squares to zero.
+so the dense block is empty there.  ``sset.homology_of_boundaries``
+hands in the rows of each boundary, which are the columns of the
+coboundary, and collects the pivot rows in ``lows``; it uses them to
+clear rows of the next boundary, which is exact because those pivots
+are units and the boundary squares to zero.
 
->>> smith_invariants([{0: 2}, {1: 4}], 2)
+>>> smith_invariants([{0: 2}, {1: 4}])
 [2, 4]
->>> smith_invariants([{0: 1, 1: 1}], 2)
+>>> smith_invariants([{0: 1, 1: 1}])
 [1]
 >>> lows = set()
->>> smith_invariants([{0: 1, 1: -1}, {0: 1, 2: -1}, {1: 1, 2: -1}], 3, lows)
+>>> smith_invariants([{0: 1, 1: -1}, {0: 1, 2: -1}, {1: 1, 2: -1}], lows)
 [1, 1]
 >>> sorted(lows)
 [1, 2]
@@ -118,7 +119,7 @@ def _subtract(col, pivot, row):
             del col[r]
 
 
-def smith_invariants(columns, nrows, lows=None):
+def smith_invariants(columns, lows=None):
     """Invariant factors of the integer matrix whose sparse columns are
     given as dicts {row: value}.  Zero entries may be present and are
     ignored; the columns are not modified.  Returns d_1 | d_2 | ... (all

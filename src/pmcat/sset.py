@@ -6,10 +6,12 @@ dimensions.  All simplicial identities among operators that stay inside
 the truncation can be (and in the tests are) checked exhaustively.
 
 Homology uses the normalized chain complex -- the quotient by degenerate
-simplices -- with integer coefficients and the Smith normal form of its
-coboundaries, cleared degree by degree.  Because
-the complex is truncated at ``n_max``, homology is only trusted in
-degrees strictly below ``n_max``, and the API refuses to go higher.
+simplices -- with integer coefficients.  Each boundary is built once, as
+sparse rows straight from the face tables; the rows are the columns of
+the coboundary, which the Smith reduction takes from low degree to high
+and clears degree by degree.  Because the complex is truncated at
+``n_max``, homology is only trusted in degrees strictly below ``n_max``,
+and the API refuses to go higher.
 """
 
 from dataclasses import dataclass
@@ -116,15 +118,17 @@ class TruncatedSimplicialSet:
 
     ``simplices[n]`` lists canonical simplex values; ``faces[(n, i)]``
     and ``degeneracies[(n, i)]`` map the index of a simplex in dimension
-    n to the index of its image.
+    n to the index of its image.  The lists and tables are kept as
+    handed in, not copied.
     """
 
     def __init__(self, n_max, simplices, faces, degeneracies):
         self.n_max = n_max
-        self.simplices = [list(s) for s in simplices]
-        self.faces = {k: list(v) for k, v in faces.items()}
-        self.degeneracies = {k: list(v) for k, v in degeneracies.items()}
-        self.index = [{s: i for i, s in enumerate(level)} for level in self.simplices]
+        self.simplices = simplices
+        self.faces = faces
+        self.degeneracies = degeneracies
+        self.index = [{s: i for i, s in enumerate(level)} for level in simplices]
+        self._positions = {}
 
     def size(self, n):
         return len(self.simplices[n])
@@ -136,18 +140,23 @@ class TruncatedSimplicialSet:
             self.n_max, [self.size(n) for n in range(self.n_max + 1)],
             self.faces, self.degeneracies)
 
-    def degenerate_indices(self, n):
-        """Indices in dimension n that are images of a degeneracy."""
-        if n == 0:
-            return set()
-        out = set()
-        for i in range(n):
-            out.update(self.degeneracies[(n - 1, i)])
-        return out
-
-    def nondegenerate(self, n):
-        deg = self.degenerate_indices(n)
-        return [i for i in range(self.size(n)) if i not in deg]
+    def normal_positions(self, n):
+        """Per n-simplex, its position among the nondegenerate
+        n-simplices in index order, or None if it is degenerate (the
+        image of a degeneracy).  Built once per dimension."""
+        pos = self._positions.get(n)
+        if pos is None:
+            pos = [0] * self.size(n)
+            for i in range(n):
+                for x in self.degeneracies[(n - 1, i)]:
+                    pos[x] = None
+            p = 0
+            for x, v in enumerate(pos):
+                if v is not None:
+                    pos[x] = p
+                    p += 1
+            self._positions[n] = pos
+        return pos
 
 
 def pi0(s):
@@ -167,60 +176,70 @@ def pi0(s):
 
 
 def normalized_boundaries(s, up_to):
-    """Boundary matrices of the normalized chain complex.
+    """Boundary matrices of the normalized chain complex, as sparse rows.
 
     Returns (dims, boundaries): ``dims[n]`` is the number of
     nondegenerate n-simplices for n <= up_to, and ``boundaries[n]`` (for
-    1 <= n <= up_to) the sparse columns of the boundary from degree n to
-    n - 1, indexed by position within the nondegenerate lists.
+    1 <= n <= up_to) has one row {column: entry} per nondegenerate
+    (n-1)-simplex, columns being nondegenerate n-simplices; both are
+    numbered by ``s.normal_positions``.  Degenerate faces die in the
+    quotient and faces that cancel leave no entry.  On N([1]) the one
+    nondegenerate 1-simplex f has boundary d0 f - d1 f = 1 - 0, so the
+    row of vertex 0 holds -1 and that of vertex 1 holds +1:
+
+    >>> from pmcat.fincat import FinCategory
+    >>> s = nerve(FinCategory.build(["0", "1"], [("f", "0", "1")], {}), 1)
+    >>> s.simplices
+    [['0', '1'], [('id:0',), ('id:1',), ('f',)]]
+    >>> s.normal_positions(1)
+    [None, None, 0]
+    >>> normalized_boundaries(s, 1)
+    ([2, 1], {1: [{0: -1}, {0: 1}]})
     """
     if up_to > s.n_max:
         raise TruncationError(
             f"boundaries up to {up_to} need simplices beyond truncation {s.n_max}")
-    nondeg = {n: s.nondegenerate(n) for n in range(up_to + 1)}
-    pos = {n: {idx: p for p, idx in enumerate(nondeg[n])} for n in range(up_to + 1)}
-    dims = [len(nondeg[n]) for n in range(up_to + 1)]
+    positions = [s.normal_positions(n) for n in range(up_to + 1)]
+    dims = [len(pos) - pos.count(None) for pos in positions]
     boundaries = {}
     for n in range(1, up_to + 1):
-        cols = []
-        lower = pos[n - 1]
-        for idx in nondeg[n]:
-            col = {}
-            for i in range(n + 1):
-                f = s.faces[(n, i)][idx]
-                p = lower.get(f)
-                if p is None:
-                    continue  # degenerate face dies in the quotient
-                col[p] = col.get(p, 0) + (1 if i % 2 == 0 else -1)
-            cols.append({r: v for r, v in col.items() if v})
-        boundaries[n] = cols
+        here, below = positions[n], positions[n - 1]
+        columns = [(x, c) for x, c in enumerate(here) if c is not None]
+        rows = [{} for _ in range(dims[n - 1])]
+        for i in range(n + 1):
+            face, sign = s.faces[(n, i)], (1 if i % 2 == 0 else -1)
+            for x, c in columns:
+                r = below[face[x]]
+                if r is not None:
+                    row = rows[r]
+                    v = row.get(c, 0) + sign
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+        boundaries[n] = rows
     return dims, boundaries
 
 
 def homology_of_boundaries(dims, boundaries, up_to):
     """Homology groups H_0..H_up_to of a chain complex given by sparse
-    boundary columns; needs boundaries up to degree up_to + 1.
+    boundary rows; needs boundaries up to degree up_to + 1.
 
-    Reduces the coboundaries from low degree to high: a transpose has
-    the same invariant factors.  The column of every n-simplex that was
-    a unit pivot row of the coboundary into degree n is dropped from the
-    coboundary out of degree n ("clearing"): that pivot makes the
-    column, plus lower ones, the coboundary of a cochain, whose
-    coboundary is zero.
+    Reduces the rows from low degree to high: a boundary's rows are its
+    coboundary's columns, with the same invariant factors.  The row of
+    every n-simplex that was a unit pivot in the reduction of the
+    boundary out of degree n is dropped from the boundary out of degree
+    n + 1 ("clearing"): that pivot makes the row, plus lower ones, the
+    coboundary of a cochain, whose coboundary is zero.
     """
     ranks = {}
     torsions = {}
-    pivot_rows = {}
+    pivots = {}
     for n in sorted(boundaries):
-        cols = boundaries[n]
-        cobs = [{} for _ in range(dims[n - 1])]
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                cobs[r][j] = v
-        cleared = pivot_rows.get(n - 1, ())
-        lows = pivot_rows[n] = set()
-        inv = smith_invariants([c for i, c in enumerate(cobs) if i not in cleared],
-                               len(cols), lows)
+        cleared = pivots.get(n - 1, ())
+        lows = pivots[n] = set()
+        inv = smith_invariants([row for i, row in enumerate(boundaries[n])
+                                if i not in cleared], lows)
         ranks[n] = len(inv)
         torsions[n] = tuple(d for d in inv if d != 1)
     out = []
@@ -247,54 +266,39 @@ def homology(s, up_to):
 
 # -- nerves -----------------------------------------------------------------
 
-def _chain_faces_degens(cat, n_max, chains):
-    """Index tables for nerve-style chains.  ``chains[n]`` lists the
-    dimension-n simplices: objects at n = 0, tuples of morphisms above."""
-    index = [{s: i for i, s in enumerate(level)} for level in chains]
-    faces = {}
-    degeneracies = {}
-    for n in range(1, n_max + 1):
-        for i in range(n + 1):
-            table = []
-            for c in chains[n]:
-                if n == 1:
-                    val = cat.tgt[c[0]] if i == 0 else cat.src[c[0]]
-                elif i == 0:
-                    val = c[1:]
-                elif i == n:
-                    val = c[:-1]
-                else:
-                    val = c[:i - 1] + (cat.comp[(c[i - 1], c[i])],) + c[i + 1:]
-                table.append(index[n - 1][val])
-            faces[(n, i)] = table
-    for n in range(0, n_max):
-        for i in range(n + 1):
-            table = []
-            for c in chains[n]:
-                if n == 0:
-                    val = (cat.identity[c],)
-                else:
-                    vertex = cat.src[c[0]] if i == 0 else cat.tgt[c[i - 1]]
-                    val = c[:i] + (cat.identity[vertex],) + c[i:]
-                table.append(index[n + 1][val])
-            degeneracies[(n, i)] = table
-    return faces, degeneracies
-
-
 def nerve(cat, n_max):
-    """The nerve: n-simplices are composable n-chains of morphisms."""
+    """The nerve: n-simplices are composable n-chains of morphisms,
+    objects at n = 0."""
     chains = [list(cat.objects)]
     for n in range(1, n_max + 1):
-        level = []
         if n == 1:
             level = [(m,) for m in cat.morphisms]
         else:
-            for c in chains[n - 1]:
-                for m in cat.out_of(cat.tgt[c[-1]]):
-                    level.append(c + (m,))
+            level = [c + (m,) for c in chains[n - 1] for m in cat.out_of(cat.tgt[c[-1]])]
         chains.append(level)
-    faces, degeneracies = _chain_faces_degens(cat, n_max, chains)
-    return TruncatedSimplicialSet(n_max, chains, faces, degeneracies)
+    s = TruncatedSimplicialSet(n_max, chains, {}, {})
+    src, tgt, comp, identity = cat.src, cat.tgt, cat.comp, cat.identity
+    for n in range(1, n_max + 1):
+        below, level = s.index[n - 1], chains[n]
+        if n == 1:
+            s.faces[(1, 0)] = [below[tgt[m]] for (m,) in level]
+            s.faces[(1, 1)] = [below[src[m]] for (m,) in level]
+            continue
+        s.faces[(n, 0)] = [below[c[1:]] for c in level]
+        for i in range(1, n):
+            s.faces[(n, i)] = [below[c[:i - 1] + (comp[(c[i - 1], c[i])],) + c[i + 1:]]
+                               for c in level]
+        s.faces[(n, n)] = [below[c[:-1]] for c in level]
+    for n in range(n_max):
+        above, level = s.index[n + 1], chains[n]
+        if n == 0:
+            s.degeneracies[(0, 0)] = [above[(identity[o],)] for o in level]
+            continue
+        for i in range(n + 1):
+            s.degeneracies[(n, i)] = [
+                above[c[:i] + (identity[src[c[0]] if i == 0 else tgt[c[i - 1]]],) + c[i:]]
+                for c in level]
+    return s
 
 
 # -- bisimplicial sets --------------------------------------------------------
@@ -306,13 +310,11 @@ class TruncatedBisimplicialSet:
     def __init__(self, k_max, n_max, simplices, hfaces, vfaces, hdegens, vdegens):
         self.k_max = k_max
         self.n_max = n_max
-        self.simplices = {kn: list(v) for kn, v in simplices.items()}
+        self.simplices = simplices
         self.hfaces = hfaces      # (k, n, i) -> indices into (k-1, n)
         self.vfaces = vfaces      # (k, n, j) -> indices into (k, n-1)
         self.hdegens = hdegens    # (k, n, i) -> indices into (k+1, n)
         self.vdegens = vdegens    # (k, n, j) -> indices into (k, n+1)
-        self.index = {kn: {s: i for i, s in enumerate(v)}
-                      for kn, v in self.simplices.items()}
 
     def size(self, k, n):
         return len(self.simplices[(k, n)])

@@ -161,46 +161,26 @@ def _cone_acyclic(mp, up_to):
     The map is then an isomorphism on H_i for i < up_to (and injective
     at up_to); combined with equal invariants this certifies the range.
     """
-    s, t = mp.source, mp.target
+    s, t, tables = mp.source, mp.target, mp.tables
     depth = up_to + 1
     dims_s, bnd_s = normalized_boundaries(s, depth - 1)
     dims_t, bnd_t = normalized_boundaries(t, depth)
-    nd_s = {n: s.nondegenerate(n) for n in range(depth)}
-    nd_t = {n: t.nondegenerate(n) for n in range(depth + 1)}
-    pos_t = {n: {idx: p for p, idx in enumerate(nd_t[n])} for n in nd_t}
-    # chain map on normalized complexes: degenerate images die
-    phi = {}
-    for n in range(depth):
-        table = []
-        for idx in nd_s.get(n, ()):
-            img = mp.tables[n][idx]
-            table.append(pos_t[n].get(img))
-        phi[n] = table
-    cone_dims = []
+    # C_n = S_{n-1} + T_n and d(x, y) = (-dx, f(x) + dy); the rows into
+    # degree n - 1 are those of S_{n-2}, then those of T_{n-1}.  The chain
+    # map f sends a nondegenerate simplex to its image, or to zero if the
+    # image is degenerate.
+    cone_dims = [dims_t[0]] + [dims_s[n - 1] + dims_t[n] for n in range(1, depth + 1)]
     cone_bnds = {}
-    for n in range(depth + 1):
-        x_part = len(nd_s.get(n - 1, ())) if n >= 1 else 0
-        y_part = len(nd_t.get(n, ()))
-        cone_dims.append(x_part + y_part)
     for n in range(1, depth + 1):
-        cols = []
-        x_off_low = 0
-        y_off_low = len(nd_s.get(n - 2, ())) if n >= 2 else 0
-        for j in range(len(nd_s.get(n - 1, ()))):
-            col = {}
-            if n >= 2:
-                for r, v in bnd_s[n - 1][j].items():
-                    col[r] = -v
-            img = phi[n - 1][j]
-            if img is not None:
-                col[y_off_low + img] = col.get(y_off_low + img, 0) + 1
-            cols.append({r: v for r, v in col.items() if v})
-        for j in range(len(nd_t.get(n, ()))):
-            col = {}
-            for r, v in bnd_t[n][j].items():
-                col[y_off_low + r] = v
-            cols.append(col)
-        cone_bnds[n] = cols
+        shift = dims_s[n - 1]
+        rows = [{c + shift: v for c, v in row.items()} for row in bnd_t[n]]
+        f, image_at = tables[n - 1], t.normal_positions(n - 1)
+        for x, p in enumerate(s.normal_positions(n - 1)):
+            q = None if p is None else image_at[f[x]]
+            if q is not None:
+                rows[q][p] = 1
+        cone_bnds[n] = [{c: -v for c, v in row.items()}
+                        for row in bnd_s.get(n - 1, ())] + rows
     groups = homology_of_boundaries(cone_dims, cone_bnds, up_to)
     return all(g.rank == 0 and not g.torsion for g in groups[1:up_to + 1])
 

@@ -92,6 +92,7 @@ def test_export_plain_nerve_ignores_marking(tmp_path):
     (("nerve", "Iw", "--nmax", "x"), "expected an integer"),
     (("export", "Iw", "--what", "nerve", "--nmax", "-2"), ">= 0"),
     (("mapspace", "Iw", "--from", "0", "--to", "1", "--nmax", "-1"), ">= 0"),
+    (("segal", "Iw", "--cell-budget", "-5"), ">= 0"),
 ])
 def test_bad_flag_values_exit_two(argv, message):
     command, fixture, *flags = argv
@@ -160,12 +161,40 @@ def test_command_reports_match_goldens():
         assert code == json.loads(out)["exit_code"]
 
 
+def test_consecutive_calls_keep_defaults():
+    """The parser is built once per process; a flag given to one call
+    must not become the default of the next."""
+    import pathlib
+    path = str(fixture_path("Iw"))
+    code, _ = run_cli("segal", path, "--k", "2", "--dims", "1", "--cell-budget", "5",
+                      "--allow-large", "--format", "json")
+    assert code == 0
+    golden = pathlib.Path(path).parent / "expected" / "Iw.segal.json"
+    code, out = run_cli("segal", path, "--full", "--format", "json")
+    assert out == golden.read_text()
+    assert sorted(json.loads(out)["result"]["detail"]["k"]) == ["2", "3"]
+
+
+def test_nerve_reports_the_total_of_its_truncated_list(monkeypatch):
+    from pmcat.sset import TruncatedBisimplicialSet
+    monkeypatch.setattr(TruncatedBisimplicialSet, "validate_identities",
+                        lambda self: [f"violation {i}" for i in range(12)])
+    code, out = run_cli("nerve", str(fixture_path("Iw")), "--kmax", "1", "--nmax", "1",
+                        "--format", "json")
+    result = json.loads(out)["result"]
+    assert code == 1 and not result["identities_ok"]
+    assert result["identity_violations"] == [f"violation {i}" for i in range(10)]
+    assert result["identity_violations_total"] == 12
+
+
 def test_nerve_subcommand():
     code, out = run_cli("nerve", str(fixture_path("Iw")),
                         "--kmax", "1", "--nmax", "1", "--format", "json")
     assert code == 0
     counts = json.loads(out)["result"]["bidegree_counts"]
     assert counts["(0,0)"] == 2 and counts["(1,0)"] == 3 and counts["(0,1)"] == 3
+    result = json.loads(out)["result"]
+    assert result["identity_violations"] == [] and result["identity_violations_total"] == 0
 
 
 def test_segal_subcommand_summary():

@@ -160,8 +160,8 @@ def test_homology_matches_independent_oracle():
 
 def raw_homology(dims, boundaries, up_to):
     """Reference for ``homology_of_boundaries``: Smith normal form of
-    every boundary matrix as given, with no transpose and no clearing."""
-    inv = {n: smith_invariants(cols, dims[n - 1]) for n, cols in boundaries.items()}
+    every boundary matrix as given, with no clearing."""
+    inv = {n: smith_invariants(rows) for n, rows in boundaries.items()}
     return [AbelianGroup(dims[i] - len(inv.get(i, ())) - len(inv.get(i + 1, ())),
                          tuple(d for d in inv.get(i + 1, ()) if d != 1))
             for i in range(up_to + 1)]
@@ -171,7 +171,7 @@ def conjugated_complex(rng, top):
     """A random complex C_0 <- ... <- C_top with d.d = 0 and known
     homology: a direct sum of free generators and blocks Z --d--> Z, each
     C_n then changed by a random unimodular basis.  Returns (dims,
-    boundaries, expected homology up to top - 1)."""
+    boundaries as sparse rows, expected homology up to top - 1)."""
     free = [rng.randint(0, 2) for _ in range(top + 1)]
     blocks = {}  # degree n -> factors d_1 | d_2 | ... of blocks C_n -> C_{n-1}
     for n in range(1, top + 1):
@@ -211,8 +211,8 @@ def conjugated_complex(rng, top):
         mat = normal[n]
         if dims[n - 1] and dims[n]:
             mat = mul(mul(bases[n - 1][0], mat), bases[n][1])
-        boundaries[n] = [{r: mat[r][c] for r in range(dims[n - 1]) if mat[r][c]}
-                         for c in range(dims[n])]
+        boundaries[n] = [{c: mat[r][c] for c in range(dims[n]) if mat[r][c]}
+                         for r in range(dims[n - 1])]
     expected = [AbelianGroup(free[n], tuple(d for d in blocks.get(n + 1, ()) if d != 1))
                 for n in range(top)]
     return dims, boundaries, expected
@@ -225,11 +225,11 @@ def test_reduced_homology_matches_raw_on_conjugated_complexes(seed):
     top = rng.randint(1, 4)
     dims, boundaries, expected = conjugated_complex(rng, top)
     for n in range(2, top + 1):
-        for col in boundaries[n]:  # d.d = 0
+        for row in boundaries[n - 1]:  # d.d = 0
             image = {}
-            for r, v in col.items():
-                for r2, v2 in boundaries[n - 1][r].items():
-                    image[r2] = image.get(r2, 0) + v * v2
+            for r, v in row.items():
+                for c, v2 in boundaries[n][r].items():
+                    image[c] = image.get(c, 0) + v * v2
             assert not any(image.values())
     mine = homology_of_boundaries(dims, boundaries, top - 1)
     assert mine == raw_homology(dims, boundaries, top - 1) == expected

@@ -2,13 +2,15 @@ import pytest
 
 from pmcat.relcat import RelCategory
 from pmcat.pmc import trivial_partial_model_structure
-from pmcat.sset import pi0
+from pmcat.sset import pi0, nerve
 from pmcat.yoneda import (
     yoneda_object, check_presheaf_action, weq_induced_presheaf_maps,
-    verify_yoneda_relative, MODEL_NOTE,
+    verify_yoneda_relative, MODEL_NOTE, SSetMap, _cone_acyclic,
 )
 from pmcat.hammock import homotopy_category
-from conftest import chain_poset, boolean_lattice, terminal_category
+from conftest import (
+    chain_poset, boolean_lattice, terminal_category, cyclic_group, poset_category,
+)
 
 
 def iw_rc():
@@ -67,6 +69,34 @@ def test_check_simplicial_catches_a_corrupted_entry(n, expected):
     assert mp.check_simplicial() == []
     mp.tables[n][0] = (mp.tables[n][0] + 1) % mp.target.size(n)
     assert len(mp.check_simplicial()) == expected
+
+
+def _to_point(cat, up_to):
+    source, point = nerve(cat, up_to + 1), nerve(terminal_category(), up_to + 1)
+    return SSetMap(source, point, {n: [0] * source.size(n) for n in range(up_to + 2)})
+
+
+def test_cone_of_two_points_to_the_point_has_free_h1():
+    # H_0: Z^2 -> Z is onto with kernel Z, so the cone has H_1 = Z
+    mp = _to_point(poset_category(["x", "y"], lambda a, b: a == b), 1)
+    assert mp.check_simplicial() == []
+    assert not _cone_acyclic(mp, 1)
+
+
+def test_cone_of_bz2_to_the_point_has_torsion_h2():
+    # H_1(B(Z/2)) = Z/2 and H_0 is an isomorphism: the cone has H_1 = 0
+    # and H_2 = Z/2, a failure that only the torsion shows
+    mp = _to_point(cyclic_group(2), 1)
+    assert _cone_acyclic(mp, 1)
+    mp = _to_point(cyclic_group(2), 2)
+    assert mp.check_simplicial() == []
+    assert not _cone_acyclic(mp, 2)
+
+
+def test_cone_of_an_identity_is_acyclic():
+    s = nerve(cyclic_group(2), 3)
+    mp = SSetMap(s, s, {n: list(range(s.size(n))) for n in range(4)})
+    assert _cone_acyclic(mp, 2)
 
 
 def test_interval_weq_induces_component_bijections():
