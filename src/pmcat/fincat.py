@@ -184,6 +184,7 @@ class FinCategory:
         for m in self.morphisms:
             self._by_src.setdefault(self.src[m], []).append(m)
             self._by_tgt.setdefault(self.tgt[m], []).append(m)
+        self._opposite = None
 
     @classmethod
     def build(cls, objects, morphisms, comp):
@@ -265,9 +266,13 @@ class FinCategory:
         return tuple(m for m in self.morphisms if self.is_iso(m))
 
     def opposite(self):
-        rows = [(m, self.tgt[m], self.src[m]) for m in self.morphisms]
-        comp = {(g, f): h for (f, g), h in self.comp.items()}
-        return FinCategory(self.objects, rows, self.identity, comp)
+        """The opposite category, built on the first call and kept: a
+        category is not modified after construction."""
+        if self._opposite is None:
+            rows = [(m, self.tgt[m], self.src[m]) for m in self.morphisms]
+            comp = {(g, f): h for (f, g), h in self.comp.items()}
+            self._opposite = FinCategory(self.objects, rows, self.identity, comp)
+        return self._opposite
 
     def full_subcategory(self, objects):
         """Full subcategory on the listed objects, ids preserved."""
@@ -447,156 +452,54 @@ def strict_pullback_category(F, G):
     if F.target is not G.target and F.target.morphisms != G.target.morphisms:
         raise StructuralError("functors do not share a target")
     X, Y = F.source, G.source
-    objects = [pair_id(x, y) for x in X.objects for y in Y.objects
-               if F.obj_map[x] == G.obj_map[y]]
-    rows = []
-    pairs = []
-    for m in X.morphisms:
-        for n in Y.morphisms:
-            if F.mor_map[m] == G.mor_map[n]:
-                rows.append((pair_id(m, n), pair_id(X.src[m], Y.src[n]),
-                             pair_id(X.tgt[m], Y.tgt[n])))
-                pairs.append((m, n))
+    over_obj, over_mor = {}, {}     # the fibers of G, in Y's order
+    for y in Y.objects:
+        over_obj.setdefault(G.obj_map[y], []).append(y)
+    for n in Y.morphisms:
+        over_mor.setdefault(G.mor_map[n], []).append(n)
+    objects = []
     identity = {}
     for x in X.objects:
-        for y in Y.objects:
-            if F.obj_map[x] == G.obj_map[y]:
-                identity[pair_id(x, y)] = pair_id(X.identity[x], Y.identity[y])
+        for y in over_obj.get(F.obj_map[x], ()):
+            objects.append(pair_id(x, y))
+            identity[pair_id(x, y)] = pair_id(X.identity[x], Y.identity[y])
+    rows = []
+    pairs = []
+    out_of = {}                     # (x, y) -> the pairs leaving it
+    for m in X.morphisms:
+        for n in over_mor.get(F.mor_map[m], ()):
+            rows.append((pair_id(m, n), pair_id(X.src[m], Y.src[n]),
+                         pair_id(X.tgt[m], Y.tgt[n])))
+            pairs.append((m, n))
+            out_of.setdefault((X.src[m], Y.src[n]), []).append((m, n))
     comp = {}
     for m1, n1 in pairs:
-        for m2, n2 in pairs:
-            if X.tgt[m1] == X.src[m2] and Y.tgt[n1] == Y.src[n2]:
-                comp[(pair_id(m1, n1), pair_id(m2, n2))] = pair_id(
-                    X.comp[(m1, m2)], Y.comp[(n1, n2)])
+        for m2, n2 in out_of.get((X.tgt[m1], Y.tgt[n1]), ()):
+            comp[(pair_id(m1, n1), pair_id(m2, n2))] = pair_id(
+                X.comp[(m1, m2)], Y.comp[(n1, n2)])
     return FinCategory(objects, rows, identity, comp)
 
 
-def _refine_colors(cat):
-    """Iterated degree refinement; returns object -> color token."""
-    color = {o: (len(cat.hom(o, o)),) for o in cat.objects}
-    for _ in range(len(cat.objects)):
-        nxt = {}
-        for o in cat.objects:
-            profile = sorted(
-                (color[p], len(cat.hom(o, p)), len(cat.hom(p, o)))
-                for p in cat.objects)
-            nxt[o] = (color[o], tuple(profile))
-        # compress tokens
-        canon = {}
-        for o in sorted(nxt, key=lambda o: repr(nxt[o])):
-            canon.setdefault(repr(nxt[o]), len(canon))
-        new = {o: canon[repr(nxt[o])] for o in cat.objects}
-        if len(set(new.values())) == len(set(color.values())):
-            return new
-        color = {o: (new[o],) for o in cat.objects}
-    return {o: color[o][0] for o in cat.objects}
+def category_isomorphism(F):
+    """The inverse (object map, morphism map) of F if F is an isomorphism
+    of categories, else None.
 
+    F is one exactly when it is a functor bijective on objects and on
+    morphisms.  Such a functor reflects composable pairs (F is injective
+    on objects), so its inverse tables preserve sources, targets,
+    identities and composites: the inverse is a functor too.
 
-def category_isomorphism(cat1, cat2):
-    """Search for an isomorphism of categories.
-
-    Returns (object bijection, morphism bijection) or None.  Backtracks
-    over color-refined object classes, then matches hom-sets morphism by
-    morphism subject to identity and composition constraints.
-    Exponential in the worst case; intended for desk-scale diagnostics.
+    >>> arrow = FinCategory.build(["a", "b"], [("f", "a", "b")], {})
+    >>> category_isomorphism(Functor.identity(arrow))[0]
+    {'a': 'a', 'b': 'b'}
+    >>> category_isomorphism(Functor.constant(arrow, arrow, "a")) is None
+    True
     """
-    if len(cat1.objects) != len(cat2.objects) or len(cat1.morphisms) != len(cat2.morphisms):
+    C, D = F.source, F.target
+    inv_obj = {F.obj_map.get(o): o for o in C.objects}
+    inv_mor = {F.mor_map.get(m): m for m in C.morphisms}
+    if (len(inv_obj) != len(C.objects) or inv_obj.keys() != set(D.objects)
+            or len(inv_mor) != len(C.morphisms) or inv_mor.keys() != set(D.morphisms)
+            or not check_functor(F).ok):
         return None
-    c1, c2 = _refine_colors(cat1), _refine_colors(cat2)
-    from collections import Counter
-    if Counter(c1.values()) != Counter(c2.values()):
-        return None
-
-    objs1 = sorted(cat1.objects, key=lambda o: (c1[o], cat1.objects.index(o)))
-    used = set()
-    obj_map = {}
-
-    def extend_objects(i):
-        if i == len(objs1):
-            return match_morphisms()
-        x = objs1[i]
-        for y in cat2.objects:
-            if y in used or c2[y] != c1[x]:
-                continue
-            ok = True
-            for x0, y0 in obj_map.items():
-                if (len(cat1.hom(x, x0)) != len(cat2.hom(y, y0))
-                        or len(cat1.hom(x0, x)) != len(cat2.hom(y0, y))):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            obj_map[x] = y
-            used.add(y)
-            result = extend_objects(i + 1)
-            if result is not None:
-                return result
-            del obj_map[x]
-            used.remove(y)
-        return None
-
-    def match_morphisms():
-        mor_map = {}
-        for o in cat1.objects:
-            mor_map[cat1.identity[o]] = cat2.identity[obj_map[o]]
-        rest = [m for m in cat1.morphisms if not cat1.is_identity(m)]
-        used_m = set(mor_map.values())
-
-        def final_check():
-            for (f, g), h in cat1.comp.items():
-                if cat2.comp[(mor_map[f], mor_map[g])] != mor_map[h]:
-                    return None
-            return dict(obj_map), dict(mor_map)
-
-        def local_ok(m, n):
-            for m0, n0 in mor_map.items():
-                if m0 == m:
-                    continue
-                if cat1.composable(m0, m):
-                    h = cat1.comp[(m0, m)]
-                    if h in mor_map and cat2.comp[(n0, n)] != mor_map[h]:
-                        return False
-                if cat1.composable(m, m0):
-                    h = cat1.comp[(m, m0)]
-                    if h in mor_map and cat2.comp[(n, n0)] != mor_map[h]:
-                        return False
-            return True
-
-        if not rest:
-            return final_check()
-
-        def hom_iter(m):
-            return iter(cat2.hom(obj_map[cat1.src[m]], obj_map[cat1.tgt[m]]))
-
-        # explicit-stack backtracking; recursion depth would otherwise
-        # scale with the number of morphisms
-        stack = [hom_iter(rest[0])]
-        while stack:
-            depth = len(stack) - 1
-            m = rest[depth]
-            advanced = False
-            for n in stack[-1]:
-                if n in used_m:
-                    continue
-                mor_map[m] = n
-                used_m.add(n)
-                if local_ok(m, n):
-                    if depth + 1 == len(rest):
-                        result = final_check()
-                        if result is not None:
-                            return result
-                    else:
-                        stack.append(hom_iter(rest[depth + 1]))
-                        advanced = True
-                        break
-                used_m.remove(n)
-                del mor_map[m]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    parent = rest[len(stack) - 1]
-                    used_m.remove(mor_map[parent])
-                    del mor_map[parent]
-        return None
-
-    return extend_objects(0)
+    return inv_obj, inv_mor

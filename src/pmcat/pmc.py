@@ -289,42 +289,3 @@ def verify_partial_model(pms):
 
     return AxiomReport(structural, verdicts)
 
-
-def factorization_middle_map(pms, square):
-    """Retrieve the recorded middle map of a commutative square between
-    weak equivalences and re-verify both sub-squares.
-
-    ``square`` is (w, w2, a, b) with b.w = w2.a and all four marked.
-    """
-    cat = pms.rc.cat
-    w, w2, a, b = square
-    for m in square:
-        if m not in cat.src:
-            raise StructuralError(f"unknown morphism {m}")
-    if not all(pms.rc.is_weq(m) for m in square):
-        raise StructuralError(f"square {square} is not a square of weak equivalences")
-    if (cat.src[a] != cat.src[w] or cat.tgt[a] != cat.src[w2]
-            or cat.src[b] != cat.tgt[w] or cat.tgt[b] != cat.tgt[w2]
-            or cat.comp[(w, b)] != cat.comp[(a, w2)]):
-        raise StructuralError(f"square {square} does not commute")
-    m = pms.middle_map(square)
-    u1, mid1, v1 = pms.factor(w)
-    u2, mid2, v2 = pms.factor(w2)
-    if cat.comp[(u1, m)] != cat.comp[(a, u2)] or cat.comp[(v1, b)] != cat.comp[(m, v2)]:
-        raise CalculusError(f"recorded middle map {m} does not commute for {square}")
-    return m
-
-
-def weq_restriction_diagnostic(pms):
-    """Try inheriting (U, V, factorization) along the restriction to the
-    marked subcategory and report whether the axioms survive.
-
-    Diagnostic only: the restricted pair is expected to carry *some*
-    partial model structure, but nothing prescribes that it is this one.
-    """
-    from .relcat import restrict_to_weq
-    rcw = restrict_to_weq(pms.rc)
-    restricted = PartialModelStructure(
-        rcw, pms.u_sub, pms.v_sub, pms.factorization, pms.middle)
-    report = verify_partial_model(restricted)
-    return restricted, report

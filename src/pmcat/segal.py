@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .fincat import (
     Functor, StructuralError, check_functor, strict_pullback_category,
-    category_isomorphism,
+    category_isomorphism, pair_id,
 )
 from .relcat import diagram_category, diagram_functor, ARROW, WEQ, WEQ_BACK
 from .pmc import CalculusError
@@ -509,8 +509,13 @@ def _count_chains(cat, n):
 
 
 def check_strict_segal_identity(rc, k, cache=None):
-    """A_k is isomorphic, as a category, to the strict fiber product of
-    A_{k-1} and A_1 over A_0."""
+    """The canonical comparison A_k -> A_{k-1} x_{A_0} A_1 is an
+    isomorphism of categories.
+
+    It sends a k-chain, and a map of k-chains, to the pair of its
+    restrictions: drop the last vertex (into A_{k-1}) and keep the last
+    arrow (into A_1).  The fiber product is strict, over the last vertex
+    of a (k-1)-chain and the first vertex of a 1-chain."""
     cache = cache if cache is not None else {}
 
     def ak(i):
@@ -518,13 +523,21 @@ def check_strict_segal_identity(rc, k, cache=None):
             cache[i] = chain_category(rc, i)
         return cache[i]
 
-    # last vertex of a (k-1)-chain and first vertex of a 1-chain, in A_0
     F = diagram_functor(ak(k - 1), ak(0), lambda objs, arrows: (objs[-1:], ()),
                         lambda c: c[-1:])
     G = diagram_functor(ak(1), ak(0), lambda objs, arrows: (objs[:1], ()),
                         lambda c: c[:1])
     pb = strict_pullback_category(F, G)
-    return category_isomorphism(ak(k), pb) is not None
+    head = diagram_functor(ak(k), ak(k - 1),
+                           lambda objs, arrows: (objs[:-1], arrows[:-1]),
+                           lambda c: c[:-1])
+    last = diagram_functor(ak(k), ak(1),
+                           lambda objs, arrows: (objs[-2:], arrows[-1:]),
+                           lambda c: c[-2:])
+    S = Functor(ak(k), pb,
+                {o: pair_id(head.obj_map[o], last.obj_map[o]) for o in ak(k).objects},
+                {m: pair_id(head.mor_map[m], last.mor_map[m]) for m in ak(k).morphisms})
+    return category_isomorphism(S) is not None
 
 
 def verify_segal(pms, k_range=(2, 3), sset_dims=2, cell_budget=200_000,
@@ -538,7 +551,8 @@ def verify_segal(pms, k_range=(2, 3), sset_dims=2, cell_budget=200_000,
     """
     rc = pms.rc
     if any(k >= 5 for k in k_range) and not allow_large:
-        raise StructuralError("k >= 5 grows as |Mor|^(k+3); pass allow_large=True")
+        raise StructuralError(
+            "k >= 5 grows as |Mor|^(k+3); pass --allow-large (allow_large=True)")
     cache = {}
     k_results = {}
     for k in sorted(k_range):

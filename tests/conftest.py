@@ -1,6 +1,6 @@
 """Shared builders for the small categories the tests lean on."""
 
-from pmcat.fincat import FinCategory
+from pmcat.fincat import FinCategory, Functor
 
 
 def poset_category(elements, leq, name=None):
@@ -62,3 +62,13 @@ def cyclic_group(n):
     comp = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" if (i + j) % n else "id:*"
             for i in range(1, n) for j in range(1, n)}
     return FinCategory.build(["*"], rows, comp)
+
+
+def thin_functor(source, target, obj_map):
+    """The functor into a thin category fixed by its object map: each
+    morphism goes to the one morphism between the image objects, or to
+    None when there is none."""
+    mor_map = {m: next(iter(target.hom(obj_map[source.src[m]],
+                                       obj_map[source.tgt[m]])), None)
+               for m in source.morphisms}
+    return Functor(source, target, obj_map, mor_map)

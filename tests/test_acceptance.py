@@ -28,7 +28,7 @@ from pmcat.segal import build_retraction, check_strict_segal_identity, embedding
 from pmcat.yoneda import verify_yoneda_relative
 from pmcat.fixtures import FIXTURES, build, fixture_path
 from pmcat.document import parse_document, serialize_document
-from conftest import chain_poset, walking_iso
+from conftest import chain_poset, walking_iso, thin_functor
 
 
 def run_cli(*argv):
@@ -90,7 +90,7 @@ def test_criterion_03_strict_fiber_identity():
         for k in (1, 2, 3, 4):
             assert check_strict_segal_identity(rc, k, cache), (name, k)
     verdict(3, "A_k isomorphic to A_{k-1} x_{A_0} A_1 for all six fixtures, "
-               "k = 1..4, by explicit category isomorphism")
+               "k = 1..4, by the canonical comparison functor")
 
 
 def test_criterion_04_retraction_certificates():
@@ -149,10 +149,10 @@ def test_criterion_06_homotopy_category_oracle_equivalence():
                 rep = bounded_localization_oracle(pms.rc, a, b, 7)
                 assert rep.stable, (name, a, b)
                 assert rep.count == len(ho.hom_classes(a, b)), (name, a, b)
-    assert category_isomorphism(homotopy_category(build("I1")).cat,
-                                chain_poset(1)) is not None
-    assert category_isomorphism(homotopy_category(build("Iw")).cat,
-                                walking_iso()) is not None
+    assert category_isomorphism(thin_functor(
+        chain_poset(1), homotopy_category(build("I1")).cat, {"0": "0", "1": "1"})) is not None
+    assert category_isomorphism(thin_functor(
+        walking_iso(), homotopy_category(build("Iw")).cat, {"a": "0", "b": "1"})) is not None
     verdict(6, "homotopy-category hom counts equal stable oracle counts at "
                "bound 7 on pt/I1/Iw/B2; Ho(I1) is the arrow category and "
                "Ho(Iw) the two-object isomorphism")

@@ -212,6 +212,14 @@ def test_segal_requires_calculus_data():
     assert code == 2
 
 
+def test_segal_large_k_names_the_flag():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli("segal", str(fixture_path("pt")), "--k", "5")
+    assert code == 2
+    assert "--allow-large" in err.getvalue()
+
+
 def test_mapspace_subcommand():
     code, out = run_cli("mapspace", str(fixture_path("I1")),
                         "--from", "1", "--to", "0", "--format", "json")

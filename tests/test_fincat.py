@@ -6,7 +6,8 @@ from pmcat.fincat import (
     strict_pullback_category, category_isomorphism, pair_id,
 )
 from conftest import (
-    poset_category, chain_poset, boolean_lattice, walking_iso, terminal_category,
+    chain_poset, boolean_lattice, walking_iso, terminal_category,
+    cyclic_group, thin_functor,
 )
 
 
@@ -174,7 +175,8 @@ def test_strict_pullback_of_identities_is_isomorphic_to_base():
     pb = strict_pullback_category(F, F)
     assert len(pb.objects) == len(b2.objects)
     assert pb.validate().ok
-    assert category_isomorphism(pb, b2) is not None
+    diagonal = thin_functor(b2, pb, {o: pair_id(o, o) for o in b2.objects})
+    assert category_isomorphism(diagonal) is not None
 
 
 def test_strict_pullback_over_terminal_is_product():
@@ -190,26 +192,44 @@ def test_strict_pullback_over_terminal_is_product():
     assert pair_id("0", "a") in prod.objects
 
 
-# -- isomorphism search -----------------------------------------------------
+# -- isomorphisms of categories ----------------------------------------------
 
-def test_isomorphism_search_positive():
-    assert category_isomorphism(chain_poset(1), chain_poset(1)) is not None
-    assert category_isomorphism(walking_iso(), walking_iso()) is not None
-
-
-def test_isomorphism_search_negative():
-    assert category_isomorphism(chain_poset(1), chain_poset(2)) is None
-    two_points = poset_category(["x", "y"], lambda a, b: a == b)
-    assert category_isomorphism(two_points, chain_poset(1)) is None
-
-
-def test_isomorphism_respects_composition():
+def test_isomorphism_of_identity_functor_is_identity():
     b2 = boolean_lattice()
-    result = category_isomorphism(b2, b2)
-    assert result is not None
-    obj_map, mor_map = result
-    for (f, g), h in b2.comp.items():
-        assert b2.comp[(mor_map[f], mor_map[g])] == mor_map[h]
+    assert category_isomorphism(Functor.identity(b2)) == (
+        {o: o for o in b2.objects}, {m: m for m in b2.morphisms})
+
+
+def test_isomorphism_inverts_automorphism():
+    b2 = boolean_lattice()
+    swap = {"0": "0", "1": "2", "2": "1", "12": "12"}
+    F = thin_functor(b2, b2, swap)
+    inv_obj, inv_mor = category_isomorphism(F)
+    assert inv_obj == swap
+    assert all(inv_mor[F.mor_map[m]] == m for m in b2.morphisms)
+    assert inv_mor != {m: m for m in b2.morphisms}
+
+
+def test_isomorphism_rejects_functor_not_injective_on_objects():
+    iw = chain_poset(1)
+    F = Functor.constant(iw, iw, "0")
+    assert check_functor(F).ok
+    assert category_isomorphism(F) is None
+
+
+def test_isomorphism_rejects_bijection_breaking_laws():
+    # objects fixed, the two generators of [2] swapped: ends do not match
+    p3 = chain_poset(2)
+    typing = Functor(p3, p3, {o: o for o in p3.objects},
+                     {m: {"01": "12", "12": "01"}.get(m, m) for m in p3.morphisms})
+    assert any(v.law == "source-target" for v in check_functor(typing).violations)
+    assert category_isomorphism(typing) is None
+    # Z/4 with g1 and g2 swapped: g2 = g1.g1 goes to g1, but g2.g2 = id
+    z4 = cyclic_group(4)
+    swap = Functor(z4, z4, {"*": "*"},
+                   {m: {"g1": "g2", "g2": "g1"}.get(m, m) for m in z4.morphisms})
+    assert {v.law for v in check_functor(swap).violations} == {"composition"}
+    assert category_isomorphism(swap) is None
 
 
 def test_inverse_and_isos():

@@ -1,10 +1,7 @@
-import pytest
-
-from pmcat.fincat import StructuralError
+from pmcat.fincat import FinCategory
 from pmcat.pmc import (
     PartialModelStructure, trivial_partial_model_structure, weq_squares,
-    verify_partial_model, factorization_middle_map, weq_restriction_diagnostic,
-    CalculusError,
+    verify_partial_model,
 )
 from pmcat.relcat import RelCategory
 from conftest import chain_poset, boolean_lattice, walking_iso, terminal_category
@@ -118,49 +115,39 @@ def test_missing_middle_map_detected():
     assert not report.verdict("c-iii:functorial-factorization").passed
 
 
-# -- middle map retrieval ----------------------------------------------------
+# -- identity and pasting laws of the middle maps ------------------------------
 
-def test_middle_map_identity_square():
-    pms = iw_pms()
-    cat = pms.rc.cat
-    sq = ("01", "01", "id:0", "id:1")
-    assert factorization_middle_map(pms, sq) == "id:1"
-
-
-def test_middle_map_lookup_interval():
-    pms = iw_pms()
-    # square from id:0 to the generator: legs id:0 and 01
-    sq = ("id:0", "01", "id:0", "01")
-    assert factorization_middle_map(pms, sq) == "01"
-
-
-def test_middle_maps_compose():
-    pms = b2_pms()
-    cat = pms.rc.cat
-    squares = weq_squares(pms.rc)
-    for sq1 in squares:
-        for sq2 in squares:
-            if sq2[0] != sq1[1]:
-                continue
-            pasted = (sq1[0], sq2[1], cat.comp[(sq1[2], sq2[2])], cat.comp[(sq1[3], sq2[3])])
-            lhs = cat.comp[(factorization_middle_map(pms, sq1),
-                            factorization_middle_map(pms, sq2))]
-            assert lhs == factorization_middle_map(pms, pasted)
-
-
-def test_middle_map_rejects_non_square():
-    pms = b2_pms()
-    with pytest.raises(StructuralError):
-        factorization_middle_map(pms, ("0<1", "0<2", "id:0", "id:0"))
-
-
-def test_middle_map_missing_entry_raises():
-    cat = chain_poset(1)
+def idempotent_pms(prefer):
+    """One object, an idempotent e (e.e = e), everything marked, U = V = W,
+    and id:* = id.id, e = e.e.  A square's middle map is ``prefer`` where
+    it makes both sub-squares commute, else the other endomorphism."""
+    cat = FinCategory.build(["*"], [("e", "*", "*")], {("e", "e"): "e"})
     rc = RelCategory(cat, cat.morphisms)
-    fact = {w: (w, cat.tgt[w], cat.identity[cat.tgt[w]]) for w in rc.weq}
-    pms = PartialModelStructure(rc, rc.weq, [], fact, {})
-    with pytest.raises(CalculusError):
-        factorization_middle_map(pms, ("id:0", "01", "id:0", "01"))
+    fact = {w: (w, "*", w) for w in rc.weq}
+    other = {"e": "id:*", "id:*": "e"}[prefer]
+
+    def commutes(sq, m):
+        w, w2, a, b = sq
+        (u1, _, v1), (u2, _, v2) = fact[w], fact[w2]
+        return (cat.comp[(u1, m)] == cat.comp[(a, u2)]
+                and cat.comp[(v1, b)] == cat.comp[(m, v2)])
+
+    middle = {sq: prefer if commutes(sq, prefer) else other
+              for sq in weq_squares(rc)}
+    return PartialModelStructure(rc, rc.weq, rc.weq, fact, middle)
+
+
+def test_middle_map_identity_law_violation_has_witness():
+    fr = verify_partial_model(idempotent_pms("e")).verdict(
+        "c-iii:functorial-factorization")
+    assert fr.witnesses == [(("e", "e", "id:*", "id:*"), "identity square has middle e")]
+
+
+def test_middle_map_pasting_law_violation_has_witnesses():
+    fr = verify_partial_model(idempotent_pms("id:*")).verdict(
+        "c-iii:functorial-factorization")
+    assert len(fr.witnesses) == 4
+    assert all(w[-1] == "middle maps do not paste" for w in fr.witnesses)
 
 
 # -- axiom subsumption property ----------------------------------------------
@@ -191,17 +178,3 @@ def test_full_u_v_marking_variants_pass():
         assert set(pms.v_sub) == set(pms.rc.weq)
         assert set(pms.u_sub) == set(pms.rc.weq)
         assert verify_partial_model(pms).passed, name
-
-
-# -- restriction diagnostic ---------------------------------------------------
-
-def test_weq_restriction_diagnostic_on_full_marking():
-    # when W = all, restriction changes nothing and the axioms survive
-    restricted, report = weq_restriction_diagnostic(b2_pms())
-    assert report.passed
-
-
-def test_weq_restriction_diagnostic_rigid():
-    restricted, report = weq_restriction_diagnostic(i1_pms())
-    assert report.passed
-    assert all(restricted.rc.cat.is_identity(m) for m in restricted.rc.cat.morphisms)

@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from pmcat.fincat import check_functor, StructuralError
+from pmcat import segal
+from pmcat.fincat import FinCategory, check_functor, StructuralError
 from pmcat.relcat import RelCategory, restrict_to_weq
 from pmcat.pmc import trivial_partial_model_structure
 from pmcat.sset import nerve, pi0, homology
@@ -241,6 +242,21 @@ def test_strict_identity_all_fixtures_up_to_four():
         cache = {}
         for k in (1, 2, 3, 4):
             assert check_strict_segal_identity(rc, k, cache), (rc, k)
+
+
+def test_strict_identity_fails_when_the_pullback_loses_a_morphism(monkeypatch):
+    real = segal.strict_pullback_category
+
+    def lossy(F, G):
+        pb = real(F, G)
+        lost = next(m for m in pb.morphisms if not pb.is_identity(m))
+        rows = [(m, pb.src[m], pb.tgt[m]) for m in pb.morphisms if m != lost]
+        comp = {pair: h for pair, h in pb.comp.items()
+                if lost not in pair and h != lost}
+        return FinCategory(pb.objects, rows, pb.identity, comp)
+
+    monkeypatch.setattr(segal, "strict_pullback_category", lossy)
+    assert not check_strict_segal_identity(iw_rc(), 2)
 
 
 # -- full pipeline -------------------------------------------------------------------
