@@ -78,32 +78,33 @@ def _report(command, args, result, exit_code):
 
 
 def _load(args, need_calculus=False):
+    """The parsed document and its relative category."""
     value = parse_file(args.file)
-    if need_calculus and not isinstance(value, PartialModelStructure):
+    is_pms = isinstance(value, PartialModelStructure)
+    if need_calculus and not is_pms:
         raise DocumentError(0, "this command needs calculus data (u/v/factor lines)")
-    return value
+    return value, (value.rc if is_pms else value)
 
 
 def _load_closed(args):
     """The document's relative category, refused unless its marked maps
     form a wide subcategory: the diagram categories behind the nerves
     compose marked maps componentwise."""
-    value = _load(args)
-    rc = value.rc if isinstance(value, PartialModelStructure) else value
+    _value, rc = _load(args)
     rel = validate_relative(rc)
     if not rel.ok:
         v = rel.violations[0]
         raise DocumentError(0, f"the weak equivalences are not a subcategory "
                                f"(pmcat check lists every violation): "
                                f"{v.law} {v.witness}: {v.detail}")
-    return value, rc
+    return rc
 
 
 def cmd_check(args):
-    value = _load(args)
+    value, rc = _load(args)
     if isinstance(value, PartialModelStructure):
         axioms = verify_partial_model(value)
-        t23 = check_two_of_three(value.rc)
+        t23 = check_two_of_three(rc)
         result = {
             "kind": "calculus-structure",
             "axioms": axioms.to_dict(),
@@ -111,7 +112,6 @@ def cmd_check(args):
         }
         code = 0 if axioms.passed and t23.passed else 1
     else:
-        rc = value
         laws = rc.cat.validate()
         rel = validate_relative(rc)
         t23 = check_two_of_three(rc)
@@ -128,8 +128,7 @@ def cmd_check(args):
 
 
 def cmd_nerve(args):
-    _value, rc = _load_closed(args)
-    b = rezk_nerve(rc, args.kmax, args.nmax)
+    b = rezk_nerve(_load_closed(args), args.kmax, args.nmax)
     violations = b.validate_identities()
     counts = {f"({k},{n})": b.size(k, n)
               for k in range(args.kmax + 1) for n in range(args.nmax + 1)}
@@ -146,7 +145,7 @@ def cmd_nerve(args):
 
 
 def cmd_segal(args):
-    pms = _load(args, need_calculus=True)
+    pms, _rc = _load(args, need_calculus=True)
     axioms = verify_partial_model(pms)
     if not axioms.passed:
         result = {"kind": "fiber-square", "axioms": axioms.to_dict(),
@@ -164,7 +163,7 @@ def cmd_segal(args):
 
 
 def cmd_ho(args):
-    pms = _load(args, need_calculus=True)
+    pms, _rc = _load(args, need_calculus=True)
     axioms = verify_partial_model(pms)
     if not axioms.passed:
         return _report("ho", args, {
@@ -188,8 +187,7 @@ def cmd_ho(args):
 
 
 def cmd_mapspace(args):
-    value = _load(args)
-    rc = value.rc if isinstance(value, PartialModelStructure) else value
+    _value, rc = _load(args)
     s = mapping_space(rc, args.src, args.tgt, args.nmax)
     result = {
         "kind": "mapping-space",
@@ -204,7 +202,7 @@ def cmd_mapspace(args):
 
 
 def cmd_saturate(args):
-    value = _load(args)
+    value, rc = _load(args)
     if isinstance(value, PartialModelStructure) and not args.diagnostic:
         axioms = verify_partial_model(value)
         if not axioms.passed:
@@ -215,26 +213,20 @@ def cmd_saturate(args):
                 "axioms": axioms.to_dict()}, 1)
         report = check_saturation(value)
     else:
-        rc = value.rc if isinstance(value, PartialModelStructure) else value
         report = diagnostic_saturation(rc, args.bound)
     result = {"kind": "saturation", **report.to_dict()}
     return _report("saturate", args, result, 0 if report.passed else 1)
 
 
 def cmd_yoneda(args):
-    value, rc = _load_closed(args)
-    pms = None
-    if isinstance(value, PartialModelStructure) and verify_partial_model(value).passed:
-        pms = value
-    report = verify_yoneda_relative(rc, args.dims, pms=pms)
+    report = verify_yoneda_relative(_load_closed(args), args.dims)
     result = {"kind": "mapping-space-embedding", **report.to_dict()}
     return _report("yoneda", args, result, 0 if report.passed else 1)
 
 
 def cmd_export(args):
     if args.what == "rezk-nerve":
-        _value, rc = _load_closed(args)
-        b = rezk_nerve(rc, args.kmax, args.nmax)
+        b = rezk_nerve(_load_closed(args), args.kmax, args.nmax)
         data = {
             "kind": "bisimplicial-set",
             "k_max": b.k_max,
@@ -248,8 +240,7 @@ def cmd_export(args):
             "v_degeneracies": {f"({k},{n},{i})": v for (k, n, i), v in sorted(b.vdegens.items())},
         }
     else:
-        value = _load(args)
-        rc = value.rc if isinstance(value, PartialModelStructure) else value
+        _value, rc = _load(args)
         s = nerve(rc.cat, args.nmax)
         data = {
             "kind": "simplicial-set",

@@ -259,21 +259,22 @@ def _enumerate_words(rc, a, b, bound, cap=500_000):
 
 
 def _oracle_partition(rc, a, b, bound):
-    """Union-find over bounded words under the rewriting congruence."""
+    """Union-find over bounded words, interned as their positions in the
+    enumeration, under the rewriting congruence.
+
+    Each rewrite is recorded once, from its longer side (composing or
+    cancelling an adjacent pair), or for a slide from the side with the
+    forward map first; the reverse rewrites (splitting a map, inserting a
+    cancelling pair, sliding back) would only find the same pairs again.
+    """
     cat = rc.cat
     words = _enumerate_words(rc, a, b, bound)
-    word_set = set(words)
-    uf = UnionFind(words)
+    position = {word: i for i, word in enumerate(words)}
+    uf = UnionFind(range(len(words)))
 
     non_id = [m for m in cat.morphisms if not cat.is_identity(m)]
-    splits = {}
-    for f in non_id:
-        for g in non_id:
-            if cat.composable(f, g):
-                splits.setdefault(cat.comp[(f, g)], []).append((f, g))
     w_non_id = [m for m in non_id if rc.is_weq(m)]
     slides = {}
-    slides_rev = {}
     for f in non_id:
         for w in w_non_id:
             if cat.tgt[f] != cat.tgt[w]:
@@ -285,54 +286,31 @@ def _oracle_partition(rc, a, b, bound):
                     if (cat.src[g] == cat.src[v] and cat.tgt[g] == cat.src[w]
                             and cat.comp[(v, f)] == cat.comp[(g, w)]):
                         slides.setdefault((f, w), []).append((v, g))
-                        slides_rev.setdefault((v, g), []).append((f, w))
 
-    def note(word, new):
-        if new in word_set:
-            uf.union(word, new)
+    def note(i, new):
+        j = position.get(new)
+        if j is not None:
+            uf.union(i, j)
 
-    for word in words:
-        n = len(word)
-        # object path along the word
-        path = [a]
-        for d, m in word:
-            path.append(cat.tgt[m] if d == FWD else cat.src[m])
-        for i in range(n - 1):
+    for idx, word in enumerate(words):
+        for i in range(len(word) - 1):
             (d1, m1), (d2, m2) = word[i], word[i + 1]
             if d1 == d2 == FWD:
                 c = cat.comp[(m1, m2)]
                 mid = () if cat.is_identity(c) else ((FWD, c),)
-                note(word, word[:i] + mid + word[i + 2:])
+                note(idx, word[:i] + mid + word[i + 2:])
             elif d1 == d2 == BWD:
                 c = cat.comp[(m2, m1)]
                 mid = () if cat.is_identity(c) else ((BWD, c),)
-                note(word, word[:i] + mid + word[i + 2:])
+                note(idx, word[:i] + mid + word[i + 2:])
             elif d1 == FWD and d2 == BWD and m1 == m2 and rc.is_weq(m1):
-                note(word, word[:i] + word[i + 2:])
+                note(idx, word[:i] + word[i + 2:])
             elif d1 == BWD and d2 == FWD and m1 == m2:
-                note(word, word[:i] + word[i + 2:])
+                note(idx, word[:i] + word[i + 2:])
             if d1 == FWD and d2 == BWD and (m1, m2) in slides:
                 for v, g in slides[(m1, m2)]:
-                    note(word, word[:i] + ((BWD, v), (FWD, g)) + word[i + 2:])
-            if d1 == BWD and d2 == FWD and (m1, m2) in slides_rev:
-                for f, w in slides_rev[(m1, m2)]:
-                    note(word, word[:i] + ((FWD, f), (BWD, w)) + word[i + 2:])
-        if n + 1 <= bound:
-            for i, (d, m) in enumerate(word):
-                for f, g in splits.get(m, ()):
-                    if d == FWD:
-                        note(word, word[:i] + ((FWD, f), (FWD, g)) + word[i + 1:])
-                    elif rc.is_weq(f) and rc.is_weq(g):
-                        note(word, word[:i] + ((BWD, g), (BWD, f)) + word[i + 1:])
-        if n + 2 <= bound:
-            for i in range(n + 1):
-                at = path[i]
-                for m in w_non_id:
-                    if cat.src[m] == at:
-                        note(word, word[:i] + ((FWD, m), (BWD, m)) + word[i:])
-                    if cat.tgt[m] == at:
-                        note(word, word[:i] + ((BWD, m), (FWD, m)) + word[i:])
-    return uf.classes()
+                    note(idx, word[:i] + ((BWD, v), (FWD, g)) + word[i + 2:])
+    return tuple(sorted(tuple(sorted(words[i] for i in cls)) for cls in uf.classes()))
 
 
 def _core_classes(partition, core_len):

@@ -12,8 +12,11 @@ explicitly.
 A marked map w: A -> A' induces, by precomposition into the right leg,
 a map of presheaves; the verifier checks it is levelwise a bijection on
 components and an isomorphism on homology up to the requested degree.
-Homology isomorphy is certified through the algebraic mapping cone:
-the cone complex must be acyclic one degree beyond the target range.
+Homology isomorphy is certified through the algebraic mapping cone: the
+cone complex must be acyclic one degree beyond the target range.  The
+components of every value are compared with the hom-sets counted by the
+bounded word oracle.  Each value is built once, in a table keyed by
+(B, A) that also keeps its components, boundaries and homology.
 """
 
 from dataclasses import dataclass, field
@@ -21,17 +24,16 @@ from dataclasses import dataclass, field
 from .fincat import StructuralError
 from .relcat import diagram_functor
 from .sset import (
-    nerve, nerve_map_tables, pi0, homology, normalized_boundaries,
+    nerve, nerve_map_tables, pi0, normalized_boundaries,
     homology_of_boundaries, simplicial_map_violations,
 )
-from .hammock import zigzag_category, bounded_localization_oracle, homotopy_category
+from .hammock import zigzag_category, bounded_localization_oracle
 
 MODEL_NOTE = ("width-one zigzag model; presheaf action materialized on marked "
               "maps only; agreement with wider hammocks beyond components and "
               "low homology is not decided by this tool")
 
 # word-length bound of the localization oracle behind the hom comparison
-# when no verified structure is supplied
 ORACLE_BOUND = 7
 
 
@@ -62,6 +64,29 @@ class SSetMap:
         return all(t == list(range(len(t))) for t in self.tables.values())
 
 
+class PresheafValue:
+    """The value at B of the presheaf of A: the zigzag category B ~> A,
+    its nerve, components and normalized boundaries up to the
+    truncation, and homology up to two degrees below it."""
+
+    def __init__(self, rc, b, a, n_max):
+        self.zigzags = zigzag_category(rc, b, a)
+        self.nerve = nerve(self.zigzags, n_max)
+        self.components = pi0(self.nerve)
+        self.boundaries = normalized_boundaries(self.nerve, n_max)
+        dims, rows = self.boundaries
+        self.homology = homology_of_boundaries(
+            dims, {n: rows[n] for n in range(1, n_max)}, n_max - 2)
+
+
+def presheaf_values(rc, n_max, objects=None):
+    """The value table: (B, A) -> PresheafValue for every object B and
+    every A in ``objects`` (default: all objects)."""
+    cat = rc.cat
+    return {(b, a): PresheafValue(rc, b, a, n_max)
+            for b in cat.objects for a in (cat.objects if objects is None else objects)}
+
+
 @dataclass
 class SimplicialPresheaf:
     """Value table of one object under the embedding."""
@@ -69,32 +94,30 @@ class SimplicialPresheaf:
     source: str
     n_max: int
     values: dict           # object B -> TruncatedSimplicialSet
-    zigzag_cats: dict      # object B -> zigzag DiagramCategory
     action: dict           # marked g: B' -> B  ->  SSetMap value(B') -> value(B)
     model: str = MODEL_NOTE
 
 
 def yoneda_object(rc, a, n_max):
-    """The presheaf of zigzag mapping spaces into ``a``.
+    """The presheaf of zigzag mapping spaces into ``a``, read from the
+    value table built for ``a`` alone.
 
     The action table covers the marked morphisms: g: B' -> B acts by
     sending the left leg l: X -> B' to g.l.
     """
     cat = rc.cat
-    if a not in set(cat.objects):
-        raise StructuralError(f"unknown object {a}")
-    zcs = {b: zigzag_category(rc, b, a) for b in cat.objects}
-    values = {b: nerve(zcs[b], n_max) for b in cat.objects}
+    table = presheaf_values(rc, n_max, (a,))
+    values = {b: table[(b, a)].nerve for b in cat.objects}
     action = {}
     for g in rc.weq:
         b_prime, b = cat.src[g], cat.tgt[g]
         F = diagram_functor(
-            zcs[b_prime], zcs[b],
+            table[(b_prime, a)].zigzags, table[(b, a)].zigzags,
             lambda objs, arrows: ((b,) + objs[1:], (cat.comp[(arrows[0], g)],) + arrows[1:]),
             lambda comps: (cat.identity[b],) + comps[1:])
         action[g] = SSetMap(values[b_prime], values[b],
                             nerve_map_tables(F, values[b_prime], values[b]))
-    return SimplicialPresheaf(a, n_max, values, zcs, action)
+    return SimplicialPresheaf(a, n_max, values, action)
 
 
 def check_presheaf_action(rc, presheaf):
@@ -117,54 +140,50 @@ def check_presheaf_action(rc, presheaf):
     return bad
 
 
-def weq_induced_presheaf_maps(rc, w, n_max):
-    """The levelwise maps induced by a marked w: A -> A': at each B the
-    zigzag right leg r: A' -> Y is precomposed to r.w."""
+def weq_induced_presheaf_maps(rc, w, n_max, table=None):
+    """The levelwise maps induced by a marked w: A -> A', keyed by B,
+    from the value at (B, A') to the value at (B, A): the zigzag right
+    leg r: A' -> Y is precomposed to r.w.  Values are read from
+    ``table`` (built for A and A' alone when not given)."""
     cat = rc.cat
     if not rc.is_weq(w):
         raise StructuralError(f"{w} is not marked")
     a, a_prime = cat.src[w], cat.tgt[w]
-    ya = yoneda_object(rc, a, n_max)
-    ya_prime = yoneda_object(rc, a_prime, n_max)
+    table = table or presheaf_values(rc, n_max, (a, a_prime))
     maps = {}
     for b in cat.objects:
+        source, target = table[(b, a_prime)], table[(b, a)]
         F = diagram_functor(
-            ya_prime.zigzag_cats[b], ya.zigzag_cats[b],
+            source.zigzags, target.zigzags,
             lambda objs, arrows: (objs[:-1] + (a,), arrows[:-1] + (cat.comp[(w, arrows[-1])],)),
             lambda comps: comps[:-1] + (cat.identity[a],))
-        maps[b] = SSetMap(ya_prime.values[b], ya.values[b],
-                          nerve_map_tables(F, ya_prime.values[b], ya.values[b]))
-    return ya, ya_prime, maps
+        maps[b] = SSetMap(source.nerve, target.nerve,
+                          nerve_map_tables(F, source.nerve, target.nerve))
+    return maps
 
 
-def _pi0_bijective(mp):
-    src_classes = pi0(mp.source)
-    tgt_classes = pi0(mp.target)
-    if len(src_classes) != len(tgt_classes):
-        return False
-    tgt_class_of = {}
-    for i, cls in enumerate(tgt_classes):
-        for v in cls:
-            tgt_class_of[v] = i
-    images = set()
-    for cls in src_classes:
-        rep = cls[0]
-        idx = mp.source.index[0][rep]
-        img_val = mp.target.simplices[0][mp.tables[0][idx]]
-        images.add(tgt_class_of[img_val])
-    return len(images) == len(tgt_classes)
+def _pi0_bijective(mp, src_classes, tgt_classes):
+    """Whether ``mp`` induces a bijection between the given components
+    of its source and of its target; a simplicial map sends each
+    component into one, so a vertex per component suffices."""
+    class_of = {v: i for i, cls in enumerate(tgt_classes) for v in cls}
+    vertex, image, into = mp.source.index[0], mp.tables[0], mp.target.simplices[0]
+    images = {class_of[into[image[vertex[cls[0]]]]] for cls in src_classes}
+    return len(src_classes) == len(images) == len(tgt_classes)
 
 
-def _cone_acyclic(mp, up_to):
+def _cone_acyclic(mp, source_boundaries, target_boundaries, up_to):
     """H_i of the algebraic mapping cone vanishes for 1 <= i <= up_to.
 
-    The map is then an isomorphism on H_i for i < up_to (and injective
-    at up_to); combined with equal invariants this certifies the range.
+    The boundaries are ``normalized_boundaries`` of the source up to
+    degree up_to (at least) and of the target up to up_to + 1.  The map
+    is then an isomorphism on H_i for i < up_to (and injective at
+    up_to); combined with equal invariants this certifies the range.
     """
     s, t, tables = mp.source, mp.target, mp.tables
     depth = up_to + 1
-    dims_s, bnd_s = normalized_boundaries(s, depth - 1)
-    dims_t, bnd_t = normalized_boundaries(t, depth)
+    dims_s, bnd_s = source_boundaries
+    dims_t, bnd_t = target_boundaries
     # C_n = S_{n-1} + T_n and d(x, y) = (-dx, f(x) + dy); the rows into
     # degree n - 1 are those of S_{n-2}, then those of T_{n-1}.  The chain
     # map f sends a nondegenerate simplex to its image, or to zero if the
@@ -189,7 +208,8 @@ def _cone_acyclic(mp, up_to):
 class YonedaReport:
     """Evidence that the embedding is a relative functor with marked
     maps inducing levelwise component bijections and homology
-    isomorphisms, plus the component-level hom comparison."""
+    isomorphisms, plus the component-level hom comparison against the
+    bounded word oracle (a pair unstable at ORACLE_BOUND is only noted)."""
 
     n_dims: int
     failures: list = field(default_factory=list)
@@ -212,55 +232,41 @@ class YonedaReport:
         }
 
 
-def verify_yoneda_relative(rc, n_dims, pms=None):
+def verify_yoneda_relative(rc, n_dims):
     """Levelwise component-bijection and homology-isomorphism checks for
-    every marked map, plus the component-level hom comparison at every
-    pair of objects.
-
-    The hom comparison uses the homotopy category when a verified
-    structure is supplied and the bounded word oracle otherwise.
-    """
+    every marked map, plus the component-level hom comparison against
+    the bounded word oracle at every pair of objects; every check reads
+    one table of presheaf values, built at truncation n_dims + 2."""
     cat = rc.cat
     report = YonedaReport(n_dims, notes=[MODEL_NOTE])
-    trunc = n_dims + 2
+    table = presheaf_values(rc, n_dims + 2)
     for w in rc.weq:
         if cat.is_identity(w):
             continue
-        ya, ya_prime, maps = weq_induced_presheaf_maps(rc, w, trunc)
+        a, a_prime = cat.src[w], cat.tgt[w]
+        maps = weq_induced_presheaf_maps(rc, w, n_dims + 2, table)
         report.checked_weqs += 1
         for b, mp in maps.items():
             bad = mp.check_simplicial()
             if bad:
                 report.failures.append((w, b, "not simplicial", bad[0]))
                 continue
-            if not _pi0_bijective(mp):
+            source, target = table[(b, a_prime)], table[(b, a)]
+            if not _pi0_bijective(mp, source.components, target.components):
                 report.failures.append((w, b, "pi0", "not a bijection"))
-            h_src = homology(mp.source, n_dims)
-            h_tgt = homology(mp.target, n_dims)
-            for i in range(n_dims + 1):
-                if h_src[i] != h_tgt[i]:
-                    report.failures.append((w, b, f"H_{i}", f"{h_src[i]} != {h_tgt[i]}"))
-            if not _cone_acyclic(mp, n_dims + 1):
+            for i, (h_src, h_tgt) in enumerate(zip(source.homology, target.homology)):
+                if h_src != h_tgt:
+                    report.failures.append((w, b, f"H_{i}", f"{h_src} != {h_tgt}"))
+            if not _cone_acyclic(mp, source.boundaries, target.boundaries, n_dims + 1):
                 report.failures.append((w, b, "cone", "mapping cone not acyclic"))
 
-    ho = homotopy_category(pms) if pms is not None else None
-    for a in cat.objects:
-        for b in cat.objects:
-            presheaf_classes = len(pi0(nerve(zigzag_category(rc, a, b), 1)))
-            report.checked_pairs += 1
-            if ho is not None:
-                expected = len(ho.hom_classes(a, b))
-                source = "homotopy category"
-            else:
-                orep = bounded_localization_oracle(rc, a, b, ORACLE_BOUND)
-                if not orep.stable:
-                    report.notes.append(
-                        f"oracle unstable at ({a},{b}); comparison inconclusive")
-                    continue
-                expected = orep.count
-                source = f"word oracle (bound {ORACLE_BOUND})"
-            if presheaf_classes != expected:
-                report.failures.append(
-                    (a, b, "hom-comparison",
-                     f"presheaf components {presheaf_classes} != {expected} ({source})"))
+    report.checked_pairs = len(table)
+    for (a, b), value in table.items():
+        orep = bounded_localization_oracle(rc, a, b, ORACLE_BOUND)
+        if not orep.stable:
+            report.notes.append(f"oracle unstable at ({a},{b}); comparison inconclusive")
+        elif len(value.components) != orep.count:
+            report.failures.append(
+                (a, b, "hom-comparison", f"presheaf components {len(value.components)} "
+                 f"!= {orep.count} (word oracle (bound {ORACLE_BOUND}))"))
     return report

@@ -225,18 +225,13 @@ def test_criterion_08_classification_nerve_structure():
 
 def test_criterion_09_yoneda_diagnostics():
     for name in FIXTURES:
-        value = build(name)
-        if isinstance(value, RelCategory):
-            rc, pms = value, None
-        else:
-            rc, pms = value.rc, value
-        report = verify_yoneda_relative(rc, 2, pms=pms)
+        report = verify_yoneda_relative(relcat_of(name), 2)
         assert report.passed, (name, report.to_dict())
         assert not any("inconclusive" in n for n in report.notes), name
     verdict(9, "marked maps induce levelwise component bijections and "
                "H_0..H_2 isomorphisms (mapping-cone certified); component "
-               "counts of presheaf values match homotopy-category hom-sets "
-               "on all six fixtures")
+               "counts of presheaf values match the stable word-oracle "
+               "hom-sets (bound 7) on all six fixtures")
 
 
 def test_criterion_10_cli_contract():

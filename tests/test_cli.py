@@ -1,9 +1,11 @@
 import io
 import json
 import contextlib
+import dataclasses
 
 import pytest
 
+from pmcat import yoneda
 from pmcat.cli import main
 from pmcat.fixtures import FIXTURES, build, fixture_path
 
@@ -240,6 +242,25 @@ def test_yoneda_subcommand():
                         "--format", "json")
     assert code == 0
     assert json.loads(out)["result"]["passed"]
+
+
+def test_yoneda_hom_comparison_can_fail_with_calculus_data(monkeypatch):
+    # B2 carries verified calculus data; its hom comparison still reads
+    # the word oracle, so an oracle that miscounts fails every pair
+    real = yoneda.bounded_localization_oracle
+
+    def off_by_one(rc, a, b, bound):
+        rep = real(rc, a, b, bound)
+        return dataclasses.replace(rep, count=rep.count + 1)
+
+    monkeypatch.setattr(yoneda, "bounded_localization_oracle", off_by_one)
+    code, out = run_cli("yoneda", str(fixture_path("B2")), "--dims", "1",
+                        "--format", "json")
+    result = json.loads(out)["result"]
+    pairs = {(a, b) for a, b, kind, _detail in result["failures"]
+             if kind == "hom-comparison"}
+    assert code == 1
+    assert len(result["failures"]) == len(pairs) == result["pairs_checked"] == 16
 
 
 def test_export_subcommand():

@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
 from pmcat.fincat import category_isomorphism
-from pmcat.relcat import RelCategory
+from pmcat.fixtures import build
+from pmcat.relcat import RelCategory, random_preorder_relcat
 from pmcat.pmc import trivial_partial_model_structure, verify_partial_model
 from pmcat.sset import pi0
 from pmcat.hammock import (
@@ -221,6 +224,31 @@ def test_oracle_agrees_with_homotopy_category():
                 rep = bounded_localization_oracle(pms.rc, a, b, 7)
                 assert rep.stable
                 assert rep.count == len(ho.hom_classes(a, b)), (a, b)
+
+
+# sha256 prefixes of repr([(a, b, all_classes at bound 7) for every pair]),
+# computed before the oracle interned its words as integers
+ORACLE_DIGESTS = {
+    "B2": "bf301c38d63031a0", "P4": "04c0bb16db422d6a",
+    0: "6cb48e867c489e93", 1: "6cf47feeb5872ca5", 2: "4dab702b53570791",
+    3: "66fae36fcd6932c7", 4: "5a1b09976f21789e", 5: "e00de48e87d35124",
+    6: "4dab702b53570791", 7: "e1e5c3a14e0cf755", 8: "6cf47feeb5872ca5",
+    9: "d1bd92f593cc1aca", 10: "4dab702b53570791", 11: "4698133c176f7e01",
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_DIGESTS))
+def test_oracle_partitions_are_pinned(name):
+    if name in ("B2", "P4"):
+        value = build(name)
+        rc = value if isinstance(value, RelCategory) else value.rc
+    else:
+        rc = random_preorder_relcat(name, max_objects=4)
+    objects = rc.cat.objects
+    parts = [(a, b, bounded_localization_oracle(rc, a, b, 7).all_classes)
+             for a in objects for b in objects]
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+    assert digest == ORACLE_DIGESTS[name]
 
 
 # -- saturation ------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import pytest
 
+from pmcat import yoneda
+from pmcat.fixtures import build
 from pmcat.relcat import RelCategory
 from pmcat.pmc import trivial_partial_model_structure
-from pmcat.sset import pi0, nerve
+from pmcat.sset import pi0, nerve, normalized_boundaries
 from pmcat.yoneda import (
     yoneda_object, check_presheaf_action, weq_induced_presheaf_maps,
     verify_yoneda_relative, MODEL_NOTE, SSetMap, _cone_acyclic,
@@ -57,15 +59,14 @@ def test_action_tables_are_functorial():
 
 def test_weq_induced_maps_are_simplicial():
     rc = iw_rc()
-    ya, ya_prime, maps = weq_induced_presheaf_maps(rc, "01", 3)
+    maps = weq_induced_presheaf_maps(rc, "01", 3)
     for b, mp in maps.items():
         assert mp.check_simplicial() == []
 
 
 @pytest.mark.parametrize("n, expected", [(0, 4), (1, 8), (2, 4)])
 def test_check_simplicial_catches_a_corrupted_entry(n, expected):
-    ya, ya_prime, maps = weq_induced_presheaf_maps(iw_rc(), "01", 2)
-    mp = maps["1"]
+    mp = weq_induced_presheaf_maps(iw_rc(), "01", 2)["1"]
     assert mp.check_simplicial() == []
     mp.tables[n][0] = (mp.tables[n][0] + 1) % mp.target.size(n)
     assert len(mp.check_simplicial()) == expected
@@ -76,27 +77,32 @@ def _to_point(cat, up_to):
     return SSetMap(source, point, {n: [0] * source.size(n) for n in range(up_to + 2)})
 
 
+def _cone(mp, up_to):
+    return _cone_acyclic(mp, normalized_boundaries(mp.source, up_to),
+                         normalized_boundaries(mp.target, up_to + 1), up_to)
+
+
 def test_cone_of_two_points_to_the_point_has_free_h1():
     # H_0: Z^2 -> Z is onto with kernel Z, so the cone has H_1 = Z
     mp = _to_point(poset_category(["x", "y"], lambda a, b: a == b), 1)
     assert mp.check_simplicial() == []
-    assert not _cone_acyclic(mp, 1)
+    assert not _cone(mp, 1)
 
 
 def test_cone_of_bz2_to_the_point_has_torsion_h2():
     # H_1(B(Z/2)) = Z/2 and H_0 is an isomorphism: the cone has H_1 = 0
     # and H_2 = Z/2, a failure that only the torsion shows
     mp = _to_point(cyclic_group(2), 1)
-    assert _cone_acyclic(mp, 1)
+    assert _cone(mp, 1)
     mp = _to_point(cyclic_group(2), 2)
     assert mp.check_simplicial() == []
-    assert not _cone_acyclic(mp, 2)
+    assert not _cone(mp, 2)
 
 
 def test_cone_of_an_identity_is_acyclic():
     s = nerve(cyclic_group(2), 3)
     mp = SSetMap(s, s, {n: list(range(s.size(n))) for n in range(4)})
-    assert _cone_acyclic(mp, 2)
+    assert _cone(mp, 2)
 
 
 def test_interval_weq_induces_component_bijections():
@@ -112,18 +118,28 @@ def test_identities_always_pass():
 
 
 def test_hom_comparison_boolean_lattice():
-    rc = b2_rc()
-    pms = trivial_partial_model_structure(rc)
-    report = verify_yoneda_relative(rc, 1, pms=pms)
+    report = verify_yoneda_relative(b2_rc(), 1)
     assert report.passed, report.to_dict()
     assert report.checked_pairs == 16
+
+
+def test_each_value_is_built_once(monkeypatch):
+    counts = {}
+    for name in ("zigzag_category", "nerve", "normalized_boundaries"):
+        def counted(*args, _real=getattr(yoneda, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(yoneda, name, counted)
+    report = verify_yoneda_relative(build("B2").rc, 2)
+    assert report.passed, report.to_dict()
+    assert counts == {"zigzag_category": 16, "nerve": 16, "normalized_boundaries": 16}
 
 
 def test_hom_comparison_matches_homotopy_category_everywhere():
     for rc in (iw_rc(), i1_rc()):
         pms = trivial_partial_model_structure(rc)
         ho = homotopy_category(pms)
-        y_report = verify_yoneda_relative(rc, 1, pms=pms)
+        y_report = verify_yoneda_relative(rc, 1)
         assert y_report.passed
         for a in rc.cat.objects:
             for b in rc.cat.objects:
