@@ -7,10 +7,6 @@ class UnionFind:
     def __init__(self, items=()):
         self.parent = {x: x for x in items}
 
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-
     def find(self, x):
         p = self.parent
         root = x

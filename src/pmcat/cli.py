@@ -187,7 +187,7 @@ def cmd_ho(args):
 
 
 def cmd_mapspace(args):
-    _value, rc = _load(args)
+    rc = _load_closed(args)
     s = mapping_space(rc, args.src, args.tgt, args.nmax)
     result = {
         "kind": "mapping-space",

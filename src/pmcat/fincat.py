@@ -14,6 +14,7 @@ iteration order of sets.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 ID_PREFIX = "id:"
 
@@ -360,34 +361,37 @@ class CoconeWitness:
     leg_g: str  # out of tgt(g)
     comparisons: tuple  # of ((apex', p', q'), h)
 
+    @cached_property
+    def _comparison_of(self):
+        return dict(self.comparisons)
+
+    def comparison(self, apex, p, q):
+        """The stored comparison morphism to the competitor (apex, p, q),
+        or None if there is none."""
+        return self._comparison_of.get((apex, p, q))
+
     def verify(self, cat, f, g):
         """Independent re-check of commutativity and universality."""
         if cat.src[f] != cat.src[g]:
             return False
         if cat.comp[(f, self.leg_f)] != cat.comp[(g, self.leg_g)]:
             return False
-        stored = dict(self.comparisons)
         for apex2, p2, q2 in _cocones(cat, f, g):
             hs = [h for h in cat.hom(self.apex, apex2)
                   if cat.comp[(self.leg_f, h)] == p2 and cat.comp[(self.leg_g, h)] == q2]
-            if len(hs) != 1 or stored.get((apex2, p2, q2)) != hs[0]:
+            if len(hs) != 1 or self.comparison(apex2, p2, q2) != hs[0]:
                 return False
         return True
 
 
 @dataclass(frozen=True)
-class ConeWitness:
-    """A verified pullback, dual bookkeeping to CoconeWitness."""
-
-    apex: str
-    leg_f: str  # into src(f)
-    leg_g: str  # into src(g)
-    comparisons: tuple
+class ConeWitness(CoconeWitness):
+    """A verified pullback: a pushout of the opposite category, so its
+    legs go into src(f) and src(g) and its comparisons into competing
+    cones."""
 
     def verify(self, cat, f, g):
-        op = cat.opposite()
-        co = CoconeWitness(self.apex, self.leg_f, self.leg_g, self.comparisons)
-        return co.verify(op, f, g)
+        return super().verify(cat.opposite(), f, g)
 
 
 def _cocones(cat, f, g):

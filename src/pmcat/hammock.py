@@ -111,14 +111,12 @@ class HoCategory:
     """The homotopy category: hom-sets are zigzag components.
 
     ``cat`` is the class-level FinCategory (one morphism per component),
-    ``members`` maps a class morphism id to the frozenset of zigzag keys
-    it contains, and ``class_of`` maps (source, target, zigzag key) to
-    the class morphism id.
+    and ``class_of`` maps (source, target, zigzag key) to the class
+    morphism id.
     """
 
-    def __init__(self, cat, members, class_of):
+    def __init__(self, cat, class_of):
         self.cat = cat
-        self.members = members
         self.class_of = class_of
 
     def hom_classes(self, a, b):
@@ -193,7 +191,7 @@ def homotopy_category(pms):
     report = ho_cat.validate()
     if not report.ok:
         raise HoConsistencyError("class-level laws fail:\n" + report.describe())
-    return HoCategory(ho_cat, members, class_of)
+    return HoCategory(ho_cat, class_of)
 
 
 # -- bounded localization oracle ---------------------------------------------

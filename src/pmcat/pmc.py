@@ -154,7 +154,7 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _subcategory_report(name, cat, members):
+def _subcategory_report(cat, members):
     witnesses = []
     member_set = set(members)
     for f in members:
@@ -185,9 +185,7 @@ def verify_partial_model(pms):
     verdicts.append(("b:two-of-six", check_two_of_six(rc)))
 
     # (c-i) U is a subcategory of W, closed under pushout along everything
-    u_wit = []
-    u_notes = []
-    u_wit += [(f, g) for f, g in _subcategory_report("u", cat, pms.u_sub)]
+    u_wit = _subcategory_report(cat, pms.u_sub)
     u_wit += [(u,) for u in pms.u_sub if not rc.is_weq(u)]
     for u in pms.u_sub:
         for f in cat.out_of(cat.src[u]):
@@ -199,11 +197,10 @@ def verify_partial_model(pms):
             if not pms.in_u(wit.leg_g):
                 u_wit.append((u, f, f"pushed-out leg {wit.leg_g} not in U"))
     verdicts.append(("c-i:u-pushout-closure", PropertyReport(
-        "u-pushout-closure", not u_wit, u_wit, u_notes)))
+        "u-pushout-closure", not u_wit, u_wit, [])))
 
     # (c-ii) dual closure for V
-    v_wit = []
-    v_wit += [(f, g) for f, g in _subcategory_report("v", cat, pms.v_sub)]
+    v_wit = _subcategory_report(cat, pms.v_sub)
     v_wit += [(v,) for v in pms.v_sub if not rc.is_weq(v)]
     for v in pms.v_sub:
         for f in cat.into(cat.tgt[v]):

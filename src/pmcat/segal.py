@@ -21,9 +21,10 @@ For a relative category (C, W):
   connecting i.r with the identity of B_k (four transformations through
   three auxiliary functors) and the two-step zigzag connecting r.i with
   the identity of A'_k, and certifies every single ingredient: every
-  transformation component is marked, every naturality square commutes
-  against every morphism, and every pushout/pullback witness re-passes
-  its universal property.
+  transformation component is a morphism of B_k (marked in every vertex
+  and commuting with both diagrams), every naturality square commutes
+  in B_k's composition table against every morphism, and every
+  pushout/pullback witness re-passes its universal property.
 
 The composites written with overlines in informal accounts of this
 construction are read here as the recorded pushout/pullback legs and
@@ -168,6 +169,54 @@ class SegalCertificate:
         return d
 
 
+def check_transformation(rc, rec, F, G, domain):
+    """Check ``rec.components`` as a natural transformation F => G over
+    the objects and morphisms of ``domain``; returns ``rec``.
+
+    F and G are functors into the diagram category D = G.target; F may
+    land in a full subcategory of D, as r lands in A'_k.  Each component
+    must be a morphism F(o) -> G(o) of D: marked in every vertex and
+    commuting with the arrows of both diagrams.  ``unmarked`` lists the
+    unmarked entries as (o, c), and ``missing`` the objects whose
+    component is absent or is not such a morphism; squares at those
+    objects are skipped.  Every other naturality square is read in D's
+    composition table, and ``naturality_failures`` lists (m, i) for each
+    square that does not commute, i the first vertex where its two
+    composites differ.
+    """
+    D = G.target
+    base = rc.cat.comp
+    ids = {}
+    for o in domain.objects:
+        comps = rec.components.get(o)
+        if comps is not None:
+            rec.unmarked.extend((o, c) for c in comps if not rc.is_weq(c))
+            ids[o] = D.lookup(F.obj_map[o], G.obj_map[o], comps)
+        if ids.get(o) is None:
+            rec.missing.append(o)
+    for m in domain.morphisms:
+        left, right = ids.get(domain.src[m]), ids.get(domain.tgt[m])
+        if left is None or right is None:
+            continue
+        f_m, g_m = F.mor_map[m], G.mor_map[m]
+        composite = D.comp.get((left, g_m))
+        # a composite is absent only where the marking is not closed
+        # under composition; the vertices then decide
+        if composite is None or composite != D.comp.get((f_m, right)):
+            vertices = zip(D.components[left], D.components[g_m],
+                           D.components[f_m], D.components[right])
+            i = next((i for i, (a, g, f, b) in enumerate(vertices)
+                      if base[(a, g)] != base[(f, b)]), None)
+            if i is not None:
+                rec.naturality_failures.append((m, i))
+    return rec
+
+
+# the row of a B_k object that each functor of the certificate sends it to
+_FUNCTOR_ROWS = (("T1", "row2:compose-x"), ("T2", "row3:compose-y"),
+                 ("T3", "row4:factor-and-push"), ("r", "row5:retract"))
+
+
 def build_retraction(pms, k, parts=None):
     """Construct and certify the retraction of B_k onto A'_k.
 
@@ -176,6 +225,7 @@ def build_retraction(pms, k, parts=None):
     """
     rc = pms.rc
     cat = rc.cat
+    ident = cat.identity
     if parts is None:
         parts = embedding_parts(rc, k)
     h, a_k, b_k, a_prime = parts
@@ -194,141 +244,94 @@ def build_retraction(pms, k, parts=None):
                               wit.verify(cat, a, f)))
         return wit
 
-    # -- object-level data ---------------------------------------------------
-    # For each object: the four functor values and the transformation
-    # components, following the displayed rows:
+    # -- objects -----------------------------------------------------------------
+    # For each object: its rows and the transformation components between
+    # them, following the displayed rows:
     #   row1 = identity  -phi1->  row2 = T1  <-phi2-  row3 = T2
     #   row3 = T2        -phi3->  row4 = T3  <-phi4-  row5 = i.r
-    data = {}
+    data = {}                   # object -> its pushout tower, v1, pullback
     object_rows = {}
     factorizations = {}
+    phi1, phi2, phi3, phi4 = {}, {}, {}, {}
     for oid in b_k.objects:
-        objs, arrows = b_k.diagrams[oid]
-        b1, x, w, y = arrows[0], arrows[1], arrows[2], arrows[3]
+        c, arrows = b_k.diagrams[oid]
+        b1, x, w, y = arrows[:4]
         bs = arrows[4:]
-        c = objs
-        xb1 = cat.comp[(b1, x)]
-        b2y = cat.comp[(y, bs[0])] if bs else None
-        u1, m1_obj, v1 = pms.factor(w)
-        factorizations.setdefault(w, (u1, m1_obj, v1))
-
-        t1_arrows = (xb1, cat.identity[c[2]], w, y) + bs
-        t1_objs = (c[0], c[2], c[2], c[3], c[4]) + c[5:]
-        t2_arrows = (xb1, cat.identity[c[2]], w, cat.identity[c[3]],
-                     b2y) + bs[1:]
-        t2_objs = (c[0], c[2], c[2], c[3], c[3]) + c[5:]
-
+        xb1, b2y = cat.comp[(b1, x)], cat.comp[(y, bs[0])]
+        u1, m1, v1 = pms.factor(w)
+        factorizations.setdefault(w, (u1, m1, v1))
         # iterated pushouts along the u's
-        mids = [m1_obj]
-        us = [u1]
-        bars = []
-        t2_tail = (b2y,) + bs[1:]
-        for j, arrow in enumerate(t2_tail):
+        us, mids, bars = [u1], [m1], []
+        for arrow in (b2y,) + bs[1:]:
             wit = record("pushout", us[-1], arrow)
             bars.append(wit.leg_f)      # M_j -> M_{j+1}
             us.append(wit.leg_g)        # next u
             mids.append(wit.apex)
-        t3_arrows = (xb1, cat.identity[c[2]], v1, cat.identity[m1_obj]) + tuple(bars)
-        t3_objs = (c[0], c[2], c[2], m1_obj, m1_obj) + tuple(mids[1:])
-
-        pb = record("pullback", v1, xb1)
-        bar_xb1 = pb.leg_f              # P -> M1
-        bar_v1 = pb.leg_g               # P -> c0
-        p_obj = pb.apex
-        r_arrows = (bar_xb1, cat.identity[m1_obj], cat.identity[m1_obj],
-                    cat.identity[m1_obj]) + tuple(bars)
-        r_objs = (p_obj, m1_obj, m1_obj, m1_obj, m1_obj) + tuple(mids[1:])
-
-        ident = cat.identity
-        data[oid] = {
-            "t1": (t1_objs, t1_arrows),
-            "t2": (t2_objs, t2_arrows),
-            "t3": (t3_objs, t3_arrows),
-            "r": (r_objs, r_arrows),
-            "chain": (r_arrows[0],) + tuple(bars),
-            "us": us, "mids": mids, "bars": bars,
-            "u1": u1, "v1": v1, "m1": m1_obj,
-            "bar_xb1": bar_xb1, "bar_v1": bar_v1,
-            "phi1": (ident[c[0]], x, ident[c[2]], ident[c[3]], ident[c[4]]) + tuple(ident[o] for o in c[5:]),
-            "phi2": (ident[c[0]], ident[c[2]], ident[c[2]], ident[c[3]], y) + tuple(ident[o] for o in c[5:]),
-            "phi3": (ident[c[0]], ident[c[2]], ident[c[2]], u1, u1) + tuple(us[1:]),
-            "phi4": (bar_v1, v1, v1, ident[m1_obj], ident[m1_obj]) + tuple(ident[o] for o in mids[1:]),
-        }
+        pb = record("pullback", v1, xb1)    # legs P -> M1 and P -> c0
+        data[oid] = {"us": us, "mids": mids, "bars": bars, "v1": v1, "pullback": pb}
+        i2, i3, im = ident[c[2]], ident[c[3]], ident[m1]
         object_rows[oid] = {
-            "row1:identity": (objs, arrows),
-            "row2:compose-x": (t1_objs, t1_arrows),
-            "row3:compose-y": (t2_objs, t2_arrows),
-            "row4:factor-and-push": (t3_objs, t3_arrows),
-            "row5:retract": (r_objs, r_arrows),
+            "row1:identity": (c, arrows),
+            "row2:compose-x": ((c[0], c[2], c[2], c[3], c[4]) + c[5:],
+                               (xb1, i2, w, y) + bs),
+            "row3:compose-y": ((c[0], c[2], c[2], c[3], c[3]) + c[5:],
+                               (xb1, i2, w, i3, b2y) + bs[1:]),
+            "row4:factor-and-push": ((c[0], c[2], c[2], m1, m1) + tuple(mids[1:]),
+                                     (xb1, i2, v1, im) + tuple(bars)),
+            "row5:retract": ((pb.apex, m1, m1, m1, m1) + tuple(mids[1:]),
+                             (pb.leg_f, im, im, im) + tuple(bars)),
         }
+        rest = tuple(ident[o] for o in c[5:])
+        phi1[oid] = (ident[c[0]], x, i2, i3, ident[c[4]]) + rest
+        phi2[oid] = (ident[c[0]], i2, i2, i3, y) + rest
+        phi3[oid] = (ident[c[0]], i2, i2, u1, u1) + tuple(us[1:])
+        phi4[oid] = (pb.leg_g, v1, v1, im, im) + tuple(ident[o] for o in mids[1:])
 
-    # -- functors on objects ---------------------------------------------------
-    def functor_obj(name):
-        out = {}
-        for oid in b_k.objects:
-            tid = b_k.object_of(*data[oid][name])
-            if tid is None:
-                errors.append(f"{name}({oid}) is not an object of B_{k}")
-            out[oid] = tid
-        return out
-
-    t1_obj = functor_obj("t1")
-    t2_obj = functor_obj("t2")
-    t3_obj = functor_obj("t3")
-    r_obj = functor_obj("r")
+    # -- functors: objects by their rows, morphisms by their components ----------
+    maps = {}
+    for name, row in _FUNCTOR_ROWS:
+        obj_map = {o: b_k.object_of(*rows[row]) for o, rows in object_rows.items()}
+        errors.extend(f"{name}({o}) is not an object of B_{k}"
+                      for o, t in obj_map.items() if t is None)
+        maps[name] = (obj_map, {})
     if errors:
         cert = SegalCertificate(k, object_rows, [], {}, witnesses,
                                 factorizations, _READING, errors)
         return None, cert
 
-    # -- functors on morphisms ---------------------------------------------------
-    def comparison_from_cocone(wit, apex2, leg_m, leg_c):
-        comp_map = dict(wit.comparisons)
-        got = comp_map.get((apex2, leg_m, leg_c))
-        if got is None:
-            raise CalculusError("pushout comparison missing for recorded cocone")
-        return got
-
-    t1_mor, t2_mor, t3_mor, r_mor = {}, {}, {}, {}
     for m in b_k.morphisms:
         comps = b_k.components[m]
-        src_o, tgt_o = b_k.src[m], b_k.tgt[m]
-        d_s, d_t = data[src_o], data[tgt_o]
-        t1_comps = (comps[0], comps[2], comps[2], comps[3], comps[4]) + comps[5:]
-        t2_comps = (comps[0], comps[2], comps[2], comps[3], comps[3]) + comps[5:]
-        w_s = b_k.diagrams[src_o][1][2]
-        w_t = b_k.diagrams[tgt_o][1][2]
-        square = (w_s, w_t, comps[3], comps[2])
+        s, t = b_k.src[m], b_k.tgt[m]
+        d_s, d_t = data[s], data[t]
         try:
-            mu = [pms.middle_map(square)]
+            mu = [pms.middle_map((b_k.diagrams[s][1][2], b_k.diagrams[t][1][2],
+                                  comps[3], comps[2]))]
             # comparisons into the pushout tower of the target
-            src_tail_arrows = d_s["t2"][1][4:]
-            for j in range(len(src_tail_arrows)):
-                wit_s = pms.pushout(d_s["us"][j], src_tail_arrows[j])
-                leg_m = cat.comp[(mu[-1], d_t["bars"][j])]
-                leg_c = cat.comp[(comps[5 + j], d_t["us"][j + 1])]
-                mu.append(comparison_from_cocone(wit_s, d_t["mids"][j + 1], leg_m, leg_c))
+            for j, arrow in enumerate(object_rows[s]["row3:compose-y"][1][4:]):
+                mu.append(pms.pushout(d_s["us"][j], arrow).comparison(
+                    d_t["mids"][j + 1], cat.comp[(mu[-1], d_t["bars"][j])],
+                    cat.comp[(comps[5 + j], d_t["us"][j + 1])]))
+                if mu[-1] is None:
+                    raise CalculusError("pushout comparison missing for recorded cocone")
         except (CalculusError, KeyError) as e:
             errors.append(f"comparison data missing for morphism {m}: {e}")
             continue
         # express the source pullback cone as a competitor of the target one
-        wit_t = pms.pullback(d_t["v1"], d_t["t1"][1][0])
-        comp_map_t = dict(wit_t.comparisons)
-        leg_m1 = cat.comp[(d_s["bar_xb1"], mu[0])]
-        leg_c0 = cat.comp[(d_s["bar_v1"], comps[0])]
-        pi = comp_map_t.get((d_s["r"][0][0], leg_m1, leg_c0))
+        pb_s = d_s["pullback"]
+        pi = d_t["pullback"].comparison(pb_s.apex, cat.comp[(pb_s.leg_f, mu[0])],
+                                        cat.comp[(pb_s.leg_g, comps[0])])
         if pi is None:
             errors.append(f"pullback comparison missing for morphism {m}")
             continue
-        t1_mor[m] = b_k.lookup(t1_obj[src_o], t1_obj[tgt_o], t1_comps)
-        t2_mor[m] = b_k.lookup(t2_obj[src_o], t2_obj[tgt_o], t2_comps)
-        t3_comps = (comps[0], comps[2], comps[2], mu[0], mu[0]) + tuple(mu[1:])
-        t3_mor[m] = b_k.lookup(t3_obj[src_o], t3_obj[tgt_o], t3_comps)
-        r_comps = (pi, mu[0], mu[0], mu[0], mu[0]) + tuple(mu[1:])
-        r_mor[m] = b_k.lookup(r_obj[src_o], r_obj[tgt_o], r_comps)
-        for name, val in (("t1", t1_mor[m]), ("t2", t2_mor[m]),
-                          ("t3", t3_mor[m]), ("r", r_mor[m])):
-            if val is None:
+        tower = tuple(mu[1:])
+        images = {"T1": (comps[0], comps[2], comps[2], comps[3], comps[4]) + comps[5:],
+                  "T2": (comps[0], comps[2], comps[2], comps[3], comps[3]) + comps[5:],
+                  "T3": (comps[0], comps[2], comps[2], mu[0], mu[0]) + tower,
+                  "r": (pi, mu[0], mu[0], mu[0], mu[0]) + tower}
+        for name, image in images.items():
+            obj_map, mor_map = maps[name]
+            mor_map[m] = b_k.lookup(obj_map[s], obj_map[t], image)
+            if mor_map[m] is None:
                 errors.append(
                     f"{name}({m}) has no matching morphism in B_{k} "
                     "(a component is unmarked or a square fails)")
@@ -338,108 +341,47 @@ def build_retraction(pms, k, parts=None):
                                 factorizations, _READING, errors)
         return None, cert
 
-    t1_f = Functor(b_k, b_k, t1_obj, t1_mor)
-    t2_f = Functor(b_k, b_k, t2_obj, t2_mor)
-    t3_f = Functor(b_k, b_k, t3_obj, t3_mor)
-    r_f = Functor(b_k, a_prime, r_obj, r_mor)
-
-    functor_reports = {
-        "h": check_functor(h),
-        "r": check_functor(r_f),
-        "T1": check_functor(t1_f),
-        "T2": check_functor(t2_f),
-        "T3": check_functor(t3_f),
-    }
-
-    # -- transformations and naturality -----------------------------------------
-    identity_f = Functor.identity(b_k)
-    ir_f = Functor(b_k, b_k, r_obj, r_mor)
-
-    def make_record(name, src_f, tgt_f, comp_table):
-        rec = TransformationRecord(name, src_f, tgt_f, dict(comp_table))
-        for oid, comps in comp_table.items():
-            for c in comps:
-                if not rc.is_weq(c):
-                    rec.unmarked.append((oid, c))
-        return rec
-
-    def check_naturality(rec, src_functor, tgt_functor, comp_table,
-                         domain_morphisms):
-        for m in domain_morphisms:
-            left = comp_table.get(b_k.src[m])
-            right = comp_table.get(b_k.tgt[m])
-            if left is None or right is None:
-                rec.missing.append(m)
-                continue
-            f_m = b_k.components[src_functor.mor_map[m]]
-            g_m = b_k.components[tgt_functor.mor_map[m]]
-            for i in range(len(f_m)):
-                if cat.comp[(left[i], g_m[i])] != cat.comp[(f_m[i], right[i])]:
-                    rec.naturality_failures.append((m, i))
-                    break
-
-    phi1 = {o: data[o]["phi1"] for o in b_k.objects}
-    phi2 = {o: data[o]["phi2"] for o in b_k.objects}
-    phi3 = {o: data[o]["phi3"] for o in b_k.objects}
-    phi4 = {o: data[o]["phi4"] for o in b_k.objects}
-
-    rec1 = make_record("phi1: 1 => T1", "1", "T1", phi1)
-    check_naturality(rec1, identity_f, t1_f, phi1, b_k.morphisms)
-    rec2 = make_record("phi2: T2 => T1", "T2", "T1", phi2)
-    check_naturality(rec2, t2_f, t1_f, phi2, b_k.morphisms)
-    rec3 = make_record("phi3: T2 => T3", "T2", "T3", phi3)
-    check_naturality(rec3, t2_f, t3_f, phi3, b_k.morphisms)
-    rec4 = make_record("phi4: i.r => T3", "i.r", "T3", phi4)
-    check_naturality(rec4, ir_f, t3_f, phi4, b_k.morphisms)
+    T1, T2, T3 = (Functor(b_k, b_k, *maps[name]) for name in ("T1", "T2", "T3"))
+    r = Functor(b_k, a_prime, *maps["r"])
+    functor_reports = {"h": check_functor(h), "r": check_functor(r),
+                       "T1": check_functor(T1), "T2": check_functor(T2),
+                       "T3": check_functor(T3)}
 
     # -- the A'_k side -----------------------------------------------------------
     # On image objects the w slot is an identity; the composite of its
     # factorization is the identity, and pushing the top row out along
     # it recovers the top row, yielding tau: T3|A' => 1 with components
     # (id, id, id, v1, v1, v2, ..., vk).
-    a_objects = a_prime.objects
-    a_morphisms = a_prime.morphisms
-    tau = {}
-    psi4 = {}
-    psi = {}
-    ident = cat.identity
-    for oid in a_objects:
-        d = data[oid]
-        objs, arrows = b_k.diagrams[oid]
+    tau, psi = {}, {}
+    for oid in a_prime.objects:
+        c, d = b_k.diagrams[oid][0], data[oid]
         vs = [d["v1"]]
-        tail = (d["t2"][1][4],) + d["t2"][1][5:]
-        ok = True
-        for j in range(len(tail)):
-            wit = pms.pushout(d["us"][j], tail[j])
-            comp_map = dict(wit.comparisons)
-            apex2 = objs[5 + j]
-            leg_m = cat.comp[(vs[-1], tail[j])]
-            leg_c = ident[apex2]
-            got = comp_map.get((apex2, leg_m, leg_c))
+        for j, arrow in enumerate(object_rows[oid]["row3:compose-y"][1][4:]):
+            got = pms.pushout(d["us"][j], arrow).comparison(
+                c[5 + j], cat.comp[(vs[-1], arrow)], ident[c[5 + j]])
             if got is None:
                 errors.append(f"push-down comparison missing at {oid} stage {j}")
-                ok = False
                 break
             vs.append(got)
-        if not ok:
-            continue
-        tau[oid] = (ident[objs[0]], ident[objs[1]], ident[objs[2]],
-                    vs[0], vs[0]) + tuple(vs[1:])
-        psi4[oid] = data[oid]["phi4"]
-        psi[oid] = tuple(cat.comp[(a, b)] for a, b in zip(psi4[oid], tau[oid]))
+        else:
+            tau[oid] = (ident[c[0]], ident[c[1]], ident[c[2]], vs[0], vs[0]) + tuple(vs[1:])
+            psi[oid] = tuple(cat.comp[pair] for pair in zip(phi4[oid], tau[oid]))
 
-    rec5 = make_record("phi4|A': i.r => T3 (restricted)", "i.r|A'", "T3|A'", psi4)
-    check_naturality(rec5, ir_f, t3_f, phi4, a_morphisms)
-    rec6 = make_record("tau: T3|A' => 1", "T3|A'", "1|A'", tau)
-    rec7 = make_record("psi = tau . phi4: r.i => 1 (on A')", "r.i", "1|A'", psi)
-    check_naturality(rec6, t3_f, identity_f, tau, a_morphisms)
-    check_naturality(rec7, ir_f, identity_f, psi, a_morphisms)
-
-    cert = SegalCertificate(
-        k, object_rows,
-        [rec1, rec2, rec3, rec4, rec5, rec6, rec7],
-        functor_reports, witnesses, factorizations, _READING, errors)
-    return r_f, cert
+    one = Functor.identity(b_k)
+    transformations = [
+        check_transformation(rc, TransformationRecord(name, src, tgt, comps), F, G, domain)
+        for name, src, tgt, F, G, comps, domain in (
+            ("phi1: 1 => T1", "1", "T1", one, T1, phi1, b_k),
+            ("phi2: T2 => T1", "T2", "T1", T2, T1, phi2, b_k),
+            ("phi3: T2 => T3", "T2", "T3", T2, T3, phi3, b_k),
+            ("phi4: i.r => T3", "i.r", "T3", r, T3, phi4, b_k),
+            ("phi4|A': i.r => T3 (restricted)", "i.r|A'", "T3|A'", r, T3,
+             {o: phi4[o] for o in tau}, a_prime),
+            ("tau: T3|A' => 1", "T3|A'", "1|A'", T3, one, tau, a_prime),
+            ("psi = tau . phi4: r.i => 1 (on A')", "r.i", "1|A'", r, one, psi, a_prime))]
+    cert = SegalCertificate(k, object_rows, transformations, functor_reports,
+                            witnesses, factorizations, _READING, errors)
+    return r, cert
 
 
 _READING = ("overline composites are the recorded pushout/pullback legs; "
@@ -562,8 +504,6 @@ def verify_segal(pms, k_range=(2, 3), sset_dims=2, cell_budget=200_000,
         strict_ok = check_strict_segal_identity(rc, k, cache)
         r_f, cert = build_retraction(pms, k, parts)
         # corroboration: nerve-level invariants of A'_k versus B_k
-        dims_done = []
-        skipped = []
         failures = []
         budget_dim = sset_dims
         for d in range(sset_dims + 1):

@@ -7,6 +7,8 @@ import pytest
 
 from pmcat import yoneda
 from pmcat.cli import main
+from pmcat.document import serialize_document
+from pmcat.relcat import RelCategory, random_preorder_relcat
 from pmcat.fixtures import FIXTURES, build, fixture_path
 
 
@@ -55,7 +57,8 @@ OPEN_MARKING = ("relcat-version 1\nobject 0\nobject 1\nobject 2\n"
                 "compose 01 12 02\nweq 01\nweq 12\n")
 
 
-@pytest.mark.parametrize("argv", [("nerve",), ("export",), ("yoneda",)])
+@pytest.mark.parametrize("argv", [("nerve",), ("export",), ("yoneda",),
+                                  ("mapspace", "--from", "0", "--to", "2")])
 def test_nerve_commands_refuse_marking_not_closed(tmp_path, argv):
     # 01 and 12 are marked, their composite 02 is not
     doc = tmp_path / "open.relcat"
@@ -66,6 +69,24 @@ def test_nerve_commands_refuse_marking_not_closed(tmp_path, argv):
     assert code == 2
     assert out == ""
     assert "not-closed ('01', '12')" in err.getvalue()
+
+
+def test_mapspace_refuses_marking_not_closed_where_a_composite_is_missing(tmp_path):
+    # the hammocks from x3 to x0 compose x2<x3 with x3<x0, whose composite
+    # x2<x0 is unmarked: building their nerve used to fail on the missing
+    # composite instead of refusing the document
+    rc = random_preorder_relcat(0, max_objects=4)
+    doc = tmp_path / "open4.relcat"
+    doc.write_text(serialize_document(
+        RelCategory(rc.cat, ["x0<x3", "x2<x3", "x3<x0"])))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("mapspace", str(doc), "--from", "x3", "--to", "x0",
+                            "--nmax", "2")
+    assert code == 2
+    assert out == ""
+    assert "not-closed" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_check_reports_marking_not_closed(tmp_path):

@@ -1,6 +1,8 @@
 """Guards for what uses pmcat from outside ``src/``: the benchmark's
-per-layer metrics and the demos."""
+per-layer metrics and the demos; and for what ``src/`` itself may
+import."""
 
+import ast
 import importlib
 import json
 import os
@@ -42,3 +44,22 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_library_imports_only_the_standard_library():
+    # the library stays stdlib-only at runtime: every absolute import in
+    # src/pmcat, at module level or inside a function, names a standard
+    # library module
+    checked = 0
+    for path in sorted((ROOT / "src" / "pmcat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+                checked += 1
+    assert checked

@@ -3,13 +3,14 @@ from itertools import product
 import pytest
 
 from pmcat import segal
-from pmcat.fincat import FinCategory, check_functor, StructuralError
-from pmcat.relcat import RelCategory, restrict_to_weq
+from pmcat.fincat import FinCategory, Functor, check_functor, StructuralError
+from pmcat.relcat import RelCategory, restrict_to_weq, diagram_functor
 from pmcat.pmc import trivial_partial_model_structure
 from pmcat.sset import nerve, pi0, homology
 from pmcat.segal import (
     chain_category, zigzag_chain_category, embedding_parts, build_retraction,
-    check_strict_segal_identity, verify_segal,
+    check_strict_segal_identity, verify_segal, check_transformation,
+    TransformationRecord,
 )
 from conftest import chain_poset, boolean_lattice, walking_iso, terminal_category
 
@@ -232,6 +233,69 @@ def test_certificate_catches_sabotaged_calculus_data():
     assert not report.passed
     r, cert = build_retraction(bad, 2)
     assert not cert.valid
+
+
+# -- one transformation -------------------------------------------------------------
+
+def iw_phi1():
+    """Iw at k = 2: (rc, B_2, T1, the components of phi1: 1 => T1 as
+    built by the certificate), with T1 rebuilt from its definition."""
+    pms = pms_of(iw_rc())
+    parts = embedding_parts(pms.rc, 2)
+    b2 = parts[2]
+    r, cert = build_retraction(pms, 2, parts)
+    cat = pms.rc.cat
+
+    def rows(objs, arrows):
+        return ((objs[0], objs[2], objs[2], objs[3], objs[4]) + objs[5:],
+                (cat.comp[(arrows[0], arrows[1])], cat.identity[objs[2]]) + arrows[2:])
+
+    t1 = diagram_functor(b2, b2, rows, lambda c: (c[0], c[2], c[2], c[3], c[4]) + c[5:])
+    assert check_functor(t1).ok
+    return pms.rc, b2, t1, dict(cert.transformations[0].components)
+
+
+def phi1_record(components):
+    return TransformationRecord("phi1: 1 => T1", "1", "T1", components)
+
+
+def test_check_transformation_passes_phi1_as_built():
+    rc, b2, t1, phi1 = iw_phi1()
+    rec = check_transformation(rc, phi1_record(phi1), Functor.identity(b2), t1, b2)
+    assert rec.ok
+    assert len(rec.components) == len(b2.objects) == 15
+
+
+def test_check_transformation_lists_a_marked_component_that_is_no_morphism():
+    # at an object whose x is the arrow 01, replace the component x by
+    # the identity of its source: every entry stays marked, but vertex 1
+    # no longer reaches T1's vertex 1, so the tuple is no morphism o -> T1(o)
+    rc, b2, t1, phi1 = iw_phi1()
+    o = next(o for o in b2.objects if b2.diagrams[o][1][1] == "01")
+    comps = list(phi1[o])
+    comps[1] = "id:0"
+    phi1[o] = tuple(comps)
+    rec = check_transformation(rc, phi1_record(phi1), Functor.identity(b2), t1, b2)
+    assert rec.unmarked == []
+    assert rec.missing == [o]
+    assert rec.naturality_failures == []     # the squares at o are skipped
+    assert not rec.ok
+
+
+def test_check_transformation_reports_a_broken_square():
+    # send one morphism m: s -> t of B_2 to a morphism out of T1(s) that
+    # misses T1(t); in a poset the two composites of the square at m then
+    # differ exactly at the vertices where the two targets differ
+    rc, b2, t1, phi1 = iw_phi1()
+    m, n = next((m, n) for m in b2.morphisms if not b2.is_identity(m)
+                for n in b2.out_of(t1.obj_map[b2.src[m]])
+                if b2.tgt[n] != t1.obj_map[b2.tgt[m]])
+    broken = Functor(b2, b2, t1.obj_map, {**t1.mor_map, m: n})
+    rec = check_transformation(rc, phi1_record(phi1), Functor.identity(b2), broken, b2)
+    wrong, right = b2.diagrams[b2.tgt[n]][0], b2.diagrams[t1.obj_map[b2.tgt[m]]][0]
+    i = next(i for i in range(len(wrong)) if wrong[i] != right[i])
+    assert rec.naturality_failures == [(m, i)]
+    assert rec.unmarked == [] and rec.missing == []
 
 
 # -- strict fiber identity ----------------------------------------------------------
