@@ -38,7 +38,9 @@ from .fincat import (
     Functor, StructuralError, check_functor, strict_pullback_category,
     category_isomorphism, pair_id,
 )
-from .relcat import diagram_category, diagram_functor, ARROW, WEQ, WEQ_BACK
+from .relcat import (
+    diagram_category, diagram_functor, validate_relative, ARROW, WEQ, WEQ_BACK,
+)
 from .pmc import CalculusError
 from .sset import nerve, pi0, homology
 from .hammock import check_saturation
@@ -65,7 +67,16 @@ def zigzag_chain_category(rc, k):
 def embedding_parts(rc, k):
     """(h, A_k, B_k, A'_k): the embedding h: A_k -> B_k filling x, w, y
     with identities, injective on objects and morphisms, and A'_k, the
-    full subcategory of B_k on its image objects (ids preserved)."""
+    full subcategory of B_k on its image objects (ids preserved).
+
+    Refuses with StructuralError, naming the first violation, unless the
+    marked maps form a wide subcategory: otherwise A_k and B_k lack
+    composites and are not categories."""
+    rel = validate_relative(rc)
+    if not rel.ok:
+        v = rel.violations[0]
+        raise StructuralError(f"the weak equivalences are not a subcategory: "
+                              f"{v.law} {v.witness}: {v.detail}")
     cat = rc.cat
     a_k = chain_category(rc, k)
     b_k = zigzag_chain_category(rc, k)

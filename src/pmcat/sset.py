@@ -5,6 +5,14 @@ with face and degeneracy operators as index tables into the adjacent
 dimensions.  All simplicial identities among operators that stay inside
 the truncation can be (and in the tests are) checked exhaustively.
 
+A nerve numbers its n-chains by their last face: the extensions of one
+(n-1)-chain by a morphism sit next to each other, in the order of the
+morphisms out of its last vertex, and the blocks keep the order of the
+level below.  Recording where each block starts and each morphism's
+rank among the morphisms out of its source, every face, degeneracy and
+functor-induced map is index arithmetic on the level below; no chain is
+ever looked up by value.
+
 Homology uses the normalized chain complex -- the quotient by degenerate
 simplices -- with integer coefficients.  Each boundary is built once, as
 sparse rows straight from the face tables; the rows are the columns of
@@ -15,8 +23,11 @@ and the API refuses to go higher.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 
 from ._util import UnionFind
+from .fincat import StructuralError
 from .relcat import diagram_category, diagram_functor, ARROW
 from .smith import smith_invariants
 
@@ -127,7 +138,6 @@ class TruncatedSimplicialSet:
         self.simplices = simplices
         self.faces = faces
         self.degeneracies = degeneracies
-        self.index = [{s: i for i, s in enumerate(level)} for level in simplices]
         self._positions = {}
 
     def size(self, n):
@@ -266,39 +276,118 @@ def homology(s, up_to):
 
 # -- nerves -----------------------------------------------------------------
 
+class Nerve(TruncatedSimplicialSet):
+    """The nerve of a category, numbered by last face.
+
+    Each level keeps the order of the level below, and the extensions of
+    one (n-1)-chain c by a morphism m sit next to each other: the n-chain
+    c + (m,) has index ``starts[n][index of c] + rank[n][m]``.  For
+    n >= 2, ``rank[n][m]`` is the rank of m among the morphisms out of
+    its source; level 1 is the same scheme with every start 0 and the
+    rank of m its position in ``cat.morphisms``.  ``starts[0]`` and
+    ``rank[0]`` are None.
+    """
+
+    def __init__(self, n_max, simplices, faces, degeneracies, starts, rank):
+        super().__init__(n_max, simplices, faces, degeneracies)
+        self.starts = starts
+        self.rank = rank
+
+
 def nerve(cat, n_max):
     """The nerve: n-simplices are composable n-chains of morphisms,
-    objects at n = 0."""
-    chains = [list(cat.objects)]
-    for n in range(1, n_max + 1):
-        if n == 1:
-            level = [(m,) for m in cat.morphisms]
+    objects at n = 0, numbered as described on :class:`Nerve`.
+
+    Every operator follows from the last face d_n(x), the chain x
+    without its last morphism u.  For i < n - 1, d_i(x) is d_i(d_n x)
+    extended by u, and d_(n-1)(x) is d_(n-1)(d_n x) extended by the
+    composite of the last two morphisms, the only read of the
+    composition table.  s_n(x) extends x by an identity, and s_i(x) for
+    i < n is s_i(d_n x) extended by u.  On N([2]) the composite g.f is
+    the chain (f, g) with its middle vertex dropped:
+
+    >>> from pmcat.fincat import FinCategory
+    >>> s = nerve(FinCategory.build(["0", "1", "2"],
+    ...                             [("f", "0", "1"), ("g", "1", "2"), ("h", "0", "2")],
+    ...                             {("f", "g"): "h"}), 2)
+    >>> s.simplices[1]
+    [('id:0',), ('id:1',), ('id:2',), ('f',), ('g',), ('h',)]
+    >>> s.starts[2]
+    [0, 3, 5, 6, 8, 9]
+    >>> s.simplices[2][7], s.simplices[1][s.faces[(2, 1)][7]]
+    (('f', 'g'), ('h',))
+    """
+    objects, morphisms = cat.objects, cat.morphisms
+    where = {o: i for i, o in enumerate(objects)}
+    position = {m: u for u, m in enumerate(morphisms)}
+    out = [cat.out_of(o) for o in objects]
+    rank = {m: r for ms in out for r, m in enumerate(ms)}
+    simplices, starts, ranks = [list(objects)], [None], [None]
+    faces, degeneracies = {}, {}
+    if n_max >= 1:
+        simplices.append([(m,) for m in morphisms])
+        starts.append([0] * len(objects))
+        ranks.append(position)
+        faces[(1, 0)] = [where[cat.tgt[m]] for m in morphisms]
+        faces[(1, 1)] = [where[cat.src[m]] for m in morphisms]
+        degeneracies[(0, 0)] = [position[cat.identity[o]] for o in objects]
+    # per object: the ends, positions and 1-tuples of the morphisms out of it
+    out_ends = [[where[cat.tgt[m]] for m in ms] for ms in out]
+    out_at = [[position[m] for m in ms] for ms in out]
+    tails = [[(m,) for m in ms] for ms in out]
+    rank_at = [rank[m] for m in morphisms]
+    id_rank = [rank[cat.identity[o]] for o in objects]
+    if n_max >= 2:
+        # per morphism f, the positions of the composites m.f with the
+        # morphisms m out of its target, in rank order
+        comp = cat.comp
+        composites = [[position[comp[(f, m)]] for m in out[e]]
+                      for f, e in zip(morphisms, faces[(1, 0)])]
+    # per chain of the level: its last vertex and the position of its last morphism
+    ends, lasts = faces.get((1, 0), ()), range(len(morphisms))
+    for n in range(2, n_max + 1):
+        prev = simplices[n - 1]
+        counts = [len(out[e]) for e in ends]
+        here = list(accumulate(counts, initial=0))
+        here.pop()
+        level = [c + t for c, e in zip(prev, ends) for t in tails[e]]
+        parent = list(chain.from_iterable(map(repeat, range(len(prev)), counts)))
+        new_lasts = list(chain.from_iterable(map(out_at.__getitem__, ends)))
+        if n == 2:
+            faces[(2, 0)] = new_lasts
+            faces[(2, 1)] = list(chain.from_iterable(composites))
         else:
-            level = [c + (m,) for c in chains[n - 1] for m in cat.out_of(cat.tgt[c[-1]])]
-        chains.append(level)
-    s = TruncatedSimplicialSet(n_max, chains, {}, {})
-    src, tgt, comp, identity = cat.src, cat.tgt, cat.comp, cat.identity
-    for n in range(1, n_max + 1):
-        below, level = s.index[n - 1], chains[n]
-        if n == 1:
-            s.faces[(1, 0)] = [below[tgt[m]] for (m,) in level]
-            s.faces[(1, 1)] = [below[src[m]] for (m,) in level]
-            continue
-        s.faces[(n, 0)] = [below[c[1:]] for c in level]
-        for i in range(1, n):
-            s.faces[(n, i)] = [below[c[:i - 1] + (comp[(c[i - 1], c[i])],) + c[i + 1:]]
-                               for c in level]
-        s.faces[(n, n)] = [below[c[:-1]] for c in level]
-    for n in range(n_max):
-        above, level = s.index[n + 1], chains[n]
-        if n == 0:
-            s.degeneracies[(0, 0)] = [above[(identity[o],)] for o in level]
-            continue
-        for i in range(n + 1):
-            s.degeneracies[(n, i)] = [
-                above[c[:i] + (identity[src[c[0]] if i == 0 else tgt[c[i - 1]]],) + c[i:]]
-                for c in level]
-    return s
+            # the n-chains extending one (n-1)-chain y form a block, in
+            # rank order, so d_i (i < n - 1) sends them onto the block of
+            # d_i(y); slicing one list of indices shares the int objects
+            below, canon = starts[n - 1], list(range(len(prev)))
+            for i in range(n - 1):
+                faces[(n, i)] = list(chain.from_iterable(
+                    canon[b:b + k]
+                    for b, k in zip(map(below.__getitem__, faces[(n - 1, i)]), counts)))
+            if n == 3:
+                composites = [[rank_at[h] for h in hs] for hs in composites]
+            faces[(n, n - 1)] = [
+                canon[b + r]
+                for b, u in zip(map(below.__getitem__, faces[(n - 1, n - 1)]), lasts)
+                for r in composites[u]]
+        faces[(n, n)] = parent
+        # the degeneracies out of level n - 1 land here
+        degeneracies[(n - 1, n - 1)] = [s + id_rank[e] for s, e in zip(here, ends)]
+        if n == 2:
+            ids = degeneracies[(0, 0)]
+            degeneracies[(1, 0)] = [here[ids[v]] + r for v, r in zip(faces[(1, 1)], rank_at)]
+        else:
+            for i in range(n - 1):
+                degeneracies[(n - 1, i)] = list(chain.from_iterable(
+                    range(b, b + k) for b, k in
+                    zip(map(here.__getitem__, degeneracies[(n - 2, i)]), below_counts)))
+        simplices.append(level)
+        starts.append(here)
+        ranks.append(rank)
+        ends = list(chain.from_iterable(map(out_ends.__getitem__, ends)))
+        lasts, below_counts = new_lasts, counts
+    return Nerve(n_max, simplices, faces, degeneracies, starts, ranks)
 
 
 # -- bisimplicial sets --------------------------------------------------------
@@ -357,13 +446,29 @@ class TruncatedBisimplicialSet:
 
 def nerve_map_tables(F, source, target):
     """Index tables, per dimension, of the simplicial map between the
-    nerves ``source`` and ``target`` induced by the functor F."""
-    tables = {0: [target.index[0][F.obj_map[o]] for o in source.simplices[0]]}
-    mor_map = F.mor_map
+    nerves ``source`` and ``target`` induced by the functor F.
+
+    The image of an n-chain is the target's extension of the image of
+    its last face by F of its last morphism.  F is first checked to send
+    every morphism to a morphism between the images of its ends; an
+    image that is not one raises StructuralError naming the morphism.
+    """
+    cat, obj_map, mor_map = F.target, F.obj_map, F.mor_map
+    src, tgt = F.source.src, F.source.tgt
+    for m in F.source.morphisms:
+        h = mor_map.get(m)
+        if (h not in cat.src or cat.src[h] != obj_map[src[m]]
+                or cat.tgt[h] != obj_map[tgt[m]]):
+            raise StructuralError(
+                f"functor image of {m}: {src[m]} -> {tgt[m]} is {h}, "
+                f"not a morphism {obj_map[src[m]]} -> {obj_map[tgt[m]]}")
+    where = {o: i for i, o in enumerate(target.simplices[0])}
+    tables = {0: [where[obj_map[o]] for o in source.simplices[0]]}
     for n in range(1, min(source.n_max, target.n_max) + 1):
-        index = target.index[n]
-        tables[n] = [index[tuple(mor_map[m] for m in chain)]
-                     for chain in source.simplices[n]]
+        starts, below, rank = target.starts[n], tables[n - 1], target.rank[n]
+        offset = {m: rank[h] for m, h in mor_map.items()}
+        tables[n] = [starts[below[p]] + offset[x[-1]]
+                     for p, x in zip(source.faces[(n, n)], source.simplices[n])]
     return tables
 
 
@@ -388,15 +493,19 @@ def rezk_nerve(rc, k_max=4, n_max=4):
     vfaces, vdegens = {}, {}
     for k, (a_k, s) in enumerate(zip(chains, nerves)):
         diagrams, components = a_k.diagrams, a_k.components
-        simplices[(k, 0)] = [((diagrams[o][0],), (diagrams[o][1],), ())
-                             for o in s.simplices[0]]
+        grids = [((objs,), (arrows,), ()) for objs, arrows in map(diagrams.__getitem__,
+                                                                   s.simplices[0])]
+        simplices[(k, 0)] = grids
+        # a grid is the grid of its last face with one more row: the
+        # target diagram and the components of the last morphism
+        rows = {m: ((diagrams[t][0],), (diagrams[t][1],), (components[m],))
+                for m, t in a_k.tgt.items()}
         for n in range(1, n_max + 1):
-            level = []
-            for chain in s.simplices[n]:
-                rows = [diagrams[a_k.src[chain[0]]]] + [diagrams[a_k.tgt[m]] for m in chain]
-                level.append((tuple(r[0] for r in rows), tuple(r[1] for r in rows),
-                              tuple(components[m] for m in chain)))
-            simplices[(k, n)] = level
+            grids = [(objs + o, arrows + a, steps + c)
+                     for (objs, arrows, steps), (o, a, c) in zip(
+                         map(grids.__getitem__, s.faces[(n, n)]),
+                         map(rows.__getitem__, map(itemgetter(-1), s.simplices[n])))]
+            simplices[(k, n)] = grids
         vfaces.update(((k, n, j), t) for (n, j), t in s.faces.items())
         vdegens.update(((k, n, j), t) for (n, j), t in s.degeneracies.items())
 

@@ -198,7 +198,7 @@ def test_criterion_08_classification_nerve_structure():
                 for x, g in enumerate(b.simplices[(0, n)]):
                     lhs = as_chain(b.simplices[(0, n - 1)][col[x]], n - 1)
                     rhs = w_nerve.simplices[n - 1][
-                        w_nerve.faces[(n, j)][w_nerve.index[n][as_chain(g, n)]]]
+                        w_nerve.faces[(n, j)][w_nerve.simplices[n].index(as_chain(g, n))]]
                     assert lhs == rhs, (name, n, j)
 
     # pinned counts, pre-computed by direct grid enumeration

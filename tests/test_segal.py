@@ -4,7 +4,9 @@ import pytest
 
 from pmcat import segal
 from pmcat.fincat import FinCategory, Functor, check_functor, StructuralError
-from pmcat.relcat import RelCategory, restrict_to_weq, diagram_functor
+from pmcat.relcat import (
+    RelCategory, restrict_to_weq, diagram_functor, random_preorder_relcat,
+)
 from pmcat.pmc import trivial_partial_model_structure
 from pmcat.sset import nerve, pi0, homology
 from pmcat.segal import (
@@ -349,6 +351,21 @@ def test_verify_segal_groupoid_low_dims():
 def test_verify_segal_refuses_big_k():
     with pytest.raises(StructuralError):
         verify_segal(pms_of(iw_rc()), (5,), 0)
+
+
+def test_marking_that_is_not_closed_is_refused():
+    # x0<x2 and x2<x1 are marked but their composite is not: B_2 then
+    # misses composites (its own validate() lists them), and before the
+    # refusal the certificate read only the entries that exist and
+    # came out VALID
+    cat = random_preorder_relcat(287, max_objects=3).cat
+    rc = RelCategory(cat, [cat.identity[o] for o in cat.objects] + ["x0<x2", "x2<x1"])
+    assert not zigzag_chain_category(rc, 2).validate().ok
+    pms = trivial_partial_model_structure(rc)
+    for refused in (lambda: embedding_parts(rc, 2), lambda: build_retraction(pms, 2),
+                    lambda: verify_segal(pms, (2,), 0)):
+        with pytest.raises(StructuralError, match="not-closed.*x0<x1 is unmarked"):
+            refused()
 
 
 def test_nerve_corroboration_values_interval():

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from pmcat.relcat import RelCategory, random_preorder_relcat, restrict_to_weq
 from pmcat.smith import smith_invariants
+from pmcat.fincat import FinCategory, Functor, StructuralError
 from pmcat.sset import (
-    TruncationError, AbelianGroup, nerve, rezk_nerve, diagonal, pi0, homology,
-    homology_of_boundaries, normalized_boundaries,
+    TruncationError, AbelianGroup, nerve, nerve_map_tables, rezk_nerve, diagonal, pi0,
+    homology, homology_of_boundaries, normalized_boundaries,
 )
 from conftest import (
     chain_poset, boolean_lattice, walking_iso, terminal_category, cyclic_group,
@@ -49,6 +50,95 @@ def test_nerve_identities_hold():
     for cat in (terminal_category(), chain_poset(1), chain_poset(3),
                 boolean_lattice(), walking_iso()):
         assert nerve(cat, 3).validate_identities() == []
+
+
+def parallel_pair():
+    """Two parallel arrows f, g: a -> b and an idempotent h on b with
+    h.f = h.g = g, so a composite can differ from both of its parts."""
+    return FinCategory.build(
+        ["a", "b"], [("f", "a", "b"), ("g", "a", "b"), ("h", "b", "b")],
+        {("f", "h"): "g", ("g", "h"): "g", ("h", "h"): "h"})
+
+
+def chains_by_definition(cat, n):
+    if n == 0:
+        return set(cat.objects)
+    out = {(m,) for m in cat.morphisms}
+    for _ in range(n - 1):
+        out = {c + (m,) for c in out for m in cat.morphisms if cat.src[m] == cat.tgt[c[-1]]}
+    return out
+
+
+def face_by_definition(cat, x, n, i):
+    """d_i: drop an end, or compose the two morphisms at vertex i."""
+    if n == 1:
+        return cat.tgt[x[0]] if i == 0 else cat.src[x[0]]
+    if i == 0:
+        return x[1:]
+    if i == n:
+        return x[:-1]
+    return x[:i - 1] + (cat.comp[(x[i - 1], x[i])],) + x[i + 1:]
+
+
+def degeneracy_by_definition(cat, x, n, i):
+    """s_i: the identity inserted at vertex i."""
+    if n == 0:
+        return (cat.identity[x],)
+    vertex = cat.src[x[0]] if i == 0 else cat.tgt[x[i - 1]]
+    return x[:i] + (cat.identity[vertex],) + x[i:]
+
+
+def oracle_categories():
+    yield "J", walking_iso()
+    yield "B2", boolean_lattice()
+    yield "parallel pair", parallel_pair()
+    yield "Z/3", cyclic_group(3)
+    for seed in range(20):
+        rc = random_preorder_relcat(seed, max_objects=4)
+        yield f"seed {seed}", rc.cat
+        yield f"seed {seed} marked", restrict_to_weq(rc).cat
+
+
+@pytest.mark.parametrize("n_max", range(5))
+def test_nerve_operators_match_their_definition(n_max):
+    # validate_identities cannot see a numbering that is wrong in a
+    # consistent way; this reads every entry back as a chain
+    for name, cat in oracle_categories():
+        s = nerve(cat, n_max)
+        for n in range(n_max + 1):
+            level = s.simplices[n]
+            assert len(set(level)) == len(level), (name, n)
+            assert set(level) == chains_by_definition(cat, n), (name, n)
+        assert set(s.faces) == {(n, i) for n in range(1, n_max + 1) for i in range(n + 1)}
+        assert set(s.degeneracies) == {(n, i) for n in range(n_max) for i in range(n + 1)}
+        for (n, i), table in s.faces.items():
+            assert [s.simplices[n - 1][y] for y in table] == [
+                face_by_definition(cat, x, n, i) for x in s.simplices[n]], (name, n, i)
+        for (n, i), table in s.degeneracies.items():
+            assert [s.simplices[n + 1][y] for y in table] == [
+                degeneracy_by_definition(cat, x, n, i) for x in s.simplices[n]], (name, n, i)
+
+
+def test_nerve_numbers_each_chain_by_its_last_face():
+    # the n-chain c + (m,) sits at starts[n][index of c] + rank[n][m]
+    for name, cat in oracle_categories():
+        s = nerve(cat, 3)
+        for n in range(1, 4):
+            for x, chain in enumerate(s.simplices[n]):
+                last_face = s.faces[(n, n)][x]
+                assert s.starts[n][last_face] + s.rank[n][chain[-1]] == x, (name, n, x)
+
+
+@pytest.mark.parametrize("image", ["moved", None])
+def test_induced_map_refuses_a_morphism_sent_to_the_wrong_ends(image):
+    cat = boolean_lattice()
+    s = nerve(cat, 2)
+    identity = Functor.identity(cat)
+    assert nerve_map_tables(identity, s, s) == {n: list(range(s.size(n))) for n in range(3)}
+    mor_map = dict(identity.mor_map)
+    mor_map["1<12"] = "0<2" if image == "moved" else None
+    with pytest.raises(StructuralError, match="1<12"):
+        nerve_map_tables(Functor(cat, cat, identity.obj_map, mor_map), s, s)
 
 
 def test_pi0_point_and_discrete():
@@ -331,6 +421,41 @@ def test_rezk_identities_catch_a_corrupted_entry(tables, key, target, expected):
     assert len(b.validate_identities()) == expected
 
 
+def test_rezk_horizontal_tables_send_each_grid_to_its_image():
+    # every horizontal operator is nerve_map_tables of a functor between
+    # chain categories; each (k, n)-grid must land on the grid that the
+    # operator makes of it row by row
+    cat = boolean_lattice()
+    b = rezk_nerve(RelCategory(cat, cat.morphisms), 3, 3)
+
+    def face(k, i, grid):
+        objs, arrows, steps = grid
+
+        def row(a):
+            if i == 0:
+                return a[1:]
+            if i == k:
+                return a[:-1]
+            return a[:i - 1] + (cat.comp[(a[i - 1], a[i])],) + a[i + 1:]
+        return (tuple(o[:i] + o[i + 1:] for o in objs), tuple(map(row, arrows)),
+                tuple(c[:i] + c[i + 1:] for c in steps))
+
+    def degeneracy(k, i, grid):
+        objs, arrows, steps = grid
+        return (tuple(o[:i + 1] + o[i:] for o in objs),
+                tuple(a[:i] + (cat.identity[o[i]],) + a[i:] for o, a in zip(objs, arrows)),
+                tuple(c[:i + 1] + c[i:] for c in steps))
+
+    assert set(b.hfaces) == {(k, n, i) for k in range(1, 4) for n in range(4)
+                             for i in range(k + 1)}
+    assert set(b.hdegens) == {(k, n, i) for k in range(3) for n in range(4)
+                              for i in range(k + 1)}
+    for ops, move, step in ((b.hfaces, face, -1), (b.hdegens, degeneracy, 1)):
+        for (k, n, i), table in ops.items():
+            assert [b.simplices[(k + step, n)][y] for y in table] == [
+                move(k, i, grid) for grid in b.simplices[(k, n)]], (k, n, i)
+
+
 def test_rezk_level_zero_matches_nerve_of_marked_subcategory():
     for rc in (iw(), i1(), RelCategory(chain_poset(3), ["02", "13"])):
         b = rezk_nerve(rc, 2, 3)
@@ -351,7 +476,7 @@ def test_rezk_level_zero_matches_nerve_of_marked_subcategory():
                 for x, g in enumerate(b.simplices[(0, n)]):
                     lhs = as_chain(b.simplices[(0, n - 1)][b.vfaces[(0, n, j)][x]], n - 1)
                     rhs = w_nerve.simplices[n - 1][
-                        w_nerve.faces[(n, j)][w_nerve.index[n][as_chain(g, n)]]]
+                        w_nerve.faces[(n, j)][w_nerve.simplices[n].index(as_chain(g, n))]]
                     assert lhs == rhs
 
 

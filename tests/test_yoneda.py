@@ -9,7 +9,7 @@ from pmcat.yoneda import (
     yoneda_object, check_presheaf_action, weq_induced_presheaf_maps,
     verify_yoneda_relative, MODEL_NOTE, SSetMap, _cone_acyclic,
 )
-from pmcat.hammock import homotopy_category
+from pmcat.hammock import homotopy_category, zigzag_category
 from conftest import (
     chain_poset, boolean_lattice, terminal_category, cyclic_group, poset_category,
 )
@@ -55,6 +55,44 @@ def test_action_tables_are_functorial():
             y = yoneda_object(rc, a, 2)
             assert check_presheaf_action(rc, y) == []
             assert y.model == MODEL_NOTE
+
+
+def assert_chain_images(mp, source, target, move, steps):
+    """``mp`` sends each chain of the zigzag category ``source`` to the
+    chain of images under the diagram map (``move`` on vertices and
+    arrows, ``steps`` on components) in ``target``."""
+    def image_of(m, h):
+        return (target.components[h] == steps(source.components[m])
+                and target.diagrams[target.src[h]] == move(*source.diagrams[source.src[m]])
+                and target.diagrams[target.tgt[h]] == move(*source.diagrams[source.tgt[m]]))
+    for n, table in mp.tables.items():
+        for x, y in zip(mp.source.simplices[n], table):
+            image = mp.target.simplices[n][y]
+            if n == 0:
+                assert target.diagrams[image] == move(*source.diagrams[x])
+            else:
+                assert all(map(image_of, x, image)), (n, x, image)
+
+
+def test_presheaf_maps_send_each_chain_to_its_image():
+    rc = b2_rc()
+    cat = rc.cat
+    for a in cat.objects:
+        presheaf = yoneda_object(rc, a, 3)
+        for g, mp in presheaf.action.items():
+            b_prime, b = cat.src[g], cat.tgt[g]
+            assert_chain_images(
+                mp, zigzag_category(rc, b_prime, a), zigzag_category(rc, b, a),
+                lambda objs, arrows: ((b,) + objs[1:], (cat.comp[(arrows[0], g)],) + arrows[1:]),
+                lambda comps: (cat.identity[b],) + comps[1:])
+    for w in rc.weq:
+        a, a_prime = cat.src[w], cat.tgt[w]
+        for b, mp in weq_induced_presheaf_maps(rc, w, 3).items():
+            assert_chain_images(
+                mp, zigzag_category(rc, b, a_prime), zigzag_category(rc, b, a),
+                lambda objs, arrows: (objs[:-1] + (a,),
+                                      arrows[:-1] + (cat.comp[(w, arrows[-1])],)),
+                lambda comps: comps[:-1] + (cat.identity[a],))
 
 
 def test_weq_induced_maps_are_simplicial():
