@@ -343,15 +343,13 @@ def nerve(cat, n_max):
         comp = cat.comp
         composites = [[position[comp[(f, m)]] for m in out[e]]
                       for f, e in zip(morphisms, faces[(1, 0)])]
-    # per chain of the level: its last vertex and the position of its last morphism
-    ends, lasts = faces.get((1, 0), ()), range(len(morphisms))
+    ends = faces.get((1, 0), ())          # the last vertex of each chain of the level
     for n in range(2, n_max + 1):
         prev = simplices[n - 1]
         counts = [len(out[e]) for e in ends]
         here = list(accumulate(counts, initial=0))
         here.pop()
         level = [c + t for c, e in zip(prev, ends) for t in tails[e]]
-        parent = list(chain.from_iterable(map(repeat, range(len(prev)), counts)))
         new_lasts = list(chain.from_iterable(map(out_at.__getitem__, ends)))
         if n == 2:
             faces[(2, 0)] = new_lasts
@@ -371,7 +369,7 @@ def nerve(cat, n_max):
                 canon[b + r]
                 for b, u in zip(map(below.__getitem__, faces[(n - 1, n - 1)]), lasts)
                 for r in composites[u]]
-        faces[(n, n)] = parent
+        faces[(n, n)] = list(chain.from_iterable(map(repeat, range(len(prev)), counts)))
         # the degeneracies out of level n - 1 land here
         degeneracies[(n - 1, n - 1)] = [s + id_rank[e] for s, e in zip(here, ends)]
         if n == 2:
@@ -386,7 +384,8 @@ def nerve(cat, n_max):
         starts.append(here)
         ranks.append(rank)
         ends = list(chain.from_iterable(map(out_ends.__getitem__, ends)))
-        lasts, below_counts = new_lasts, counts
+        lasts = new_lasts           # the position of each chain's last morphism
+        below_counts = counts
     return Nerve(n_max, simplices, faces, degeneracies, starts, ranks)
 
 
