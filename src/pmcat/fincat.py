@@ -241,6 +241,10 @@ class FinCategory:
     def is_identity(self, m):
         return m in self._identity_ids
 
+    def is_thin(self):
+        """True when every hom-set has at most one element."""
+        return len(self._hom) == len(self.morphisms)
+
     def compose(self, g, f):
         """Classical order: ``compose(g, f)`` is g after f."""
         try:
@@ -281,9 +285,11 @@ class FinCategory:
         keep_set = set(keep)
         rows = [(m, self.src[m], self.tgt[m]) for m in self.morphisms
                 if self.src[m] in keep_set and self.tgt[m] in keep_set]
-        kept_mor = {r[0] for r in rows}
-        comp = {pair: h for pair, h in self.comp.items()
-                if pair[0] in kept_mor and pair[1] in kept_mor}
+        # the composable pairs of kept morphisms, read off without a pass
+        # over the whole table
+        table = self.comp
+        comp = {(f, g): table[(f, g)] for f, _s, t in rows for g in self._by_src[t]
+                if self.tgt[g] in keep_set}
         identity = {o: self.identity[o] for o in keep}
         return FinCategory(keep, rows, identity, comp)
 

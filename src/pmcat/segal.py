@@ -161,6 +161,7 @@ class SegalCertificate:
                     "components": len(t.components),
                     "unmarked": t.unmarked, "missing": t.missing,
                     "naturality_failures": t.naturality_failures[:20],
+                    "naturality_failures_total": len(t.naturality_failures),
                 } for t in self.transformations],
             "functors": {n: r.ok for n, r in self.functor_reports.items()},
             "witnesses_reverified": sum(1 for w in self.witnesses if w[-1]),
@@ -168,6 +169,7 @@ class SegalCertificate:
             "factorizations": {w: list(f) for w, f in self.factorizations.items()},
             "reading": self.reading,
             "errors": self.errors[:20],
+            "errors_total": len(self.errors),
         }
         if full:
             d["object_rows"] = {
@@ -461,6 +463,19 @@ def _count_chains(cat, n):
     return sum(counts.values())
 
 
+def _reduction(s):
+    """What the homology of the nerve ``s`` is computed on: its
+    category's preorder core, or its own chains when the category is not
+    thin.  Reads the core that ``homology`` used."""
+    core = s.core
+    if core is not None:
+        return core.to_dict()
+    n = len(s.category.objects)
+    return {"objects_before": n, "objects_after": n, "witnessed_steps": 0,
+            "theorem": "none: the category is not thin, so its homology "
+                       "comes from its own normalized chains"}
+
+
 def check_strict_segal_identity(rc, k, cache=None):
     """The canonical comparison A_k -> A_{k-1} x_{A_0} A_1 is an
     isomorphism of categories.
@@ -544,6 +559,7 @@ def verify_segal(pms, k_range=(2, 3), sset_dims=2, cell_budget=200_000,
             "pi0": (pi_a, pi_b),
             "homology_dims_compared": dims,
             "skipped_dims": skipped,
+            "reduction": {"A'_k": _reduction(nerve_a), "B_k": _reduction(nerve_b)},
             "corroboration_failures": failures,
         }
     saturation = check_saturation(pms)

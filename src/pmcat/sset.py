@@ -20,9 +20,22 @@ the coboundary, which the Smith reduction takes from low degree to high
 and clears degree by degree.  Because the complex is truncated at
 ``n_max``, homology is only trusted in degrees strictly below ``n_max``,
 and the API refuses to go higher.
+
+A nerve keeps the category it was built from.  When that category is
+thin (a preorder), its homology is that of the nerve of its preorder
+core: objects are removed one at a time, each x with a witness w below
+x that every other remaining object below x lies under (or dually
+above).  Sending x to w is a retraction r with i.r <= 1, and a natural
+transformation is a homotopy of nerve maps (Quillen, *Higher algebraic
+K-theory I*, 1973, section 1), so each removal keeps the homotopy type
+(Stong, *Finite topological spaces*, 1966).  The steps are replayed
+against the hom-sets by separate code before the core is used.  Every
+other simplicial set, and the nerve of a category that is not thin,
+goes through its own normalized chains, which stay the reference.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
@@ -265,13 +278,144 @@ def homology(s, up_to):
     """H_0 .. H_up_to of the normalized integral chain complex.
 
     Refuses degrees that the truncation cannot certify: needs
-    ``up_to <= n_max - 1`` so every required boundary map exists.
+    ``up_to <= n_max - 1`` so every required boundary map exists.  The
+    nerve of a thin category is replaced by the nerve of its
+    :func:`preorder_core`, which has the same homotopy type; every other
+    simplicial set goes through its own normalized chains.
     """
     if up_to > s.n_max - 1:
         raise TruncationError(
             f"homology up to degree {up_to} is not certified at truncation {s.n_max}")
+    core = s.core if isinstance(s, Nerve) else None
+    return _chain_homology(s if core is None else nerve(core.category, up_to + 1), up_to)
+
+
+def nerve_homology(cat, up_to):
+    """H_0 .. H_up_to of the nerve of ``cat``, as :func:`homology` gives
+    them, without building the nerve of a thin category at all."""
+    core = preorder_core(cat)
+    return _chain_homology(nerve(cat if core is None else core.category, up_to + 1), up_to)
+
+
+def _chain_homology(s, up_to):
     dims, boundaries = normalized_boundaries(s, up_to + 1)
     return homology_of_boundaries(dims, boundaries, up_to)
+
+
+# -- preorder cores ---------------------------------------------------------
+
+CORE_THEOREM = (
+    "each removal of x with witness w is a retraction r: x -> w with "
+    "i.r <= 1 (or >= 1), and a natural transformation is a homotopy of "
+    "nerve maps (Quillen, Higher algebraic K-theory I, LNM 341, 1973, "
+    "section 1); beat points: Stong, Finite topological spaces, "
+    "Trans. AMS 123, 1966")
+
+
+@dataclass(frozen=True)
+class PreorderCore:
+    """A thin category reduced to a full subcategory with the same nerve
+    homotopy type, and the witnessed steps that got there.
+
+    ``steps`` lists (x, w, direction) in removal order: with "down", w
+    is below x and every other remaining z below x is below w; "up" is
+    the dual.  Isomorphic objects are below each other, so each removes
+    the other.
+    """
+
+    category: object              # full subcategory on the kept objects
+    steps: tuple
+    objects_before: int
+
+    def to_dict(self):
+        return {"objects_before": self.objects_before,
+                "objects_after": len(self.category.objects),
+                "witnessed_steps": len(self.steps),
+                "theorem": CORE_THEOREM}
+
+
+def _top(rest, rel):
+    """An element w of the bit set ``rest`` with ``rest`` inside
+    ``rel[w]``, or None."""
+    r = rest
+    while r:
+        low = r & -r
+        w = low.bit_length() - 1
+        if not rest & ~rel[w]:
+            return w
+        r ^= low
+    return None
+
+
+def preorder_core(cat):
+    """Remove objects of a thin category one at a time, each with a
+    witness (see :class:`PreorderCore`), until none can be removed.
+
+    Returns None when some hom-set has two elements.  Objects are tried
+    in order, down before up, in sweeps until a sweep removes nothing.
+    The steps are then replayed by :func:`core_violations`; a step that
+    fails the replay raises StructuralError.
+    """
+    if not cat.is_thin():
+        return None
+    objects = cat.objects
+    where = {o: i for i, o in enumerate(objects)}
+    below, above = [0] * len(objects), [0] * len(objects)
+    for m in cat.morphisms:
+        a, b = where[cat.src[m]], where[cat.tgt[m]]
+        below[b] |= 1 << a
+        above[a] |= 1 << b
+    alive = (1 << len(objects)) - 1
+    steps = []
+    removed = True
+    while removed:
+        removed = False
+        for x, o in enumerate(objects):
+            bit = 1 << x
+            if not alive & bit:
+                continue
+            for rel, direction in ((below, "down"), (above, "up")):
+                w = _top(rel[x] & alive & ~bit, rel)
+                if w is not None:
+                    alive &= ~bit
+                    steps.append((o, objects[w], direction))
+                    removed = True
+                    break
+    kept = [o for x, o in enumerate(objects) if alive >> x & 1]
+    core = PreorderCore(cat.full_subcategory(kept), tuple(steps), len(objects))
+    bad = core_violations(cat, core)
+    if bad:
+        raise StructuralError(f"preorder core step fails its re-check: {bad[0]}")
+    return core
+
+
+def core_violations(cat, core):
+    """Replay the steps of ``core`` on the hom-sets of ``cat``; returns a
+    list of violation strings (empty = pass)."""
+    ends = {(cat.src[m], cat.tgt[m]) for m in cat.morphisms}
+    bad = [] if len(ends) == len(cat.morphisms) else ["some hom-set has two elements"]
+    remaining = dict.fromkeys(cat.objects)
+    for x, w, direction in core.steps:
+        if x not in remaining or w not in remaining or x == w:
+            bad.append(f"step ({x}, {w}): not two distinct remaining objects")
+            continue
+        if direction not in ("down", "up"):
+            bad.append(f"step ({x}, {w}): direction {direction!r}")
+            continue
+        down = direction == "down"
+        if not (cat.hom(w, x) if down else cat.hom(x, w)):
+            bad.append(f"step ({x}, {w}, {direction}): {w} is not "
+                       f"{'below' if down else 'above'} {x}")
+        for m in (cat.into(x) if down else cat.out_of(x)):
+            z = cat.src[m] if down else cat.tgt[m]
+            if z != x and z in remaining and not (cat.hom(z, w) if down else cat.hom(w, z)):
+                bad.append(f"step ({x}, {w}, {direction}): {z} is "
+                           f"{'below' if down else 'above'} {x} but not {w}")
+        del remaining[x]
+    if tuple(remaining) != core.category.objects:
+        bad.append(f"kept objects {core.category.objects} are not the "
+                   f"remaining {tuple(remaining)}")
+    return bad
 
 
 # -- nerves -----------------------------------------------------------------
@@ -285,13 +429,20 @@ class Nerve(TruncatedSimplicialSet):
     n >= 2, ``rank[n][m]`` is the rank of m among the morphisms out of
     its source; level 1 is the same scheme with every start 0 and the
     rank of m its position in ``cat.morphisms``.  ``starts[0]`` and
-    ``rank[0]`` are None.
+    ``rank[0]`` are None.  ``category`` is the category the nerve was
+    built from.
     """
 
-    def __init__(self, n_max, simplices, faces, degeneracies, starts, rank):
+    def __init__(self, n_max, simplices, faces, degeneracies, starts, rank, category):
         super().__init__(n_max, simplices, faces, degeneracies)
         self.starts = starts
         self.rank = rank
+        self.category = category
+
+    @cached_property
+    def core(self):
+        """``preorder_core`` of the category, computed once."""
+        return preorder_core(self.category)
 
 
 def nerve(cat, n_max):
@@ -386,7 +537,7 @@ def nerve(cat, n_max):
         ends = list(chain.from_iterable(map(out_ends.__getitem__, ends)))
         lasts = new_lasts           # the position of each chain's last morphism
         below_counts = counts
-    return Nerve(n_max, simplices, faces, degeneracies, starts, ranks)
+    return Nerve(n_max, simplices, faces, degeneracies, starts, ranks, cat)
 
 
 # -- bisimplicial sets --------------------------------------------------------

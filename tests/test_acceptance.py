@@ -19,7 +19,7 @@ from pmcat.relcat import (
     random_preorder_relcat, validate_relative,
 )
 from pmcat.pmc import verify_partial_model
-from pmcat.sset import nerve, rezk_nerve, pi0, homology
+from pmcat.sset import nerve, rezk_nerve, pi0, nerve_homology
 from pmcat.hammock import (
     homotopy_category, bounded_localization_oracle, check_saturation,
     diagnostic_saturation,
@@ -114,30 +114,26 @@ def test_criterion_04_retraction_certificates():
 
 
 def test_criterion_05_nerve_corroboration():
-    # full depth on the small fixtures; documented reduced depth on B2,
-    # whose zigzag-chain nerves outgrow exact desk-scale Smith normal
-    # form above these dimensions (see the decisions ledger); J excluded
-    # for the same reason (its B_k are indiscrete with ~16M 3-chains).
-    plan = {
-        "pt": {2: 2, 3: 2},
-        "I1": {2: 2, 3: 2},
-        "Iw": {2: 2, 3: 2},
-        "B2": {2: 1, 3: 0},
-    }
+    # H_0..H_2 at k = 2 and 3 on every fixture with calculus data, on the
+    # preorder cores of the nerves; pi0 is counted on the 1-simplices of
+    # the full nerves
     achieved = []
-    for name, per_k in plan.items():
-        pms = build(name)
-        for k, dims in per_k.items():
-            parts = embedding_parts(pms.rc, k)
-            _, _, b_k, a_prime = parts
-            na, nb = nerve(a_prime, dims + 1), nerve(b_k, dims + 1)
-            assert len(pi0(na)) == len(pi0(nb)), (name, k)
-            ha, hb = homology(na, dims), homology(nb, dims)
+    for name in FIXTURES:
+        value = build(name)
+        if isinstance(value, RelCategory):
+            continue
+        for k in (2, 3):
+            _, _, b_k, a_prime = embedding_parts(value.rc, k)
+            assert len(pi0(nerve(a_prime, 1))) == len(pi0(nerve(b_k, 1))), (name, k)
+            ha, hb = nerve_homology(a_prime, 2), nerve_homology(b_k, 2)
             assert ha == hb, (name, k, ha, hb)
-            achieved.append(f"{name}/k={k}:H0..H{dims}")
-    verdict(5, "pi0 and homology invariants agree between the image and "
-               "zigzag-chain nerves (exact Smith normal form): "
-               + ", ".join(achieved))
+            achieved.append(f"{name}/k={k}")
+    # not vacuous: P4 has no calculus data, and at k = 3 its nerves differ
+    _, _, b_3, a_prime_3 = embedding_parts(relcat_of("P4"), 3)
+    assert nerve_homology(a_prime_3, 0) != nerve_homology(b_3, 0)
+    verdict(5, "pi0 and H_0..H_2 agree between the image and zigzag-chain "
+               "nerves (exact Smith normal form on witnessed preorder cores): "
+               + ", ".join(achieved) + "; P4 (no calculus data) differs at k=3")
 
 
 def test_criterion_06_homotopy_category_oracle_equivalence():
@@ -172,8 +168,8 @@ def test_criterion_07_saturation():
 
 
 def test_criterion_08_classification_nerve_structure():
-    # J runs at truncation 3: its grids at bidegree (4,4) number 2^25,
-    # beyond desk scale (decisions ledger); everything else at 4.
+    # J runs at truncation 3: its grids at bidegree (4,4) number 2^25
+    # (any 5 x 5 array of its two objects); everything else at 4.
     truncation = {name: 4 for name in FIXTURES}
     truncation["J"] = 3
     for name in FIXTURES:
@@ -219,8 +215,9 @@ def test_criterion_08_classification_nerve_structure():
     assert b.size(0, 1) == grid_count(0, 1) == 3
     verdict(8, "level zero matches the marked-subcategory nerve on all six "
                "fixtures; all (bi)simplicial identities hold exhaustively "
-               "(truncation 4; J at 3, see ledger); pinned interval counts "
-               "2/3/3 reproduced against the grid-enumeration oracle")
+               "(truncation 4; J at 3, whose (4,4) has 2^25 grids); pinned "
+               "interval counts 2/3/3 reproduced against the grid-enumeration "
+               "oracle")
 
 
 def test_criterion_09_yoneda_diagnostics():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -9,10 +10,13 @@ from pmcat.smith import smith_invariants
 from pmcat.fincat import FinCategory, Functor, StructuralError
 from pmcat.sset import (
     TruncationError, AbelianGroup, nerve, nerve_map_tables, rezk_nerve, diagonal, pi0,
-    homology, homology_of_boundaries, normalized_boundaries,
+    homology, homology_of_boundaries, normalized_boundaries, nerve_homology,
+    preorder_core, core_violations,
 )
+from pmcat import sset
 from conftest import (
     chain_poset, boolean_lattice, walking_iso, terminal_category, cyclic_group,
+    poset_category,
 )
 
 
@@ -217,6 +221,13 @@ def sympy_nerve_homology(cat, n_max, up_to):
     return groups
 
 
+def raw_nerve_homology(cat, up_to):
+    """The reference path: normalized chains of the whole nerve, with no
+    preorder core."""
+    dims, boundaries = normalized_boundaries(nerve(cat, up_to + 1), up_to + 1)
+    return homology_of_boundaries(dims, boundaries, up_to)
+
+
 def test_homology_walking_iso_is_point():
     s = nerve(walking_iso(), 4)
     assert homology(s, 2) == [AbelianGroup(1), AbelianGroup(0), AbelianGroup(0)]
@@ -237,7 +248,7 @@ def test_homology_matches_independent_oracle():
     for cat in (chain_poset(2), boolean_lattice(), walking_iso()):
         mine = homology(nerve(cat, 3), 2)
         oracle = sympy_nerve_homology(cat, 3, 2)
-        assert mine == oracle
+        assert mine == raw_nerve_homology(cat, 2) == oracle
     # classifying spaces of finite cyclic groups: torsion in odd degrees
     for n in (2, 3):
         cat = cyclic_group(n)
@@ -350,6 +361,81 @@ def test_h0_rank_equals_pi0():
     for cat in (terminal_category(), chain_poset(2), walking_iso()):
         s = nerve(cat, 2)
         assert homology(s, 0)[0].rank == len(pi0(s))
+
+
+# -- preorder cores -----------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_core_homology_matches_raw_on_random_preorders(seed):
+    rc = random_preorder_relcat(seed, max_objects=6)
+    for cat in (rc.cat, restrict_to_weq(rc).cat):
+        core = preorder_core(cat)
+        assert core is not None and core_violations(cat, core) == []
+        assert len(core.category.objects) + len(core.steps) == len(cat.objects)
+        assert nerve_homology(cat, 3) == homology(nerve(cat, 4), 3) == raw_nerve_homology(cat, 3)
+
+
+def stacked_pairs(dim):
+    """The minimal finite model of S^dim: dim + 1 levels of two points,
+    each point below every point of the levels above it."""
+    level = {f"{i}{side}": i for i in range(dim + 1) for side in "ab"}
+    return poset_category(list(level), lambda a, b: a == b or level[a] < level[b])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_minimal_finite_spheres_keep_every_point(dim):
+    cat = stacked_pairs(dim)
+    core = preorder_core(cat)
+    assert core.steps == () and core.category.objects == cat.objects
+    sphere = [AbelianGroup(1)] + [AbelianGroup(0)] * (dim - 1) + [AbelianGroup(1)]
+    assert homology(nerve(cat, dim + 1), dim) == raw_nerve_homology(cat, dim) == sphere
+
+
+def test_corrupted_witness_fails_the_recheck():
+    cat = boolean_lattice()
+    core = preorder_core(cat)
+    assert core.steps == (("1", "0", "down"), ("2", "0", "down"), ("12", "0", "down"))
+    assert core_violations(cat, core) == []
+    # 2 is not below 1
+    wrong_w = replace(core, steps=(("1", "2", "down"),) + core.steps[1:])
+    assert core_violations(cat, wrong_w) == ["step (1, 2, down): 2 is not below 1"]
+    # 1 is below 12, but so is 2, which is not below 1
+    beside = replace(core, steps=(("12", "1", "down"),) + core.steps[:2])
+    assert core_violations(cat, beside) == ["step (12, 1, down): 2 is below 12 but not 1"]
+    assert core_violations(cat, replace(core, steps=core.steps[:2])) != []
+
+
+def test_a_wrong_search_is_refused(monkeypatch):
+    # take the first candidate below or above, whether or not it is a top
+    monkeypatch.setattr(sset, "_top", lambda rest, rel: (rest & -rest).bit_length() - 1
+                        if rest else None)
+    with pytest.raises(StructuralError, match="re-check"):
+        preorder_core(boolean_lattice())
+
+
+def test_group_has_no_core_and_keeps_its_torsion():
+    cat = cyclic_group(2)
+    assert preorder_core(cat) is None
+    s = nerve(cat, 4)
+    assert s.core is None
+    z2 = AbelianGroup(0, (2,))
+    assert homology(s, 3) == nerve_homology(cat, 3) == [
+        AbelianGroup(1), z2, AbelianGroup(0), z2]
+
+
+def test_preorder_nerve_homology_runs_on_one_vertex(monkeypatch):
+    from pmcat.fixtures import build
+    from pmcat.segal import zigzag_chain_category
+    b_3 = zigzag_chain_category(build("B2").rc, 3)
+    vertices = []
+
+    def counted(s, up_to, _real=sset.normalized_boundaries):
+        vertices.append(s.size(0))
+        return _real(s, up_to)
+    monkeypatch.setattr(sset, "normalized_boundaries", counted)
+    assert homology(nerve(b_3, 2), 1) == [AbelianGroup(1), AbelianGroup(0)]
+    assert len(b_3.objects) == 361 and vertices == [1]
 
 
 # -- classification nerve ---------------------------------------------------
