@@ -1,9 +1,10 @@
 """Toolkit for finite relative categories.
 
 Everything here is exact and finite: categories are given by explicit
-composition tables, weak equivalences by marked subcategories, and all
-structural claims (axioms, universal properties, naturality, homology)
-are established by exhaustive checking rather than by proof.
+composition tables or built from such categories, weak equivalences by
+marked subcategories, and all structural claims (axioms, universal
+properties, naturality, homology) are established by exhaustive
+checking rather than by proof.
 
 Modules:
 

@@ -195,7 +195,7 @@ def serialize_document(value):
     for m in cat.morphisms:
         if not cat.is_identity(m):
             lines.append(f"morphism {m} {cat.src[m]} {cat.tgt[m]}")
-    for (f, g), h in sorted(cat.comp.items()):
+    for (f, g), h in sorted(cat.composites()):
         if not (cat.is_identity(f) or cat.is_identity(g)):
             lines.append(f"compose {f} {g} {h}")
     for w in rc.weq:

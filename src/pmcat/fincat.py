@@ -1,12 +1,17 @@
-"""Finite categories as explicit composition tables.
+"""Finite categories, functors, and universal properties found by
+exhaustive search.
 
-A category here is a finite list of objects, a finite list of morphisms
-with source/target, an identity morphism per object, and a *total*
-composition table over composable pairs.  Nothing is presented by
-generators: the table is the category, and every law (identity,
-associativity, typing) is checked by brute force.  Pushouts and
-pullbacks are found by exhaustive search over all candidate cocones and
-cones, and universality is certified against every competitor.
+A category is a finite list of objects, a finite list of morphisms with
+source/target, an identity morphism per object, and a composition that
+is read only through ``compose`` and ``composites``.  A category given
+by its data stores its composition table, on which every law (identity,
+associativity, typing) is checked by brute force.  A category built from
+others stores none: subcategories and the opposite answer through the
+category they come from, and a :class:`ComponentwiseCategory` composes
+componentwise on demand, or from its hom index when it is thin.
+Pushouts and pullbacks are found by exhaustive search over all candidate
+cocones and cones, and universality is certified against every
+competitor.
 
 All values are immutable after construction; every operation is a pure
 function of its inputs, and ties are broken by input order, never by
@@ -75,92 +80,13 @@ class ValidationReport:
         }
 
 
-def validate_category(objects, morphisms, identity, comp):
-    """Exhaustively check that raw data describes a category.
-
-    ``objects``: list of ids.  ``morphisms``: list of (id, src, tgt).
-    ``identity``: dict object -> morphism id.  ``comp``: dict
-    (f, g) -> g.f for composable pairs (f first, then g).
-
-    Returns a ValidationReport listing every violated law with a
-    concrete witness; the report is empty iff the input is a category.
-    """
-    structural = []
-    violations = []
-    obj_set = set(objects)
-    if len(obj_set) != len(objects):
-        structural.append(Violation("duplicate-object", (), "object ids repeat"))
-    mids = [m[0] for m in morphisms]
-    if len(set(mids)) != len(mids):
-        structural.append(Violation("duplicate-morphism", (), "morphism ids repeat"))
-    src, tgt = {}, {}
-    for mid, s, t in morphisms:
-        if s not in obj_set:
-            structural.append(Violation("unknown-object", (mid, s), "source not declared"))
-        if t not in obj_set:
-            structural.append(Violation("unknown-object", (mid, t), "target not declared"))
-        src[mid], tgt[mid] = s, t
-    for o in objects:
-        i = identity.get(o)
-        if i is None:
-            structural.append(Violation("missing-identity", (o,), "no identity assigned"))
-        elif i not in src:
-            structural.append(Violation("unknown-morphism", (o, i), "identity id not declared"))
-        elif not (src[i] == o and tgt[i] == o):
-            structural.append(Violation("identity-typing", (o, i), "identity is not an endomorphism"))
-    for (f, g), h in comp.items():
-        for m in (f, g, h):
-            if m not in src:
-                structural.append(Violation("unknown-morphism", (f, g, h), f"{m} not declared"))
-    if structural:
-        return ValidationReport(structural, violations)
-
-    # totality and typing of the table
-    for f in mids:
-        for g in mids:
-            if tgt[f] == src[g]:
-                h = comp.get((f, g))
-                if h is None:
-                    violations.append(Violation(
-                        "missing-composite", (f, g), "no entry for composable pair"))
-                elif not (src[h] == src[f] and tgt[h] == tgt[g]):
-                    violations.append(Violation(
-                        "composite-typing", (f, g, h), "composite has wrong source or target"))
-            elif (f, g) in comp:
-                violations.append(Violation(
-                    "spurious-composite", (f, g), "entry for non-composable pair"))
-
-    # identity laws
-    for m in mids:
-        i_s, i_t = identity[src[m]], identity[tgt[m]]
-        if comp.get((i_s, m)) != m:
-            violations.append(Violation(
-                "identity-law", (i_s, m), f"{m}.{i_s} is {comp.get((i_s, m))}, expected {m}"))
-        if comp.get((m, i_t)) != m:
-            violations.append(Violation(
-                "identity-law", (m, i_t), f"{i_t}.{m} is {comp.get((m, i_t))}, expected {m}"))
-
-    # associativity over all composable triples
-    by_src = {}
-    for m in mids:
-        by_src.setdefault(src[m], []).append(m)
-    for f in mids:
-        for g in by_src.get(tgt[f], ()):
-            gf = comp.get((f, g))
-            if gf is None:
-                continue
-            for h in by_src.get(tgt[g], ()):
-                hg = comp.get((g, h))
-                left = comp.get((gf, h))
-                right = comp.get((f, hg)) if hg is not None else None
-                if left != right or left is None:
-                    violations.append(Violation(
-                        "associativity", (f, g, h), f"h.(g.f) = {left} but (h.g).f = {right}"))
-    return ValidationReport(structural, violations)
-
-
 class FinCategory:
-    """A finite category with a total composition table.
+    """A finite category.
+
+    ``comp`` is either the composition table, a dict (f, g) -> g.f over
+    the composable pairs (f first, then g), which is stored as given; or,
+    for a category built from others, the function that is its
+    :meth:`compose`, asked on demand.
 
     >>> pt = FinCategory.build(["*"], [], {})
     >>> pt.morphisms
@@ -175,16 +101,17 @@ class FinCategory:
         self.src = {m[0]: m[1] for m in morphisms}
         self.tgt = {m[0]: m[2] for m in morphisms}
         self.identity = dict(identity)
-        self.comp = dict(comp)
+        if callable(comp):
+            self._comp, self.compose = None, comp
+        else:
+            self._comp = dict(comp)
         self._identity_ids = set(self.identity.values())
-        self._hom = {}
+        self._hom, self._by_src, self._by_tgt = {}, {}, {}
         for m in self.morphisms:
-            self._hom.setdefault((self.src[m], self.tgt[m]), []).append(m)
-        self._by_src = {}
-        self._by_tgt = {}
-        for m in self.morphisms:
-            self._by_src.setdefault(self.src[m], []).append(m)
-            self._by_tgt.setdefault(self.tgt[m], []).append(m)
+            s, t = self.src[m], self.tgt[m]
+            self._hom.setdefault((s, t), []).append(m)
+            self._by_src.setdefault(s, []).append(m)
+            self._by_tgt.setdefault(t, []).append(m)
         self._opposite = None
 
     @classmethod
@@ -199,33 +126,97 @@ class FinCategory:
         """
         objects = list(objects)
         morphisms = [tuple(m) for m in morphisms]
+        identity = {o: ID_PREFIX + str(o) for o in objects}
         seen = {m[0] for m in morphisms}
-        identity = {}
-        ident_rows = []
-        for o in objects:
-            iid = ID_PREFIX + str(o)
-            identity[o] = iid
-            if iid not in seen:
-                ident_rows.append((iid, o, o))
-        morphisms = ident_rows + morphisms
+        morphisms = [(i, o, o) for o, i in identity.items() if i not in seen] + morphisms
         comp = dict(comp)
-        src = {m[0]: m[1] for m in morphisms}
-        tgt = {m[0]: m[2] for m in morphisms}
         for m, s, t in morphisms:
             if s in identity:
                 comp.setdefault((identity[s], m), m)
             if t in identity:
                 comp.setdefault((m, identity[t]), m)
-        report = validate_category(objects, morphisms, identity, comp)
+        cat = cls(objects, morphisms, identity, comp)
+        report = cat.validate()
         if report.structural:
             raise StructuralError(report.describe())
         if not report.ok:
             raise CategoryLawError(report)
-        return cls(objects, morphisms, identity, comp)
+        return cat
 
     def validate(self):
-        rows = [(m, self.src[m], self.tgt[m]) for m in self.morphisms]
-        return validate_category(self.objects, rows, self.identity, self.comp)
+        """Exhaustively check that the data describe a category: a
+        ValidationReport listing every violated law with a concrete
+        witness, empty iff this is a category.  The composition checked
+        is what :meth:`composites` lists."""
+        objects, mids, identity = self.objects, self.morphisms, self.identity
+        src, tgt, comp = self.src, self.tgt, dict(self.composites())
+        structural = []
+        violations = []
+        obj_set = set(objects)
+        if len(obj_set) != len(objects):
+            structural.append(Violation("duplicate-object", (), "object ids repeat"))
+        if len(set(mids)) != len(mids):
+            structural.append(Violation("duplicate-morphism", (), "morphism ids repeat"))
+        for mid in mids:
+            if src[mid] not in obj_set:
+                structural.append(Violation("unknown-object", (mid, src[mid]), "source not declared"))
+            if tgt[mid] not in obj_set:
+                structural.append(Violation("unknown-object", (mid, tgt[mid]), "target not declared"))
+        for o in objects:
+            i = identity.get(o)
+            if i is None:
+                structural.append(Violation("missing-identity", (o,), "no identity assigned"))
+            elif i not in src:
+                structural.append(Violation("unknown-morphism", (o, i), "identity id not declared"))
+            elif not (src[i] == o and tgt[i] == o):
+                structural.append(Violation("identity-typing", (o, i), "identity is not an endomorphism"))
+        for (f, g), h in comp.items():
+            for m in (f, g, h):
+                if m not in src:
+                    structural.append(Violation("unknown-morphism", (f, g, h), f"{m} not declared"))
+        if structural:
+            return ValidationReport(structural, violations)
+
+        # totality and typing of the table
+        for f in mids:
+            for g in mids:
+                if tgt[f] == src[g]:
+                    h = comp.get((f, g))
+                    if h is None:
+                        violations.append(Violation(
+                            "missing-composite", (f, g), "no entry for composable pair"))
+                    elif not (src[h] == src[f] and tgt[h] == tgt[g]):
+                        violations.append(Violation(
+                            "composite-typing", (f, g, h), "composite has wrong source or target"))
+                elif (f, g) in comp:
+                    violations.append(Violation(
+                        "spurious-composite", (f, g), "entry for non-composable pair"))
+
+        # identity laws
+        for m in mids:
+            i_s, i_t = identity[src[m]], identity[tgt[m]]
+            if comp.get((i_s, m)) != m:
+                violations.append(Violation(
+                    "identity-law", (i_s, m), f"{m}.{i_s} is {comp.get((i_s, m))}, expected {m}"))
+            if comp.get((m, i_t)) != m:
+                violations.append(Violation(
+                    "identity-law", (m, i_t), f"{i_t}.{m} is {comp.get((m, i_t))}, expected {m}"))
+
+        # associativity over all composable triples
+        by_src = self._by_src
+        for f in mids:
+            for g in by_src.get(tgt[f], ()):
+                gf = comp.get((f, g))
+                if gf is None:
+                    continue
+                for h in by_src.get(tgt[g], ()):
+                    hg = comp.get((g, h))
+                    left = comp.get((gf, h))
+                    right = comp.get((f, hg)) if hg is not None else None
+                    if left != right or left is None:
+                        violations.append(Violation(
+                            "associativity", (f, g, h), f"h.(g.f) = {left} but (h.g).f = {right}"))
+        return ValidationReport(structural, violations)
 
     # -- accessors ---------------------------------------------------
 
@@ -246,11 +237,26 @@ class FinCategory:
         return len(self._hom) == len(self.morphisms)
 
     def compose(self, g, f):
-        """Classical order: ``compose(g, f)`` is g after f."""
+        """Classical order: ``compose(g, f)`` is g after f.  Raises
+        StructuralError when there is no composite."""
         try:
-            return self.comp[(f, g)]
+            return self._comp[(f, g)]
         except KeyError:
-            raise StructuralError(f"morphisms do not compose: {g} after {f}") from None
+            raise _no_composite(g, f) from None
+
+    def composites(self):
+        """Every ((f, g), g.f): the entries of the stored table, or
+        without one each composable pair that has a composite."""
+        if self._comp is not None:
+            yield from self._comp.items()
+            return
+        compose = self.compose
+        for f in self.morphisms:
+            for g in self._by_src.get(self.tgt[f], ()):
+                try:
+                    yield (f, g), compose(g, f)
+                except StructuralError:
+                    pass
 
     def composable(self, f, g):
         """True when f can be followed by g."""
@@ -259,8 +265,8 @@ class FinCategory:
     def inverse(self, m):
         """Two-sided inverse of m, or None."""
         for g in self.hom(self.tgt[m], self.src[m]):
-            if (self.comp[(m, g)] == self.identity[self.src[m]]
-                    and self.comp[(g, m)] == self.identity[self.tgt[m]]):
+            if (self.compose(g, m) == self.identity[self.src[m]]
+                    and self.compose(m, g) == self.identity[self.tgt[m]]):
                 return g
         return None
 
@@ -275,27 +281,71 @@ class FinCategory:
         category is not modified after construction."""
         if self._opposite is None:
             rows = [(m, self.tgt[m], self.src[m]) for m in self.morphisms]
-            comp = {(g, f): h for (f, g), h in self.comp.items()}
-            self._opposite = FinCategory(self.objects, rows, self.identity, comp)
+            compose = self.compose
+            self._opposite = FinCategory(self.objects, rows, self.identity,
+                                         lambda g, f: compose(f, g))
         return self._opposite
 
     def full_subcategory(self, objects):
-        """Full subcategory on the listed objects, ids preserved."""
+        """Full subcategory on the listed objects, ids preserved,
+        composing through this category."""
         keep = [o for o in self.objects if o in set(objects)]
         keep_set = set(keep)
         rows = [(m, self.src[m], self.tgt[m]) for m in self.morphisms
                 if self.src[m] in keep_set and self.tgt[m] in keep_set]
-        # the composable pairs of kept morphisms, read off without a pass
-        # over the whole table
-        table = self.comp
-        comp = {(f, g): table[(f, g)] for f, _s, t in rows for g in self._by_src[t]
-                if self.tgt[g] in keep_set}
         identity = {o: self.identity[o] for o in keep}
-        return FinCategory(keep, rows, identity, comp)
+        return FinCategory(keep, rows, identity, self.compose)
 
     def __repr__(self):
         return (f"FinCategory({len(self.objects)} objects, "
                 f"{len(self.morphisms)} morphisms)")
+
+
+class ComponentwiseCategory(FinCategory):
+    """A category whose morphisms are tuples of morphisms, one in each
+    category of ``factors`` (``components`` maps an id to its tuple),
+    composed position by position: diagrams and their natural
+    transformations, or the pairs of a fiber product.  A composite is
+    missing when the composed tuple is no morphism.  Over thin factors a
+    morphism is fixed by its ends, as each component is by its own, so
+    g.f is read from the hom index: the one morphism src(f) -> tgt(g).
+    """
+
+    def __init__(self, objects, morphisms, identity, factors, components):
+        super().__init__(objects, morphisms, identity, self._componentwise)
+        self.components = components
+        self._by_parts = {(self.src[m], self.tgt[m], c): m for m, c in components.items()}
+        self._factors = tuple(factors)
+        if all(P.is_thin() for P in factors):
+            src, tgt = self.src, self.tgt
+            index = {}              # source -> target -> the one morphism
+            for (a, b), (m,) in self._hom.items():
+                index.setdefault(a, {})[b] = m
+
+            def compose(g, f):
+                if tgt[f] == src[g]:
+                    h = index[src[f]].get(tgt[g])
+                    if h is not None:
+                        return h
+                raise _no_composite(g, f)
+            self.compose = compose
+
+    def lookup(self, src_id, tgt_id, comps):
+        """Id of the morphism with these ends and components, or None."""
+        return self._by_parts.get((src_id, tgt_id, tuple(comps)))
+
+    def _componentwise(self, g, f):
+        if self.tgt[f] == self.src[g]:
+            parts = tuple(P.compose(b, a) for P, a, b in
+                          zip(self._factors, self.components[f], self.components[g]))
+            h = self._by_parts.get((self.src[f], self.tgt[g], parts))
+            if h is not None:
+                return h
+        raise _no_composite(g, f)
+
+
+def _no_composite(g, f):
+    return StructuralError(f"morphisms do not compose: {g} after {f}")
 
 
 class Functor:
@@ -322,7 +372,14 @@ class Functor:
 
 
 def check_functor(F):
-    """Exhaustively verify functor laws; empty report iff F is a functor."""
+    """Exhaustively verify functor laws; empty report iff F is a functor.
+
+    Each morphism must go to a morphism between the images of its ends.
+    On a thin target nothing else needs checking: F(g.f) and F(g).F(f)
+    are parallel, as are F(id) and id, and parallel morphisms of a thin
+    category are equal.  Otherwise identities and every composite of the
+    source are compared through the target's compose.
+    """
     structural = []
     violations = []
     src_cat, tgt_cat = F.source, F.target
@@ -344,13 +401,17 @@ def check_functor(F):
         if tgt_cat.src[fm] != F.obj_map[src_cat.src[m]] or tgt_cat.tgt[fm] != F.obj_map[src_cat.tgt[m]]:
             violations.append(Violation(
                 "source-target", (m, fm), "image does not match mapped endpoints"))
+    if tgt_cat.is_thin():
+        return ValidationReport(structural, violations)
     for o in src_cat.objects:
         if F.mor_map[src_cat.identity[o]] != tgt_cat.identity[F.obj_map[o]]:
             violations.append(Violation(
                 "identity", (o,), "identity not preserved"))
-    for (f, g), h in src_cat.comp.items():
-        ff, fg = F.mor_map[f], F.mor_map[g]
-        image = tgt_cat.comp.get((ff, fg))
+    for (f, g), h in src_cat.composites():
+        try:
+            image = tgt_cat.compose(F.mor_map[g], F.mor_map[f])
+        except StructuralError:
+            image = None
         if image != F.mor_map[h]:
             violations.append(Violation(
                 "composition", (f, g), f"F(g.f) = {F.mor_map[h]} but F(g).F(f) = {image}"))
@@ -380,14 +441,10 @@ class CoconeWitness:
         """Independent re-check of commutativity and universality."""
         if cat.src[f] != cat.src[g]:
             return False
-        if cat.comp[(f, self.leg_f)] != cat.comp[(g, self.leg_g)]:
+        if cat.compose(self.leg_f, f) != cat.compose(self.leg_g, g):
             return False
-        for apex2, p2, q2 in _cocones(cat, f, g):
-            hs = [h for h in cat.hom(self.apex, apex2)
-                  if cat.comp[(self.leg_f, h)] == p2 and cat.comp[(self.leg_g, h)] == q2]
-            if len(hs) != 1 or self.comparison(apex2, p2, q2) != hs[0]:
-                return False
-        return True
+        found = _comparisons(cat, self.apex, self.leg_f, self.leg_g, _cocones(cat, f, g))
+        return found is not None and all(self.comparison(*c) == h for c, h in found)
 
 
 @dataclass(frozen=True)
@@ -403,12 +460,27 @@ class ConeWitness(CoconeWitness):
 def _cocones(cat, f, g):
     """All cocones under the span of f and g, in deterministic order."""
     out = []
+    compose = cat.compose
     for apex in cat.objects:
         for p in cat.hom(cat.tgt[f], apex):
             for q in cat.hom(cat.tgt[g], apex):
-                if cat.comp[(f, p)] == cat.comp[(g, q)]:
+                if compose(p, f) == compose(q, g):
                     out.append((apex, p, q))
     return out
+
+
+def _comparisons(cat, apex, p, q, competitors):
+    """For each competing cocone, the one morphism out of ``apex`` that
+    carries p and q to its legs, as ((apex', p', q'), h); None as soon as
+    some competitor has none or several."""
+    compose = cat.compose
+    out = []
+    for apex2, p2, q2 in competitors:
+        hs = [h for h in cat.hom(apex, apex2) if compose(h, p) == p2 and compose(h, q) == q2]
+        if len(hs) != 1:
+            return None
+        out.append(((apex2, p2, q2), hs[0]))
+    return tuple(out)
 
 
 def find_pushout(cat, f, g):
@@ -423,17 +495,9 @@ def find_pushout(cat, f, g):
         raise StructuralError(f"not a span: {f}, {g} have different sources")
     competitors = _cocones(cat, f, g)
     for apex, p, q in competitors:
-        comparisons = []
-        universal = True
-        for apex2, p2, q2 in competitors:
-            hs = [h for h in cat.hom(apex, apex2)
-                  if cat.comp[(p, h)] == p2 and cat.comp[(q, h)] == q2]
-            if len(hs) != 1:
-                universal = False
-                break
-            comparisons.append(((apex2, p2, q2), hs[0]))
-        if universal:
-            return CoconeWitness(apex, p, q, tuple(comparisons))
+        comparisons = _comparisons(cat, apex, p, q, competitors)
+        if comparisons is not None:
+            return CoconeWitness(apex, p, q, comparisons)
     return None
 
 
@@ -456,8 +520,8 @@ def strict_pullback_category(F, G):
     """Strict fiber product of two functors with a common target.
 
     Objects are pairs (x, y) with Fx = Gy, morphisms pairs of morphisms
-    agreeing in the target, composition componentwise.  Pair ids are
-    rendered ``(x|y)``.
+    agreeing in the target, composed componentwise on demand (see
+    :class:`ComponentwiseCategory`).  Pair ids are rendered ``(x|y)``.
     """
     if F.target is not G.target and F.target.morphisms != G.target.morphisms:
         raise StructuralError("functors do not share a target")
@@ -474,20 +538,13 @@ def strict_pullback_category(F, G):
             objects.append(pair_id(x, y))
             identity[pair_id(x, y)] = pair_id(X.identity[x], Y.identity[y])
     rows = []
-    pairs = []
-    out_of = {}                     # (x, y) -> the pairs leaving it
+    components = {}
     for m in X.morphisms:
         for n in over_mor.get(F.mor_map[m], ()):
             rows.append((pair_id(m, n), pair_id(X.src[m], Y.src[n]),
                          pair_id(X.tgt[m], Y.tgt[n])))
-            pairs.append((m, n))
-            out_of.setdefault((X.src[m], Y.src[n]), []).append((m, n))
-    comp = {}
-    for m1, n1 in pairs:
-        for m2, n2 in out_of.get((X.tgt[m1], Y.tgt[n1]), ()):
-            comp[(pair_id(m1, n1), pair_id(m2, n2))] = pair_id(
-                X.comp[(m1, m2)], Y.comp[(n1, n2)])
-    return FinCategory(objects, rows, identity, comp)
+            components[pair_id(m, n)] = (m, n)
+    return ComponentwiseCategory(objects, rows, identity, (X, Y), components)
 
 
 def category_isomorphism(F):

@@ -20,27 +20,11 @@ import importlib.resources as resources
 import pathlib
 
 from .fincat import FinCategory
-from .relcat import RelCategory
+from .relcat import RelCategory, preorder_category as _poset  # also read by perfbench/probe.py
 from .pmc import trivial_partial_model_structure
 from .document import serialize_document
 
 FIXTURES = ("pt", "I1", "Iw", "J", "B2", "P4")
-
-
-def _poset(elements, pairs, name):
-    mor = {}
-    rows = []
-    for a, b in pairs:
-        mid = name(a, b)
-        mor[(a, b)] = mid
-        rows.append((mid, a, b))
-    comp = {}
-    closed = set(pairs) | {(o, o) for o in elements}
-    for (a, b), f in mor.items():
-        for (b2, c), g in mor.items():
-            if b2 == b and (a, c) in closed:
-                comp[(f, g)] = mor[(a, c)] if a != c else "id:" + a
-    return FinCategory.build(elements, rows, comp)
 
 
 def interval():
@@ -80,16 +64,8 @@ def build(name):
         return trivial_partial_model_structure(RelCategory(cat, []))
     if name == "I1":
         return trivial_partial_model_structure(RelCategory(interval(), []))
-    if name == "Iw":
-        cat = interval()
-        rc = RelCategory(cat, cat.morphisms)
-        return trivial_partial_model_structure(rc, v_sub=rc.weq)
-    if name == "J":
-        cat = two_object_groupoid()
-        rc = RelCategory(cat, cat.morphisms)
-        return trivial_partial_model_structure(rc, v_sub=rc.weq)
-    if name == "B2":
-        cat = subset_lattice()
+    if name in ("Iw", "J", "B2"):
+        cat = {"Iw": interval, "J": two_object_groupoid, "B2": subset_lattice}[name]()
         rc = RelCategory(cat, cat.morphisms)
         return trivial_partial_model_structure(rc, v_sub=rc.weq)
     if name == "P4":

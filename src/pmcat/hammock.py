@@ -92,15 +92,15 @@ def ho_compose(pms, z1, z2):
     if z1.target != z2.source:
         raise StructuralError(f"zigzags do not compose: {z1} then {z2}")
     cat = pms.rc.cat
-    back = cat.comp[(z2.left, z1.right)]          # X2 -> Y1, marked
+    back = cat.compose(z1.right, z2.left)         # X2 -> Y1, marked
     u, mid_obj, v = pms.factor(back)
     pb = pms.pullback(v, z1.mid)                  # cospan Y1 <- M, X1 ->
     q, p = pb.leg_f, pb.leg_g                     # q: P -> M, p: P -> X1
     po = pms.pushout(u, z2.mid)                   # span M <- X2 -> Y2
     mq, uq = po.leg_f, po.leg_g                   # mq: M -> Q, uq: Y2 -> Q
-    left = cat.comp[(p, z1.left)]
-    mid = cat.comp[(q, mq)]
-    right = cat.comp[(z2.right, uq)]
+    left = cat.compose(z1.left, p)
+    mid = cat.compose(mq, q)
+    right = cat.compose(uq, z2.right)
     out = Zigzag(z1.source, z2.target, left, mid, right)
     if not (pms.rc.is_weq(left) and pms.rc.is_weq(right)):
         raise CalculusError(f"composite zigzag has unmarked outer maps: {out}")
@@ -282,7 +282,7 @@ def _oracle_partition(rc, a, b, bound):
                     continue
                 for g in non_id:
                     if (cat.src[g] == cat.src[v] and cat.tgt[g] == cat.src[w]
-                            and cat.comp[(v, f)] == cat.comp[(g, w)]):
+                            and cat.compose(f, v) == cat.compose(w, g)):
                         slides.setdefault((f, w), []).append((v, g))
 
     def note(i, new):
@@ -293,17 +293,11 @@ def _oracle_partition(rc, a, b, bound):
     for idx, word in enumerate(words):
         for i in range(len(word) - 1):
             (d1, m1), (d2, m2) = word[i], word[i + 1]
-            if d1 == d2 == FWD:
-                c = cat.comp[(m1, m2)]
-                mid = () if cat.is_identity(c) else ((FWD, c),)
+            if d1 == d2:
+                c = cat.compose(m2, m1) if d1 == FWD else cat.compose(m1, m2)
+                mid = () if cat.is_identity(c) else ((d1, c),)
                 note(idx, word[:i] + mid + word[i + 2:])
-            elif d1 == d2 == BWD:
-                c = cat.comp[(m2, m1)]
-                mid = () if cat.is_identity(c) else ((BWD, c),)
-                note(idx, word[:i] + mid + word[i + 2:])
-            elif d1 == FWD and d2 == BWD and m1 == m2 and rc.is_weq(m1):
-                note(idx, word[:i] + word[i + 2:])
-            elif d1 == BWD and d2 == FWD and m1 == m2:
+            elif m1 == m2:      # a map and its formal inverse; backward maps are marked
                 note(idx, word[:i] + word[i + 2:])
             if d1 == FWD and d2 == BWD and (m1, m2) in slides:
                 for v, g in slides[(m1, m2)]:

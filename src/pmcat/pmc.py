@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 from .fincat import StructuralError, Violation, find_pushout, find_pullback
 from .relcat import (
-    validate_relative, check_two_of_six, PropertyReport, diagram_transitions, WEQ,
+    RelCategory, validate_relative, check_two_of_six, unclosed_pairs, PropertyReport,
+    diagram_transitions, WEQ,
 )
 
 
@@ -51,21 +52,18 @@ class PartialModelStructure:
             if unknown:
                 raise StructuralError(f"{name}-morphisms not in category: {unknown}")
         self.rc = rc
-        marked_u = set(u_sub) | {cat.identity[o] for o in cat.objects}
-        marked_v = set(v_sub) | {cat.identity[o] for o in cat.objects}
-        self.u_sub = tuple(m for m in cat.morphisms if m in marked_u)
-        self.v_sub = tuple(m for m in cat.morphisms if m in marked_v)
-        self._u_set = frozenset(self.u_sub)
-        self._v_set = frozenset(self.v_sub)
+        # (C, U) and (C, V) as markings of their own, identities included
+        self._u, self._v = RelCategory(cat, u_sub), RelCategory(cat, v_sub)
+        self.u_sub, self.v_sub = self._u.weq, self._v.weq
         self.factorization = dict(factorization)   # w -> (u, mid object, v)
         self.middle = dict(middle)                 # (w, w2, a, b) -> m
         self._witnesses = {}                       # (kind, a, f) -> witness or None
 
     def in_u(self, m):
-        return m in self._u_set
+        return self._u.is_weq(m)
 
     def in_v(self, m):
-        return m in self._v_set
+        return self._v.is_weq(m)
 
     def factor(self, w):
         try:
@@ -154,16 +152,6 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _subcategory_report(cat, members):
-    witnesses = []
-    member_set = set(members)
-    for f in members:
-        for g in members:
-            if cat.composable(f, g) and cat.comp[(f, g)] not in member_set:
-                witnesses.append((f, g))
-    return witnesses
-
-
 def verify_partial_model(pms):
     """Exhaustively verify every axiom.  Structural problems (unknown
     ids, mistyped factorization entries) are reported separately from
@@ -184,35 +172,26 @@ def verify_partial_model(pms):
 
     verdicts.append(("b:two-of-six", check_two_of_six(rc)))
 
-    # (c-i) U is a subcategory of W, closed under pushout along everything
-    u_wit = _subcategory_report(cat, pms.u_sub)
-    u_wit += [(u,) for u in pms.u_sub if not rc.is_weq(u)]
-    for u in pms.u_sub:
-        for f in cat.out_of(cat.src[u]):
-            try:
-                wit = pms.pushout(u, f)
-            except CalculusError:
-                u_wit.append((u, f, "no pushout"))
-                continue
-            if not pms.in_u(wit.leg_g):
-                u_wit.append((u, f, f"pushed-out leg {wit.leg_g} not in U"))
-    verdicts.append(("c-i:u-pushout-closure", PropertyReport(
-        "u-pushout-closure", not u_wit, u_wit, [])))
-
-    # (c-ii) dual closure for V
-    v_wit = _subcategory_report(cat, pms.v_sub)
-    v_wit += [(v,) for v in pms.v_sub if not rc.is_weq(v)]
-    for v in pms.v_sub:
-        for f in cat.into(cat.tgt[v]):
-            try:
-                wit = pms.pullback(v, f)
-            except CalculusError:
-                v_wit.append((v, f, "no pullback"))
-                continue
-            if not pms.in_v(wit.leg_g):
-                v_wit.append((v, f, f"pulled-back leg {wit.leg_g} not in V"))
-    verdicts.append(("c-ii:v-pullback-closure", PropertyReport(
-        "v-pullback-closure", not v_wit, v_wit, [])))
+    # (c-i) U is a subcategory of W, closed under pushout along every map
+    # out of a source; (c-ii) dually V, under pullback along every map into
+    # a target
+    for axiom, sub, in_sub, maps_at, move, words in (
+            ("c-i:u-pushout-closure", pms.u_sub, pms.in_u, lambda u: cat.out_of(cat.src[u]),
+             pms.pushout, ("pushout", "pushed-out", "U")),
+            ("c-ii:v-pullback-closure", pms.v_sub, pms.in_v, lambda v: cat.into(cat.tgt[v]),
+             pms.pullback, ("pullback", "pulled-back", "V"))):
+        kind, moved, name = words
+        wit = unclosed_pairs(cat, sub) + [(x,) for x in sub if not rc.is_weq(x)]
+        for x in sub:
+            for f in maps_at(x):
+                try:
+                    leg = move(x, f).leg_g
+                except CalculusError:
+                    wit.append((x, f, f"no {kind}"))
+                    continue
+                if not in_sub(leg):
+                    wit.append((x, f, f"{moved} leg {leg} not in {name}"))
+        verdicts.append((axiom, PropertyReport(axiom.split(":")[1], not wit, wit, [])))
 
     # (c-iii) factorization: totality, correctness, functoriality
     f_wit = []
@@ -229,8 +208,8 @@ def verify_partial_model(pms):
                 and cat.src[v] == mid and cat.tgt[v] == cat.tgt[w]):
             f_wit.append((w, "factorization mistyped"))
             continue
-        if cat.comp[(u, v)] != w:
-            f_wit.append((w, f"composite v.u = {cat.comp[(u, v)]} differs from w"))
+        if cat.compose(v, u) != w:
+            f_wit.append((w, f"composite v.u = {cat.compose(v, u)} differs from w"))
         if not pms.in_u(u):
             f_wit.append((w, f"factor {u} not in U"))
         if not pms.in_v(v):
@@ -255,9 +234,9 @@ def verify_partial_model(pms):
         if m not in cat.src or cat.src[m] != mid1 or cat.tgt[m] != mid2:
             f_wit.append((sq, f"middle map {m} mistyped"))
             continue
-        if cat.comp[(u1, m)] != cat.comp[(a, u2)]:
+        if cat.compose(m, u1) != cat.compose(u2, a):
             f_wit.append((sq, "top sub-square does not commute"))
-        if cat.comp[(v1, b)] != cat.comp[(m, v2)]:
+        if cat.compose(b, v1) != cat.compose(v2, m):
             f_wit.append((sq, "bottom sub-square does not commute"))
     # identity and pasting laws of the middle assignment
     for w in rc.weq:
@@ -272,14 +251,16 @@ def verify_partial_model(pms):
         w, w2, a, b = sq1
         for sq2 in out_of.get(w2, ()):
             _, w3, a2, b2 = sq2
-            pasted = (w, w3, cat.comp[(a, a2)], cat.comp[(b, b2)])
+            pasted = (w, w3, cat.compose(a2, a), cat.compose(b2, b))
             m1, m2, m12 = pms.middle.get(sq1), pms.middle.get(sq2), pms.middle.get(pasted)
             if None in (m1, m2, m12):
                 continue
-            if (m1, m2) not in cat.comp:
+            try:
+                m2m1 = cat.compose(m2, m1)
+            except StructuralError:
                 # mistyped middles are witnessed by the per-square check
                 continue
-            if cat.comp[(m1, m2)] != m12:
+            if m2m1 != m12:
                 f_wit.append((sq1, sq2, "middle maps do not paste"))
     verdicts.append(("c-iii:functorial-factorization", PropertyReport(
         "functorial-factorization", not f_wit, f_wit, [])))

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from ._util import UnionFind
-from .fincat import FinCategory, Functor, StructuralError, Violation, ValidationReport
+from .fincat import (
+    ComponentwiseCategory, FinCategory, Functor, StructuralError, Violation,
+    ValidationReport,
+)
 
 
 class RelCategory:
@@ -58,12 +61,18 @@ def validate_relative(rc):
         if not rc.is_weq(cat.identity[o]):
             violations.append(Violation(
                 "identity-not-marked", (o,), "identity missing from weak equivalences"))
-    for f in rc.weq:
-        for g in rc.weq:
-            if cat.composable(f, g) and not rc.is_weq(cat.comp[(f, g)]):
-                violations.append(Violation(
-                    "not-closed", (f, g), f"composite {cat.comp[(f, g)]} is unmarked"))
+    for f, g in unclosed_pairs(cat, rc.weq):
+        violations.append(Violation(
+            "not-closed", (f, g), f"composite {cat.compose(g, f)} is unmarked"))
     return ValidationReport(structural, violations)
+
+
+def unclosed_pairs(cat, members):
+    """The composable pairs (f, g) of ``members`` whose composite is not
+    one of them, in the order of ``members``."""
+    member_set = set(members)
+    return [(f, g) for f in members for g in members
+            if cat.composable(f, g) and cat.compose(g, f) not in member_set]
 
 
 @dataclass
@@ -88,10 +97,11 @@ def check_two_of_three(rc):
     """Scan all composable pairs (r, s): if two of r, s, s.r are marked,
     the third must be.  Witness is the offending pair."""
     cat = rc.cat
+    compose = cat.compose
     witnesses = []
     for r in cat.morphisms:
         for s in cat.out_of(cat.tgt[r]):
-            sr = cat.comp[(r, s)]
+            sr = compose(s, r)
             marks = (rc.is_weq(r), rc.is_weq(s), rc.is_weq(sr))
             if sum(marks) == 2:
                 witnesses.append((r, s))
@@ -106,17 +116,18 @@ def check_two_of_six(rc):
     two-of-three holds, and every isomorphism is marked.
     """
     cat = rc.cat
+    compose = cat.compose
     witnesses = []
     for r in cat.morphisms:
         for s in cat.out_of(cat.tgt[r]):
-            sr = cat.comp[(r, s)]
+            sr = compose(s, r)
             if not rc.is_weq(sr):
                 continue
             for t in cat.out_of(cat.tgt[s]):
-                ts = cat.comp[(s, t)]
+                ts = compose(t, s)
                 if not rc.is_weq(ts):
                     continue
-                tsr = cat.comp[(sr, t)]
+                tsr = compose(t, sr)
                 if not (rc.is_weq(r) and rc.is_weq(s) and rc.is_weq(t) and rc.is_weq(tsr)):
                     witnesses.append((r, s, t))
     notes = []
@@ -148,12 +159,11 @@ def homotopically_full_subcategory(rc, seed_objects):
 
 
 def restrict_to_weq(rc):
-    """The wide subcategory of weak equivalences, all of them marked."""
+    """The wide subcategory of weak equivalences, all of them marked,
+    composing through ``rc.cat``."""
     cat = rc.cat
     rows = [(m, cat.src[m], cat.tgt[m]) for m in rc.weq]
-    comp = {(f, g): h for (f, g), h in cat.comp.items()
-            if rc.is_weq(f) and rc.is_weq(g)}
-    sub = FinCategory(cat.objects, rows, cat.identity, comp)
+    sub = FinCategory(cat.objects, rows, cat.identity, cat.compose)
     return RelCategory(sub, sub.morphisms)
 
 
@@ -173,43 +183,27 @@ WEQ = Slot(marked=True)
 WEQ_BACK = Slot(backward=True, marked=True)
 
 
-class DiagramCategory(FinCategory):
+class DiagramCategory(ComponentwiseCategory):
     """Diagrams of one shape in a relative category, with componentwise
     marked natural transformations as morphisms.
 
     ``diagrams`` maps an object id to its (vertex tuple, arrow tuple) and
-    ``components`` a morphism id to its components, one per vertex.
+    ``components`` a morphism id to its components, one per vertex, each
+    in the base category, which ``factors`` repeats once per vertex.
     Objects and morphisms are looked up by their parts with
     :meth:`object_of` and :meth:`lookup`; only this module knows how ids
-    are spelled.
+    are spelled.  A composite is missing only where the marking is not
+    closed under composition.
     """
 
-    def __init__(self, base, objects, rows, identity, diagrams, components):
-        super().__init__(objects, rows, identity, {})
+    def __init__(self, objects, rows, identity, factors, components, diagrams):
+        super().__init__(objects, rows, identity, factors, components)
         self.diagrams = diagrams
-        self.components = components
         self._object_of = {d: o for o, d in diagrams.items()}
-        by_parts = {(self.src[m], self.tgt[m], c): m for m, c in components.items()}
-        self._by_parts = by_parts
-        # the composition table, over composable pairs only; a composite
-        # is missing only when the marking is not closed under composition,
-        # which validate() then reports
-        compose = base.comp.__getitem__
-        comp, src, tgt = self.comp, self.src, self.tgt
-        for m1 in self.morphisms:
-            c1, s = components[m1], src[m1]
-            for m2 in self._by_src.get(tgt[m1], ()):
-                h = by_parts.get((s, tgt[m2], tuple(map(compose, zip(c1, components[m2])))))
-                if h is not None:
-                    comp[(m1, m2)] = h
 
     def object_of(self, objs, arrows):
         """Id of the diagram with these vertices and arrows, or None."""
         return self._object_of.get((tuple(objs), tuple(arrows)))
-
-    def lookup(self, src_id, tgt_id, comps):
-        """Id of the morphism with these ends and components, or None."""
-        return self._by_parts.get((src_id, tgt_id, tuple(comps)))
 
 
 def _shaped_diagrams(rc, slots, first, last):
@@ -253,7 +247,7 @@ def diagram_transitions(rc, slots, fixed=None):
     slots = tuple(slots)
     first, last = fixed if fixed is not None else (None, None)
     diagrams = _shaped_diagrams(rc, slots, first, last)
-    comp, tgt, is_weq = cat.comp, cat.tgt, rc.is_weq
+    compose, tgt, is_weq = cat.compose, cat.tgt, rc.is_weq
     # a diagram is determined by its arrows, or by its vertex if it has none
     index = {arrows or objs: i for i, (objs, arrows) in enumerate(diagrams)}
     weq_out = {o: [m for m in cat.out_of(o) if is_weq(m)] for o in cat.objects}
@@ -272,16 +266,13 @@ def diagram_transitions(rc, slots, fixed=None):
             for comps, targets in partial:
                 prev = comps[-1]
                 for c in choices(i + 1, objs[i + 1]):
-                    if slot.backward:      # arrow: vertex i+1 -> vertex i
-                        side = comp[(arrow, prev)]
-                        for b in cat.hom(tgt[c], tgt[prev]):
-                            if comp[(c, b)] == side and (not slot.marked or is_weq(b)):
-                                nxt.append((comps + (c,), targets + (b,)))
-                    else:
-                        side = comp[(arrow, c)]
-                        for b in cat.hom(tgt[prev], tgt[c]):
-                            if comp[(prev, b)] == side and (not slot.marked or is_weq(b)):
-                                nxt.append((comps + (c,), targets + (b,)))
+                    # the square from the source arrow (vertex i+1 -> vertex i
+                    # when backward) to a target arrow b
+                    x, y = (c, prev) if slot.backward else (prev, c)
+                    side = compose(y, arrow)
+                    for b in cat.hom(tgt[x], tgt[y]):
+                        if compose(b, x) == side and (not slot.marked or is_weq(b)):
+                            nxt.append((comps + (c,), targets + (b,)))
             partial = nxt
         found = [(index[targets or (tgt[comps[0]],)], comps) for comps, targets in partial]
         found.sort(key=itemgetter(0))
@@ -322,8 +313,8 @@ def diagram_category(rc, slots, fixed=None):
             identity[sid] = mid
         rows.append((mid, sid, tid))
         components[mid] = comps
-    return DiagramCategory(cat, obj_ids, rows, identity,
-                           dict(zip(obj_ids, diagrams)), components)
+    return DiagramCategory(obj_ids, rows, identity, (cat,) * (len(slots) + 1),
+                           components, dict(zip(obj_ids, diagrams)))
 
 
 def diagram_functor(source, target, diagrams, components):
@@ -336,6 +327,25 @@ def diagram_functor(source, target, diagrams, components):
     mor_map = {m: lookup(obj_map[src[m]], obj_map[tgt[m]], components(c))
                for m, c in source.components.items()}
     return Functor(source, target, obj_map, mor_map)
+
+
+def preorder_category(elements, pairs, name):
+    """The thin category of a preorder on ``elements``: a morphism
+    ``name(a, b)``: a -> b for each (a, b) in ``pairs`` (the relation
+    without its diagonal), composed as the relation dictates."""
+    mor = {}
+    rows = []
+    for a, b in pairs:
+        mid = name(a, b)
+        mor[(a, b)] = mid
+        rows.append((mid, a, b))
+    comp = {}
+    closed = set(pairs) | {(o, o) for o in elements}
+    for (a, b), f in mor.items():
+        for (b2, c), g in mor.items():
+            if b2 == b and (a, c) in closed:
+                comp[(f, g)] = mor[(a, c)] if a != c else "id:" + a
+    return FinCategory.build(elements, rows, comp)
 
 
 def random_preorder_relcat(seed, max_objects=6, edge_p=0.35, weq_p=0.5):
@@ -355,28 +365,13 @@ def random_preorder_relcat(seed, max_objects=6, edge_p=0.35, weq_p=0.5):
         for b in objs:
             if a != b and rng.random() < edge_p:
                 rel.add((a, b))
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(rel):
-            for c, d in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    mor = {}
-    rows = []
-    for a, b in sorted(rel):
-        if a != b:
-            mid = f"{a}<{b}"
-            mor[(a, b)] = mid
-            rows.append((mid, a, b))
-    comp = {}
-    for (a, b), f in mor.items():
-        for (b2, c), g in mor.items():
-            if b2 == b:
-                comp[(f, g)] = mor[(a, c)] if a != c else "id:" + a
-    cat = FinCategory.build(objs, rows, comp)
+    for b in objs:          # transitive closure, one middle object at a time
+        for a in objs:
+            for c in objs:
+                if (a, b) in rel and (b, c) in rel:
+                    rel.add((a, c))
+    cat = preorder_category(objs, [(a, b) for a, b in sorted(rel) if a != b],
+                            lambda a, b: f"{a}<{b}")
     # random marking, closed under composition
     marked = {cat.identity[o] for o in objs}
     for m in cat.morphisms:
@@ -388,7 +383,7 @@ def random_preorder_relcat(seed, max_objects=6, edge_p=0.35, weq_p=0.5):
         for f in list(marked):
             for g in list(marked):
                 if cat.composable(f, g):
-                    h = cat.comp[(f, g)]
+                    h = cat.compose(g, f)
                     if h not in marked:
                         marked.add(h)
                         changed = True

@@ -23,7 +23,7 @@ For a relative category (C, W):
   the identity of A'_k, and certifies every single ingredient: every
   transformation component is a morphism of B_k (marked in every vertex
   and commuting with both diagrams), every naturality square commutes
-  in B_k's composition table against every morphism, and every
+  in B_k's own composition against every morphism, and every
   pushout/pullback witness re-passes its universal property.
 
 The composites written with overlines in informal accounts of this
@@ -192,13 +192,12 @@ def check_transformation(rc, rec, F, G, domain):
     commuting with the arrows of both diagrams.  ``unmarked`` lists the
     unmarked entries as (o, c), and ``missing`` the objects whose
     component is absent or is not such a morphism; squares at those
-    objects are skipped.  Every other naturality square is read in D's
-    composition table, and ``naturality_failures`` lists (m, i) for each
+    objects are skipped.  Every other naturality square is read through
+    D's compose, and ``naturality_failures`` lists (m, i) for each
     square that does not commute, i the first vertex where its two
     composites differ.
     """
     D = G.target
-    base = rc.cat.comp
     ids = {}
     for o in domain.objects:
         comps = rec.components.get(o)
@@ -207,19 +206,23 @@ def check_transformation(rc, rec, F, G, domain):
             ids[o] = D.lookup(F.obj_map[o], G.obj_map[o], comps)
         if ids.get(o) is None:
             rec.missing.append(o)
+    base, compose = rc.cat.compose, D.compose
     for m in domain.morphisms:
         left, right = ids.get(domain.src[m]), ids.get(domain.tgt[m])
         if left is None or right is None:
             continue
         f_m, g_m = F.mor_map[m], G.mor_map[m]
-        composite = D.comp.get((left, g_m))
         # a composite is absent only where the marking is not closed
         # under composition; the vertices then decide
-        if composite is None or composite != D.comp.get((f_m, right)):
+        try:
+            natural = compose(g_m, left) == compose(right, f_m)
+        except StructuralError:
+            natural = False
+        if not natural:
             vertices = zip(D.components[left], D.components[g_m],
                            D.components[f_m], D.components[right])
             i = next((i for i, (a, g, f, b) in enumerate(vertices)
-                      if base[(a, g)] != base[(f, b)]), None)
+                      if base(g, a) != base(b, f)), None)
             if i is not None:
                 rec.naturality_failures.append((m, i))
     return rec
@@ -270,7 +273,7 @@ def build_retraction(pms, k, parts=None):
         c, arrows = b_k.diagrams[oid]
         b1, x, w, y = arrows[:4]
         bs = arrows[4:]
-        xb1, b2y = cat.comp[(b1, x)], cat.comp[(y, bs[0])]
+        xb1, b2y = cat.compose(x, b1), cat.compose(bs[0], y)
         u1, m1, v1 = pms.factor(w)
         factorizations.setdefault(w, (u1, m1, v1))
         # iterated pushouts along the u's
@@ -308,9 +311,8 @@ def build_retraction(pms, k, parts=None):
                       for o, t in obj_map.items() if t is None)
         maps[name] = (obj_map, {})
     if errors:
-        cert = SegalCertificate(k, object_rows, [], {}, witnesses,
-                                factorizations, _READING, errors)
-        return None, cert
+        return None, SegalCertificate(k, object_rows, [], {}, witnesses,
+                                      factorizations, _READING, errors)
 
     for m in b_k.morphisms:
         comps = b_k.components[m]
@@ -322,17 +324,17 @@ def build_retraction(pms, k, parts=None):
             # comparisons into the pushout tower of the target
             for j, arrow in enumerate(object_rows[s]["row3:compose-y"][1][4:]):
                 mu.append(pms.pushout(d_s["us"][j], arrow).comparison(
-                    d_t["mids"][j + 1], cat.comp[(mu[-1], d_t["bars"][j])],
-                    cat.comp[(comps[5 + j], d_t["us"][j + 1])]))
+                    d_t["mids"][j + 1], cat.compose(d_t["bars"][j], mu[-1]),
+                    cat.compose(d_t["us"][j + 1], comps[5 + j])))
                 if mu[-1] is None:
                     raise CalculusError("pushout comparison missing for recorded cocone")
-        except (CalculusError, KeyError) as e:
+        except (CalculusError, KeyError, StructuralError) as e:
             errors.append(f"comparison data missing for morphism {m}: {e}")
             continue
         # express the source pullback cone as a competitor of the target one
         pb_s = d_s["pullback"]
-        pi = d_t["pullback"].comparison(pb_s.apex, cat.comp[(pb_s.leg_f, mu[0])],
-                                        cat.comp[(pb_s.leg_g, comps[0])])
+        pi = d_t["pullback"].comparison(pb_s.apex, cat.compose(mu[0], pb_s.leg_f),
+                                        cat.compose(comps[0], pb_s.leg_g))
         if pi is None:
             errors.append(f"pullback comparison missing for morphism {m}")
             continue
@@ -350,9 +352,8 @@ def build_retraction(pms, k, parts=None):
                     "(a component is unmarked or a square fails)")
 
     if errors:
-        cert = SegalCertificate(k, object_rows, [], {}, witnesses,
-                                factorizations, _READING, errors)
-        return None, cert
+        return None, SegalCertificate(k, object_rows, [], {}, witnesses,
+                                      factorizations, _READING, errors)
 
     T1, T2, T3 = (Functor(b_k, b_k, *maps[name]) for name in ("T1", "T2", "T3"))
     r = Functor(b_k, a_prime, *maps["r"])
@@ -371,14 +372,14 @@ def build_retraction(pms, k, parts=None):
         vs = [d["v1"]]
         for j, arrow in enumerate(object_rows[oid]["row3:compose-y"][1][4:]):
             got = pms.pushout(d["us"][j], arrow).comparison(
-                c[5 + j], cat.comp[(vs[-1], arrow)], ident[c[5 + j]])
+                c[5 + j], cat.compose(arrow, vs[-1]), ident[c[5 + j]])
             if got is None:
                 errors.append(f"push-down comparison missing at {oid} stage {j}")
                 break
             vs.append(got)
         else:
             tau[oid] = (ident[c[0]], ident[c[1]], ident[c[2]], vs[0], vs[0]) + tuple(vs[1:])
-            psi[oid] = tuple(cat.comp[pair] for pair in zip(phi4[oid], tau[oid]))
+            psi[oid] = tuple(cat.compose(t, p) for p, t in zip(phi4[oid], tau[oid]))
 
     one = Functor.identity(b_k)
     transformations = [
@@ -452,8 +453,6 @@ _BOUNDARY = (
 def _count_chains(cat, n):
     """Number of n-chains of morphisms (including identities) without
     materializing them."""
-    if n == 0:
-        return len(cat.objects)
     counts = {o: 1 for o in cat.objects}
     for _ in range(n):
         nxt = {o: 0 for o in cat.objects}
@@ -531,14 +530,12 @@ def verify_segal(pms, k_range=(2, 3), sset_dims=2, cell_budget=200_000,
         r_f, cert = build_retraction(pms, k, parts)
         # corroboration: nerve-level invariants of A'_k versus B_k
         failures = []
-        budget_dim = sset_dims
+        dims = []
         for d in range(sset_dims + 1):
-            needed = d + 1
-            if (_count_chains(a_prime, needed) > cell_budget
-                    or _count_chains(b_k, needed) > cell_budget):
-                budget_dim = d - 1
+            if (_count_chains(a_prime, d + 1) > cell_budget
+                    or _count_chains(b_k, d + 1) > cell_budget):
                 break
-        dims = [d for d in range(min(sset_dims, budget_dim) + 1)]
+            dims.append(d)
         skipped = [d for d in range(sset_dims + 1) if d not in dims]
         trunc = (max(dims) + 1) if dims else 1
         nerve_a = nerve(a_prime, trunc)

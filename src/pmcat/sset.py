@@ -114,26 +114,18 @@ def simplicial_map_violations(tables, source, target, n_max):
     (empty = pass).
     """
     bad = []
-    src_faces, src_degens = source
-    tgt_faces, tgt_degens = target
-    for n in range(1, n_max + 1):
-        here, below = tables[n], tables[n - 1]
-        for i in range(n + 1):
-            op = tgt_faces[(n, i)]
-            before = [op[y] for y in here]
-            after = [below[y] for y in src_faces[(n, i)]]
-            if before != after:
-                bad.extend(f"face ({n},{i}) at {x}"
-                           for x, (p, q) in enumerate(zip(before, after)) if p != q)
-    for n in range(n_max):
-        here, above = tables[n], tables[n + 1]
-        for i in range(n + 1):
-            op = tgt_degens[(n, i)]
-            before = [op[y] for y in here]
-            after = [above[y] for y in src_degens[(n, i)]]
-            if before != after:
-                bad.extend(f"degeneracy ({n},{i}) at {x}"
-                           for x, (p, q) in enumerate(zip(before, after)) if p != q)
+    # faces go one level down, degeneracies one level up
+    for kind, which, levels, step in (("face", 0, range(1, n_max + 1), -1),
+                                      ("degeneracy", 1, range(n_max), 1)):
+        for n in levels:
+            here, there = tables[n], tables[n + step]
+            for i in range(n + 1):
+                op = target[which][(n, i)]
+                before = [op[y] for y in here]
+                after = [there[y] for y in source[which][(n, i)]]
+                if before != after:
+                    bad.extend(f"{kind} ({n},{i}) at {x}"
+                               for x, (p, q) in enumerate(zip(before, after)) if p != q)
     return bad
 
 
@@ -392,8 +384,7 @@ def preorder_core(cat):
 def core_violations(cat, core):
     """Replay the steps of ``core`` on the hom-sets of ``cat``; returns a
     list of violation strings (empty = pass)."""
-    ends = {(cat.src[m], cat.tgt[m]) for m in cat.morphisms}
-    bad = [] if len(ends) == len(cat.morphisms) else ["some hom-set has two elements"]
+    bad = [] if cat.is_thin() else ["some hom-set has two elements"]
     remaining = dict.fromkeys(cat.objects)
     for x, w, direction in core.steps:
         if x not in remaining or w not in remaining or x == w:
@@ -453,7 +444,7 @@ def nerve(cat, n_max):
     without its last morphism u.  For i < n - 1, d_i(x) is d_i(d_n x)
     extended by u, and d_(n-1)(x) is d_(n-1)(d_n x) extended by the
     composite of the last two morphisms, the only read of the
-    composition table.  s_n(x) extends x by an identity, and s_i(x) for
+    category's composition.  s_n(x) extends x by an identity, and s_i(x) for
     i < n is s_i(d_n x) extended by u.  On N([2]) the composite g.f is
     the chain (f, g) with its middle vertex dropped:
 
@@ -491,8 +482,8 @@ def nerve(cat, n_max):
     if n_max >= 2:
         # per morphism f, the positions of the composites m.f with the
         # morphisms m out of its target, in rank order
-        comp = cat.comp
-        composites = [[position[comp[(f, m)]] for m in out[e]]
+        compose = cat.compose
+        composites = [[position[compose(m, f)] for m in out[e]]
                       for f, e in zip(morphisms, faces[(1, 0)])]
     ends = faces.get((1, 0), ())          # the last vertex of each chain of the level
     for n in range(2, n_max + 1):
@@ -666,7 +657,7 @@ def rezk_nerve(rc, k_max=4, n_max=4):
             elif i == k:
                 new = arrows[:-1]
             else:
-                new = arrows[:i - 1] + (cat.comp[(arrows[i - 1], arrows[i])],) + arrows[i + 1:]
+                new = arrows[:i - 1] + (cat.compose(arrows[i], arrows[i - 1]),) + arrows[i + 1:]
             return objs[:i] + objs[i + 1:], new
         return diagram_functor(chains[k], chains[k - 1], objects,
                                lambda c: c[:i] + c[i + 1:])

@@ -113,7 +113,7 @@ def yoneda_object(rc, a, n_max):
         b_prime, b = cat.src[g], cat.tgt[g]
         F = diagram_functor(
             table[(b_prime, a)].zigzags, table[(b, a)].zigzags,
-            lambda objs, arrows: ((b,) + objs[1:], (cat.comp[(arrows[0], g)],) + arrows[1:]),
+            lambda objs, arrows: ((b,) + objs[1:], (cat.compose(g, arrows[0]),) + arrows[1:]),
             lambda comps: (cat.identity[b],) + comps[1:])
         action[g] = SSetMap(values[b_prime], values[b],
                             nerve_map_tables(F, values[b_prime], values[b]))
@@ -132,7 +132,7 @@ def check_presheaf_action(rc, presheaf):
     for g1 in rc.weq:
         for g2 in rc.weq:
             if cat.composable(g1, g2):
-                g21 = cat.comp[(g1, g2)]
+                g21 = cat.compose(g2, g1)
                 lhs = presheaf.action[g2].compose(presheaf.action[g1])
                 rhs = presheaf.action[g21]
                 if lhs.tables != rhs.tables:
@@ -155,7 +155,7 @@ def weq_induced_presheaf_maps(rc, w, n_max, table=None):
         source, target = table[(b, a_prime)], table[(b, a)]
         F = diagram_functor(
             source.zigzags, target.zigzags,
-            lambda objs, arrows: (objs[:-1] + (a,), arrows[:-1] + (cat.comp[(w, arrows[-1])],)),
+            lambda objs, arrows: (objs[:-1] + (a,), arrows[:-1] + (cat.compose(arrows[-1], w),)),
             lambda comps: comps[:-1] + (cat.identity[a],))
         maps[b] = SSetMap(source.nerve, target.nerve,
                           nerve_map_tables(F, source.nerve, target.nerve))

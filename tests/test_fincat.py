@@ -2,7 +2,7 @@ import pytest
 
 from pmcat.fincat import (
     FinCategory, Functor, StructuralError, CategoryLawError,
-    validate_category, check_functor, find_pushout, find_pullback,
+    check_functor, find_pushout, find_pullback,
     strict_pullback_category, category_isomorphism, pair_id,
 )
 from conftest import (
@@ -27,7 +27,7 @@ def test_identity_law_violation_has_witness():
         ("id:0", "01"): "id:0",   # wrong on purpose
         ("01", "id:1"): "01",
     }
-    report = validate_category(objects, rows, identity, comp)
+    report = FinCategory(objects, rows, identity, comp).validate()
     assert not report.ok
     laws = {v.law for v in report.violations}
     assert "identity-law" in laws
@@ -42,11 +42,11 @@ def test_p4_full_table_valid():
     for f in p4.morphisms:
         for g in p4.out_of(p4.tgt[f]):
             for h in p4.out_of(p4.tgt[g]):
-                assert p4.comp[(p4.comp[(f, g)], h)] == p4.comp[(f, p4.comp[(g, h)])]
+                assert p4.compose(h, p4.compose(g, f)) == p4.compose(p4.compose(h, g), f)
 
 
 def test_unknown_ids_are_structural_errors():
-    report = validate_category(["0"], [("f", "0", "bogus")], {"0": "f"}, {})
+    report = FinCategory(["0"], [("f", "0", "bogus")], {"0": "f"}, {}).validate()
     assert report.structural and not report.ok
 
 

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from pmcat import hammock
 from pmcat.fincat import category_isomorphism
 from pmcat.fixtures import build
 from pmcat.relcat import RelCategory, random_preorder_relcat
@@ -9,7 +10,7 @@ from pmcat.pmc import trivial_partial_model_structure, verify_partial_model
 from pmcat.sset import pi0
 from pmcat.hammock import (
     Zigzag, identity_zigzag, zigzag_of_morphism, zigzag_category, mapping_space,
-    ho_compose, homotopy_category, bounded_localization_oracle,
+    ho_compose, homotopy_category, bounded_localization_oracle, HoConsistencyError,
     check_saturation, diagnostic_saturation,
 )
 from conftest import (
@@ -154,7 +155,7 @@ def test_boolean_lattice_composites_agree_with_poset_composition():
             zf = zigzag_of_morphism(pms.rc, f)
             zg = zigzag_of_morphism(pms.rc, g)
             out = ho_compose(pms, zf, zg)
-            composite = cat.comp[(f, g)]
+            composite = cat.compose(g, f)
             zc = zigzag_of_morphism(pms.rc, composite)
             key = (cat.src[f], cat.tgt[g])
             assert (ho.class_of[key + (out.key,)]
@@ -278,3 +279,22 @@ def test_diagnostic_flags_p4_unsaturated():
 def test_diagnostic_agrees_on_saturated_fixture():
     report = diagnostic_saturation(iw_pms().rc, 7)
     assert report.verdict == "pass"
+
+
+def test_a_wrong_class_composite_is_refused_although_ho_is_thin(monkeypatch):
+    # the class table of Ho is built outside the category engine, so it is
+    # law-checked in full: Ho being thin does not make its table right
+    pms = iw_pms()
+    assert homotopy_category(pms).cat.is_thin()
+    real = hammock.FinCategory
+
+    def with_a_wrong_composite(objects, rows, identity, comp):
+        ends = {m: (s, t) for m, s, t in rows}
+        ids = set(identity.values())
+        (f, g), h = next((pair, h) for pair, h in comp.items() if not ids & set(pair))
+        wrong = next(m for m in ends if ends[m] != ends[h])
+        return real(objects, rows, identity, {**comp, (f, g): wrong})
+
+    monkeypatch.setattr(hammock, "FinCategory", with_a_wrong_composite)
+    with pytest.raises(HoConsistencyError, match="composite-typing"):
+        homotopy_category(pms)

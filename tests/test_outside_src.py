@@ -63,3 +63,20 @@ def test_library_imports_only_the_standard_library():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
                 checked += 1
     assert checked
+
+
+def test_only_fincat_reads_the_composition_table():
+    # composition is read through compose() and composites(); the table
+    # behind them is fincat's own, so no other module of the library,
+    # the tests or the demos reads an attribute named comp or _comp
+    readers = []
+    paths = [path for folder in ("src/pmcat", "tests", "demos")
+             for path in sorted((ROOT / folder).glob("*.py"))]
+    for path in paths:
+        if path == ROOT / "src" / "pmcat" / "fincat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("comp", "_comp"):
+                readers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert len(paths) > 20
+    assert readers == []

@@ -72,7 +72,7 @@ def test_factorization_composite_re_asserted():
     for w in pms.rc.weq:
         u, mid, v = pms.factor(w)
         assert pms.in_u(u) and pms.in_v(v)
-        assert cat.comp[(u, v)] == w
+        assert cat.compose(v, u) == w
 
 
 def test_pullback_closure_failure_detected():
@@ -129,8 +129,8 @@ def idempotent_pms(prefer):
     def commutes(sq, m):
         w, w2, a, b = sq
         (u1, _, v1), (u2, _, v2) = fact[w], fact[w2]
-        return (cat.comp[(u1, m)] == cat.comp[(a, u2)]
-                and cat.comp[(v1, b)] == cat.comp[(m, v2)])
+        return (cat.compose(m, u1) == cat.compose(u2, a)
+                and cat.compose(b, v1) == cat.compose(v2, m))
 
     middle = {sq: prefer if commutes(sq, prefer) else other
               for sq in weq_squares(rc)}

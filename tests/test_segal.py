@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -53,7 +57,7 @@ def test_chain_category_zero_is_marked_subcategory():
         rank = {o: i for i, o in enumerate(a0.objects)}
         assert a0.morphisms == tuple(sorted(
             sub.morphisms, key=lambda m: (rank[sub.src[m]], rank[sub.tgt[m]])))
-        assert a0.comp == sub.comp
+        assert sorted(a0.composites()) == sorted(sub.composites())
 
 
 def test_chain_category_interval_counts():
@@ -250,7 +254,7 @@ def iw_phi1():
 
     def rows(objs, arrows):
         return ((objs[0], objs[2], objs[2], objs[3], objs[4]) + objs[5:],
-                (cat.comp[(arrows[0], arrows[1])], cat.identity[objs[2]]) + arrows[2:])
+                (cat.compose(arrows[1], arrows[0]), cat.identity[objs[2]]) + arrows[2:])
 
     t1 = diagram_functor(b2, b2, rows, lambda c: (c[0], c[2], c[2], c[3], c[4]) + c[5:])
     assert check_functor(t1).ok
@@ -310,6 +314,24 @@ def test_strict_identity_all_fixtures_up_to_four():
             assert check_strict_segal_identity(rc, k, cache), (rc, k)
 
 
+def test_strict_identity_at_k3_on_four_isomorphic_objects_fits_in_a_gigabyte():
+    # the indiscrete groupoid on four objects, all marked: A_3 has 65,536
+    # morphisms, and the strict pullback as many; as composition tables
+    # they held 16.8 million entries each and did not fit in 2.5 GB
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from pmcat.relcat import random_preorder_relcat\n"
+            "from pmcat.segal import check_strict_segal_identity\n"
+            "rc = random_preorder_relcat(61, max_objects=4)\n"
+            "assert len(rc.cat.morphisms) == 16 and len(rc.weq) == 16\n"
+            "print(check_strict_segal_identity(rc, 3))\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"
+
+
 def test_strict_identity_fails_when_the_pullback_loses_a_morphism(monkeypatch):
     real = segal.strict_pullback_category
 
@@ -317,7 +339,7 @@ def test_strict_identity_fails_when_the_pullback_loses_a_morphism(monkeypatch):
         pb = real(F, G)
         lost = next(m for m in pb.morphisms if not pb.is_identity(m))
         rows = [(m, pb.src[m], pb.tgt[m]) for m in pb.morphisms if m != lost]
-        comp = {pair: h for pair, h in pb.comp.items()
+        comp = {pair: h for pair, h in pb.composites()
                 if lost not in pair and h != lost}
         return FinCategory(pb.objects, rows, pb.identity, comp)
 

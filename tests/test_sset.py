@@ -81,7 +81,7 @@ def face_by_definition(cat, x, n, i):
         return x[1:]
     if i == n:
         return x[:-1]
-    return x[:i - 1] + (cat.comp[(x[i - 1], x[i])],) + x[i + 1:]
+    return x[:i - 1] + (cat.compose(x[i], x[i - 1]),) + x[i + 1:]
 
 
 def degeneracy_by_definition(cat, x, n, i):
@@ -189,7 +189,7 @@ def sympy_nerve_homology(cat, n_max, up_to):
             return c[1:]
         if i == n:
             return c[:-1]
-        return c[:i - 1] + (cat.comp[(c[i - 1], c[i])],) + c[i + 1:]
+        return c[:i - 1] + (cat.compose(c[i], c[i - 1]),) + c[i + 1:]
 
     def boundary(n):
         rows = {c: i for i, c in enumerate(nondeg[n - 1])}
@@ -522,7 +522,7 @@ def test_rezk_horizontal_tables_send_each_grid_to_its_image():
                 return a[1:]
             if i == k:
                 return a[:-1]
-            return a[:i - 1] + (cat.comp[(a[i - 1], a[i])],) + a[i + 1:]
+            return a[:i - 1] + (cat.compose(a[i], a[i - 1]),) + a[i + 1:]
         return (tuple(o[:i] + o[i + 1:] for o in objs), tuple(map(row, arrows)),
                 tuple(c[:i] + c[i + 1:] for c in steps))
 

@@ -83,7 +83,7 @@ def test_presheaf_maps_send_each_chain_to_its_image():
             b_prime, b = cat.src[g], cat.tgt[g]
             assert_chain_images(
                 mp, zigzag_category(rc, b_prime, a), zigzag_category(rc, b, a),
-                lambda objs, arrows: ((b,) + objs[1:], (cat.comp[(arrows[0], g)],) + arrows[1:]),
+                lambda objs, arrows: ((b,) + objs[1:], (cat.compose(g, arrows[0]),) + arrows[1:]),
                 lambda comps: (cat.identity[b],) + comps[1:])
     for w in rc.weq:
         a, a_prime = cat.src[w], cat.tgt[w]
@@ -91,7 +91,7 @@ def test_presheaf_maps_send_each_chain_to_its_image():
             assert_chain_images(
                 mp, zigzag_category(rc, b, a_prime), zigzag_category(rc, b, a),
                 lambda objs, arrows: (objs[:-1] + (a,),
-                                      arrows[:-1] + (cat.comp[(w, arrows[-1])],)),
+                                      arrows[:-1] + (cat.compose(arrows[-1], w),)),
                 lambda comps: comps[:-1] + (cat.identity[a],))
 
 
