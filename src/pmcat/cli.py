@@ -4,7 +4,7 @@ Exit codes: 0 when every requested check passes, 1 when a verified
 property fails (a witness is printed), 2 for unusable input (parse
 error, unresolved id, non-closed composition table, or weak
 equivalences that are not a subcategory where a nerve composes them) or
-bad usage (unknown flags, malformed or negative counts).
+bad usage (unknown flags, malformed or out-of-range numbers).
 
 Reports are emitted on stdout as human-readable text or, with
 ``--format json``, as a versioned machine-readable document that is
@@ -24,7 +24,7 @@ from .pmc import PartialModelStructure, verify_partial_model
 from .sset import rezk_nerve, nerve, pi0
 from .hammock import (
     homotopy_category, mapping_space, check_saturation, diagnostic_saturation,
-    HoConsistencyError,
+    HoConsistencyError, ORACLE_MIN_BOUND,
 )
 from .segal import verify_segal
 from .yoneda import verify_yoneda_relative
@@ -262,15 +262,17 @@ def _grid_dict(grid):
             "vertical": [list(r) for r in vs]}
 
 
-def _count(text):
-    """A non-negative integer flag."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(low):
+    """An integer flag of at least ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _chain_lengths(text):
@@ -303,8 +305,8 @@ def build_parser():
 
     p = sub.add_parser("nerve", help="classification nerve with identity checks")
     common(p)
-    p.add_argument("--kmax", type=_count, default=4)
-    p.add_argument("--nmax", type=_count, default=4)
+    p.add_argument("--kmax", type=_at_least(0), default=4)
+    p.add_argument("--nmax", type=_at_least(0), default=4)
     p.set_defaults(func=cmd_nerve)
 
     p = sub.add_parser("segal", help="strict fiber identity, retraction "
@@ -312,8 +314,8 @@ def build_parser():
     common(p)
     p.add_argument("--k", type=_chain_lengths, default="2,3",
                    help="comma-separated chain lengths, each >= 2")
-    p.add_argument("--dims", type=_count, default=2)
-    p.add_argument("--cell-budget", type=_count, default=200_000)
+    p.add_argument("--dims", type=_at_least(0), default=2)
+    p.add_argument("--cell-budget", type=_at_least(0), default=200_000)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--full", action="store_true",
                    help="embed full per-object rows in the json certificate")
@@ -327,26 +329,26 @@ def build_parser():
     common(p)
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="tgt", required=True)
-    p.add_argument("--nmax", type=_count, default=2)
+    p.add_argument("--nmax", type=_at_least(0), default=2)
     p.set_defaults(func=cmd_mapspace)
 
     p = sub.add_parser("saturate", help="marking versus invertibility after localization")
     common(p)
     p.add_argument("--diagnostic", action="store_true",
                    help="force the bounded word oracle")
-    p.add_argument("--bound", type=int, default=7)
+    p.add_argument("--bound", type=_at_least(ORACLE_MIN_BOUND), default=7)
     p.set_defaults(func=cmd_saturate)
 
     p = sub.add_parser("yoneda", help="mapping-space embedding diagnostics")
     common(p)
-    p.add_argument("--dims", type=_count, default=2)
+    p.add_argument("--dims", type=_at_least(0), default=2)
     p.set_defaults(func=cmd_yoneda)
 
     p = sub.add_parser("export", help="dump a (bi)simplicial set")
     common(p)
     p.add_argument("--what", choices=("rezk-nerve", "nerve"), default="rezk-nerve")
-    p.add_argument("--kmax", type=_count, default=2)
-    p.add_argument("--nmax", type=_count, default=2)
+    p.add_argument("--kmax", type=_at_least(0), default=2)
+    p.add_argument("--nmax", type=_at_least(0), default=2)
     p.set_defaults(func=cmd_export)
 
     return parser

@@ -64,6 +64,12 @@ class ValidationReport:
     def ok(self):
         return not self.structural and not self.violations
 
+    def require(self, what):
+        """Raise StructuralError on the first problem, if any, after ``what``."""
+        if not self.ok:
+            v = (self.structural + self.violations)[0]
+            raise StructuralError(f"{what}: {v.law} {v.witness}: {v.detail}")
+
     def describe(self):
         lines = []
         for v in self.structural:
@@ -383,10 +389,11 @@ def check_functor(F):
     structural = []
     violations = []
     src_cat, tgt_cat = F.source, F.target
+    tgt_objects = set(tgt_cat.objects)
     for o in src_cat.objects:
         if o not in F.obj_map:
             structural.append(Violation("missing-object-image", (o,), "object map not total"))
-        elif F.obj_map[o] not in set(tgt_cat.objects):
+        elif F.obj_map[o] not in tgt_objects:
             structural.append(Violation("unknown-object", (o, F.obj_map[o]), "image object unknown"))
     for m in src_cat.morphisms:
         if m not in F.mor_map:
@@ -406,7 +413,7 @@ def check_functor(F):
     for o in src_cat.objects:
         if F.mor_map[src_cat.identity[o]] != tgt_cat.identity[F.obj_map[o]]:
             violations.append(Violation(
-                "identity", (o,), "identity not preserved"))
+                "identity", (o,), f"F({src_cat.identity[o]}) is not an identity"))
     for (f, g), h in src_cat.composites():
         try:
             image = tgt_cat.compose(F.mor_map[g], F.mor_map[f])

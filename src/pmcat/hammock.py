@@ -310,13 +310,16 @@ def _core_classes(partition, core_len):
                  if any(len(w) <= core_len for w in cls))
 
 
+ORACLE_MIN_BOUND = 4
+
+
 def bounded_localization_oracle(rc, a, b, length_bound):
     """Classes of alternating zigzags a ~> b under the rewrite
     congruence, saturated on words up to length_bound and counted on the
     core window (two shorter), with a stability flag comparing against
     the same computation at length_bound - 2."""
-    if length_bound < 4:
-        raise StructuralError("the oracle needs length_bound >= 4")
+    if length_bound < ORACLE_MIN_BOUND:
+        raise StructuralError(f"the oracle needs length_bound >= {ORACLE_MIN_BOUND}")
     full = _oracle_partition(rc, a, b, length_bound)
     classes = _core_classes(full, length_bound - 2)
     smaller_full = _oracle_partition(rc, a, b, length_bound - 2)

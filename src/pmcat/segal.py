@@ -72,11 +72,7 @@ def embedding_parts(rc, k):
     Refuses with StructuralError, naming the first violation, unless the
     marked maps form a wide subcategory: otherwise A_k and B_k lack
     composites and are not categories."""
-    rel = validate_relative(rc)
-    if not rel.ok:
-        v = rel.violations[0]
-        raise StructuralError(f"the weak equivalences are not a subcategory: "
-                              f"{v.law} {v.witness}: {v.detail}")
+    validate_relative(rc).require("the weak equivalences are not a subcategory")
     cat = rc.cat
     a_k = chain_category(rc, k)
     b_k = zigzag_chain_category(rc, k)
@@ -86,12 +82,7 @@ def embedding_parts(rc, k):
         return (objs[0],) + (objs[1],) * 4 + objs[2:], (arrows[0], i1, i1, i1) + arrows[1:]
 
     h = diagram_functor(a_k, b_k, fill, lambda c: (c[0],) + (c[1],) * 4 + c[2:])
-    for oid in a_k.objects:
-        if h.obj_map[oid] is None:
-            raise StructuralError(f"image of {oid} missing from B_{k}")
-    for m in a_k.morphisms:
-        if h.mor_map[m] is None:
-            raise StructuralError(f"image of morphism {m} missing from B_{k}")
+    check_functor(h).require(f"h: A_{k} -> B_{k} is not a functor")
     a_prime = b_k.full_subcategory(sorted(set(h.obj_map.values()),
                                           key=b_k.objects.index))
     return h, a_k, b_k, a_prime

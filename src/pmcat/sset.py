@@ -40,7 +40,7 @@ from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
 from ._util import UnionFind
-from .fincat import StructuralError
+from .fincat import StructuralError, check_functor
 from .relcat import diagram_category, diagram_functor, ARROW
 from .smith import smith_invariants
 
@@ -590,24 +590,16 @@ def nerve_map_tables(F, source, target):
     nerves ``source`` and ``target`` induced by the functor F.
 
     The image of an n-chain is the target's extension of the image of
-    its last face by F of its last morphism.  F is first checked to send
-    every morphism to a morphism between the images of its ends; an
-    image that is not one raises StructuralError naming the morphism.
+    its last face by F of its last morphism.  F is first checked by
+    ``check_functor``; the first violation it reports raises
+    StructuralError, naming the offending morphism or object.
     """
-    cat, obj_map, mor_map = F.target, F.obj_map, F.mor_map
-    src, tgt = F.source.src, F.source.tgt
-    for m in F.source.morphisms:
-        h = mor_map.get(m)
-        if (h not in cat.src or cat.src[h] != obj_map[src[m]]
-                or cat.tgt[h] != obj_map[tgt[m]]):
-            raise StructuralError(
-                f"functor image of {m}: {src[m]} -> {tgt[m]} is {h}, "
-                f"not a morphism {obj_map[src[m]]} -> {obj_map[tgt[m]]}")
+    check_functor(F).require("not a functor")
     where = {o: i for i, o in enumerate(target.simplices[0])}
-    tables = {0: [where[obj_map[o]] for o in source.simplices[0]]}
+    tables = {0: [where[F.obj_map[o]] for o in source.simplices[0]]}
     for n in range(1, min(source.n_max, target.n_max) + 1):
         starts, below, rank = target.starts[n], tables[n - 1], target.rank[n]
-        offset = {m: rank[h] for m, h in mor_map.items()}
+        offset = {m: rank[h] for m, h in F.mor_map.items()}
         tables[n] = [starts[below[p]] + offset[x[-1]]
                      for p, x in zip(source.faces[(n, n)], source.simplices[n])]
     return tables

@@ -116,6 +116,11 @@ def test_export_plain_nerve_ignores_marking(tmp_path):
     (("export", "Iw", "--what", "nerve", "--nmax", "-2"), ">= 0"),
     (("mapspace", "Iw", "--from", "0", "--to", "1", "--nmax", "-1"), ">= 0"),
     (("segal", "Iw", "--cell-budget", "-5"), ">= 0"),
+    # B2 carries calculus data, so without --diagnostic the bound is unused
+    (("saturate", "B2", "--bound", "-3"), ">= 4"),
+    (("saturate", "P4", "--bound", "2"), ">= 4"),
+    (("saturate", "B2", "--diagnostic", "--bound", "3"), ">= 4"),
+    (("saturate", "P4", "--bound", "x"), "expected an integer"),
 ])
 def test_bad_flag_values_exit_two(argv, message):
     command, fixture, *flags = argv

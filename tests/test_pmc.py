@@ -1,10 +1,14 @@
-from pmcat.fincat import FinCategory
+from hypothesis import given, settings, strategies as st
+
+from pmcat.fincat import FinCategory, StructuralError
 from pmcat.pmc import (
     PartialModelStructure, trivial_partial_model_structure, weq_squares,
     verify_partial_model,
 )
-from pmcat.relcat import RelCategory
-from conftest import chain_poset, boolean_lattice, walking_iso, terminal_category
+from pmcat.relcat import RelCategory, random_preorder_relcat
+from conftest import (
+    chain_poset, boolean_lattice, walking_iso, terminal_category, cyclic_group,
+)
 
 
 def iw_pms():
@@ -148,6 +152,124 @@ def test_middle_map_pasting_law_violation_has_witnesses():
         "c-iii:functorial-factorization")
     assert len(fr.witnesses) == 4
     assert all(w[-1] == "middle maps do not paste" for w in fr.witnesses)
+
+
+# -- (c-iii) against a reference ------------------------------------------------
+
+LAWS_NOT_CHECKED = ("identity and pasting laws not checked: "
+                    "the middle maps do not define a functor Arr(W) -> C")
+
+
+def reference_laws(pms):
+    """The identity and pasting laws of the middle maps, checked square
+    by square and pair by pair of composable squares, with the witnesses
+    (c-iii) reports."""
+    rc, cat = pms.rc, pms.rc.cat
+    squares = weq_squares(rc)
+    square_set = set(squares)
+    out_of = {}
+    for sq in squares:
+        out_of.setdefault(sq[0], []).append(sq)
+    wit = []
+    for w in rc.weq:
+        if w not in pms.factorization:
+            continue
+        sq = (w, w, cat.identity[cat.src[w]], cat.identity[cat.tgt[w]])
+        if sq in square_set:
+            m = pms.middle.get(sq)
+            if m is not None and m != cat.identity[pms.factorization[w][1]]:
+                wit.append((sq, f"identity square has middle {m}"))
+    for sq1 in squares:
+        w, w2, a, b = sq1
+        for sq2 in out_of.get(w2, ()):
+            _, w3, a2, b2 = sq2
+            pasted = (w, w3, cat.compose(a2, a), cat.compose(b2, b))
+            m1, m2, m12 = (pms.middle.get(sq) for sq in (sq1, sq2, pasted))
+            if None in (m1, m2, m12):
+                continue
+            try:
+                m2m1 = cat.compose(m2, m1)
+            except StructuralError:
+                continue
+            if m2m1 != m12:
+                wit.append((sq1, sq2, "middle maps do not paste"))
+    return wit
+
+
+def middles_typed(pms):
+    cat = pms.rc.cat
+    for sq in weq_squares(pms.rc):
+        m = pms.middle.get(sq)
+        ends = [pms.factorization[w][1] if w in pms.factorization else None
+                for w in sq[:2]]
+        if m not in cat.src or [cat.src[m], cat.tgt[m]] != ends:
+            return False
+    return True
+
+
+def assert_c_iii_matches_reference(pms):
+    fr = verify_partial_model(pms).verdict("c-iii:functorial-factorization")
+    laws = [w for w in fr.witnesses
+            if w[-1].startswith(("identity square has middle", "middle maps do not paste"))]
+    others = [w for w in fr.witnesses if w not in laws]
+    reference = reference_laws(pms)
+    assert fr.passed == (not others and not reference)
+    if middles_typed(pms):
+        assert laws == reference
+        assert fr.notes == []
+    else:
+        assert others and not laws
+        assert fr.notes == [LAWS_NOT_CHECKED]
+
+
+def with_middle(pms, square, m):
+    middle = dict(pms.middle)
+    middle[square] = m
+    return PartialModelStructure(pms.rc, pms.u_sub, pms.v_sub, pms.factorization, middle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_c_iii_matches_the_reference_on_random_preorders(seed, square_pick, map_pick):
+    pms = trivial_partial_model_structure(random_preorder_relcat(seed, max_objects=5))
+    assert_c_iii_matches_reference(pms)
+    squares, morphisms = weq_squares(pms.rc), pms.rc.cat.morphisms
+    assert_c_iii_matches_reference(with_middle(
+        pms, squares[square_pick % len(squares)], morphisms[map_pick % len(morphisms)]))
+
+
+def test_c_iii_matches_the_reference_on_categories_that_are_not_thin():
+    # every middle map replaced in turn by every morphism: one object, so
+    # each replacement is typed and the laws are compared witness for witness
+    idempotent = FinCategory.build(["*"], [("e", "*", "*")], {("e", "e"): "e"})
+    for cat in (idempotent, cyclic_group(2), cyclic_group(3)):
+        rc = RelCategory(cat, cat.morphisms)
+        pms = trivial_partial_model_structure(rc, v_sub=rc.weq)
+        assert verify_partial_model(pms).verdict("c-iii:functorial-factorization").passed
+        assert_c_iii_matches_reference(pms)
+        for sq in weq_squares(rc):
+            for m in cat.morphisms:
+                assert_c_iii_matches_reference(with_middle(pms, sq, m))
+
+
+def test_mistyped_middle_map_leaves_the_laws_unchecked_with_a_note():
+    cat = chain_poset(1)
+    pms = trivial_partial_model_structure(RelCategory(cat, cat.morphisms))
+    square = ("id:0", "01", "id:0", "01")     # middle map 0 -> 1
+    fr = verify_partial_model(with_middle(pms, square, "id:1")).verdict(
+        "c-iii:functorial-factorization")
+    assert not fr.passed
+    assert fr.witnesses == [(square, "middle map id:1 mistyped")]
+    assert fr.notes == [LAWS_NOT_CHECKED]
+
+
+def test_marking_without_identities_leaves_the_laws_unchecked():
+    # Arr(W) then has no identity squares, and 01 has no factorization
+    rc = RelCategory(chain_poset(1), ["01"], add_identities=False)
+    fr = verify_partial_model(PartialModelStructure(rc, rc.weq, rc.weq, {}, {})).verdict(
+        "c-iii:functorial-factorization")
+    assert fr.witnesses == [("01", "no factorization")]
+    assert fr.notes == [LAWS_NOT_CHECKED]
 
 
 # -- axiom subsumption property ----------------------------------------------

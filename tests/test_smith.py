@@ -1,11 +1,11 @@
 import doctest
+import importlib
+import pkgutil
 import random
 
 from hypothesis import given, settings, strategies as st
 
-import pmcat.fincat
-import pmcat.smith
-import pmcat.sset
+import pmcat
 from pmcat.smith import smith_invariants
 
 
@@ -80,9 +80,16 @@ def test_rank_of_unimodular_block():
 
 
 def test_module_doctests():
-    for module in (pmcat.smith, pmcat.sset, pmcat.fincat):
+    ran = set()
+    for info in pkgutil.iter_modules(pmcat.__path__):
+        module = importlib.import_module(f"pmcat.{info.name}")
+        examples = sum(len(t.examples) for t in doctest.DocTestFinder().find(module))
         result = doctest.testmod(module)
-        assert result.attempted > 0 and result.failed == 0, module.__name__
+        assert result.failed == 0, module.__name__
+        assert result.attempted == examples, module.__name__
+        if examples:
+            ran.add(info.name)
+    assert {"fincat", "pmc", "smith", "sset"} <= ran
 
 
 def test_lows_are_the_unit_pivot_rows():

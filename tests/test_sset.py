@@ -145,6 +145,15 @@ def test_induced_map_refuses_a_morphism_sent_to_the_wrong_ends(image):
         nerve_map_tables(Functor(cat, cat, identity.obj_map, mor_map), s, s)
 
 
+def test_induced_map_refuses_a_typed_map_that_breaks_a_law():
+    # on B(Z/2), id:* -> g1 is typed but does not preserve the identity
+    cat = cyclic_group(2)
+    s = nerve(cat, 2)
+    F = Functor(cat, cat, {"*": "*"}, {"id:*": "g1", "g1": "g1"})
+    with pytest.raises(StructuralError, match="id:\\*"):
+        nerve_map_tables(F, s, s)
+
+
 def test_pi0_point_and_discrete():
     assert len(pi0(nerve(terminal_category(), 1))) == 1
     from conftest import poset_category
