@@ -91,12 +91,8 @@ def _load_closed(args):
     form a wide subcategory: the diagram categories behind the nerves
     compose marked maps componentwise."""
     _value, rc = _load(args)
-    rel = validate_relative(rc)
-    if not rel.ok:
-        v = rel.violations[0]
-        raise DocumentError(0, f"the weak equivalences are not a subcategory "
-                               f"(pmcat check lists every violation): "
-                               f"{v.law} {v.witness}: {v.detail}")
+    validate_relative(rc).require("the weak equivalences are not a subcategory "
+                                  "(pmcat check lists every violation)")
     return rc
 
 
@@ -364,10 +360,7 @@ def main(argv=None):
     args = _parser.parse_args(argv)
     try:
         report = args.func(args)
-    except DocumentError as e:
-        sys.stderr.write(f"input error: {e}\n")
-        return 2
-    except StructuralError as e:
+    except (DocumentError, StructuralError) as e:
         sys.stderr.write(f"input error: {e}\n")
         return 2
     _emit(report, args.format)

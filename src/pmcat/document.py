@@ -190,24 +190,15 @@ def serialize_document(value):
         rc, pms = value, None
     cat = rc.cat
     lines = [f"relcat-version {FORMAT_VERSION}"]
-    for o in cat.objects:
-        lines.append(f"object {o}")
-    for m in cat.morphisms:
-        if not cat.is_identity(m):
-            lines.append(f"morphism {m} {cat.src[m]} {cat.tgt[m]}")
-    for (f, g), h in sorted(cat.composites()):
-        if not (cat.is_identity(f) or cat.is_identity(g)):
-            lines.append(f"compose {f} {g} {h}")
-    for w in rc.weq:
-        if not cat.is_identity(w):
-            lines.append(f"weq {w}")
+    lines.extend(f"object {o}" for o in cat.objects)
+    lines.extend(f"morphism {m} {cat.src[m]} {cat.tgt[m]}"
+                 for m in cat.morphisms if not cat.is_identity(m))
+    lines.extend(f"compose {f} {g} {h}" for (f, g), h in sorted(cat.composites())
+                 if not (cat.is_identity(f) or cat.is_identity(g)))
+    lines.extend(f"weq {w}" for w in rc.weq if not cat.is_identity(w))
     if pms is not None:
-        for m in pms.u_sub:
-            if not cat.is_identity(m):
-                lines.append(f"u {m}")
-        for m in pms.v_sub:
-            if not cat.is_identity(m):
-                lines.append(f"v {m}")
+        for head, sub in (("u", pms.u_sub), ("v", pms.v_sub)):
+            lines.extend(f"{head} {m}" for m in sub if not cat.is_identity(m))
         for w in sorted(pms.factorization):
             u, mid, v = pms.factorization[w]
             lines.append(f"factor {w} {u} {mid} {v}")

@@ -71,11 +71,8 @@ class ValidationReport:
             raise StructuralError(f"{what}: {v.law} {v.witness}: {v.detail}")
 
     def describe(self):
-        lines = []
-        for v in self.structural:
-            lines.append(f"structural: {v.law} {v.witness}: {v.detail}")
-        for v in self.violations:
-            lines.append(f"violation: {v.law} {v.witness}: {v.detail}")
+        lines = ([f"structural: {v.law} {v.witness}: {v.detail}" for v in self.structural]
+                 + [f"violation: {v.law} {v.witness}: {v.detail}" for v in self.violations])
         return "\n".join(lines) if lines else "ok"
 
     def to_dict(self):
@@ -377,15 +374,10 @@ class Functor:
         return f"Functor({self.source!r} -> {self.target!r})"
 
 
-def check_functor(F):
-    """Exhaustively verify functor laws; empty report iff F is a functor.
-
-    Each morphism must go to a morphism between the images of its ends.
-    On a thin target nothing else needs checking: F(g.f) and F(g).F(f)
-    are parallel, as are F(id) and id, and parallel morphisms of a thin
-    category are equal.  Otherwise identities and every composite of the
-    source are compared through the target's compose.
-    """
+def check_functor_typing(F):
+    """The typing half of :func:`check_functor`: every object and
+    morphism needs a known image, and each morphism must go to a
+    morphism between the images of its ends."""
     structural = []
     violations = []
     src_cat, tgt_cat = F.source, F.target
@@ -408,11 +400,25 @@ def check_functor(F):
         if tgt_cat.src[fm] != F.obj_map[src_cat.src[m]] or tgt_cat.tgt[fm] != F.obj_map[src_cat.tgt[m]]:
             violations.append(Violation(
                 "source-target", (m, fm), "image does not match mapped endpoints"))
-    if tgt_cat.is_thin():
-        return ValidationReport(structural, violations)
+    return ValidationReport(structural, violations)
+
+
+def check_functor(F):
+    """Exhaustively verify functor laws; empty report iff F is a functor.
+
+    Each morphism must go to a morphism between the images of its ends.
+    On a thin target nothing else needs checking: F(g.f) and F(g).F(f)
+    are parallel, as are F(id) and id, and parallel morphisms of a thin
+    category are equal.  Otherwise identities and every composite of the
+    source are compared through the target's compose.
+    """
+    report = check_functor_typing(F)
+    src_cat, tgt_cat = F.source, F.target
+    if report.structural or tgt_cat.is_thin():
+        return report
     for o in src_cat.objects:
         if F.mor_map[src_cat.identity[o]] != tgt_cat.identity[F.obj_map[o]]:
-            violations.append(Violation(
+            report.violations.append(Violation(
                 "identity", (o,), f"F({src_cat.identity[o]}) is not an identity"))
     for (f, g), h in src_cat.composites():
         try:
@@ -420,9 +426,9 @@ def check_functor(F):
         except StructuralError:
             image = None
         if image != F.mor_map[h]:
-            violations.append(Violation(
+            report.violations.append(Violation(
                 "composition", (f, g), f"F(g.f) = {F.mor_map[h]} but F(g).F(f) = {image}"))
-    return ValidationReport(structural, violations)
+    return report
 
 
 @dataclass(frozen=True)

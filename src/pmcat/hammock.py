@@ -144,6 +144,7 @@ def homotopy_category(pms):
     classes = {}          # (a, b) -> list of tuple of zigzag keys
     class_of = {}         # (a, b, key) -> class id
     members = {}
+    rows = []
     for a in cat.objects:
         for b in cat.objects:
             zc = zigzag_category(rc, a, b)
@@ -154,19 +155,12 @@ def homotopy_category(pms):
             classes[(a, b)] = cls
             for i, group in enumerate(cls):
                 cid = f"[{a}=>{b}#{i}]"
+                rows.append((cid, a, b))
                 members[cid] = frozenset(zc.diagrams[o][1] for o in group)
                 for key in members[cid]:
                     class_of[(a, b, key)] = cid
     objects = list(cat.objects)
-    rows = []
-    identity = {}
-    for a in objects:
-        for b in objects:
-            for i in range(len(classes[(a, b)])):
-                rows.append((f"[{a}=>{b}#{i}]", a, b))
-    for a in objects:
-        iz = identity_zigzag(rc, a)
-        identity[a] = class_of[(a, a, iz.key)]
+    identity = {a: class_of[(a, a, identity_zigzag(rc, a).key)] for a in objects}
     comp = {}
     for a in objects:
         for b in objects:
@@ -228,12 +222,10 @@ class OracleReport:
 
 def _enumerate_words(rc, a, b, bound, cap=500_000):
     cat = rc.cat
-    fwd_steps = {}
-    bwd_steps = {}
-    for o in cat.objects:
-        fwd_steps[o] = [m for m in cat.out_of(o) if not cat.is_identity(m)]
-        bwd_steps[o] = [m for m in cat.into(o)
-                        if rc.is_weq(m) and not cat.is_identity(m)]
+    fwd_steps = {o: [m for m in cat.out_of(o) if not cat.is_identity(m)]
+                 for o in cat.objects}
+    bwd_steps = {o: [m for m in cat.into(o) if rc.is_weq(m) and not cat.is_identity(m)]
+                 for o in cat.objects}
     words = []
 
     def dfs(at, word):
@@ -363,11 +355,7 @@ def check_saturation(pms):
     relative category."""
     rc = pms.rc
     ho = homotopy_category(pms)
-    isos = []
-    for f in rc.cat.morphisms:
-        cid = ho.image_of_morphism(rc, f)
-        if ho.is_iso(cid):
-            isos.append(f)
+    isos = [f for f in rc.cat.morphisms if ho.is_iso(ho.image_of_morphism(rc, f))]
     iso_set = set(isos)
     unmarked = tuple(f for f in isos if not rc.is_weq(f))
     not_iso = tuple(f for f in rc.weq if f not in iso_set)
@@ -389,13 +377,10 @@ def diagnostic_saturation(rc, length_bound=7):
     """
     cat = rc.cat
     partitions = {}
-    stability = {}
 
     def classes_for(x, y):
         if (x, y) not in partitions:
-            rep = bounded_localization_oracle(rc, x, y, length_bound)
-            partitions[(x, y)] = rep
-            stability[(x, y)] = rep.stable
+            partitions[(x, y)] = bounded_localization_oracle(rc, x, y, length_bound)
         return partitions[(x, y)]
 
     def same_class(rep, w1, w2):
@@ -411,18 +396,13 @@ def diagnostic_saturation(rc, length_bound=7):
         loop_a = classes_for(a, a)
         loop_b = classes_for(b, b)
         f_word = ((FWD, f),)
-        found = False
-        for g in _enumerate_words(rc, b, a, length_bound - 1):
-            if (same_class(loop_a, f_word + g, ())
-                    and same_class(loop_b, g + f_word, ())):
-                found = True
-                break
-        if found:
+        if any(same_class(loop_a, f_word + g, ()) and same_class(loop_b, g + f_word, ())
+               for g in _enumerate_words(rc, b, a, length_bound - 1)):
             isos.append(f)
     iso_set = set(isos)
     unmarked = tuple(f for f in isos if not rc.is_weq(f))
     not_iso = tuple(f for f in rc.weq if f not in iso_set)
-    unstable = sorted(k for k, v in stability.items() if not v)
+    unstable = sorted(k for k, rep in partitions.items() if not rep.stable)
     if unstable and not unmarked and not not_iso:
         verdict = "inconclusive"
     else:

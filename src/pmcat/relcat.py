@@ -54,7 +54,6 @@ class RelCategory:
 
 def validate_relative(rc):
     """Check wideness and composition closure of the marked subcategory."""
-    structural = []
     violations = []
     cat = rc.cat
     for o in cat.objects:
@@ -64,7 +63,7 @@ def validate_relative(rc):
     for f, g in unclosed_pairs(cat, rc.weq):
         violations.append(Violation(
             "not-closed", (f, g), f"composite {cat.compose(g, f)} is unmarked"))
-    return ValidationReport(structural, violations)
+    return ValidationReport([], violations)
 
 
 def unclosed_pairs(cat, members):
@@ -284,6 +283,16 @@ def _parts_id(parts):
     return "(" + ",".join(parts) + ")"
 
 
+def _fresh(name, seen):
+    """``name``, primed until it is not in ``seen``, which then holds it:
+    spelled parts collide when an id holds a comma, as the parts
+    ('x,y', 'z') and ('x', 'y,z') do."""
+    while name in seen:
+        name += "'"
+    seen.add(name)
+    return name
+
+
 def diagram_category(rc, slots, fixed=None):
     """The category of diagrams of a shape in ``rc``.
 
@@ -296,10 +305,13 @@ def diagram_category(rc, slots, fixed=None):
     cat = rc.cat
     slots = tuple(slots)
     diagrams, transitions = diagram_transitions(rc, slots, fixed)
-    obj_ids = [_parts_id(arrows) if slots else objs[0] for objs, arrows in diagrams]
+    seen = set()
+    obj_ids = [_fresh(_parts_id(arrows), seen) if slots else objs[0]
+               for objs, arrows in diagrams]
     rows = []
     identity = {}
     components = {}
+    seen = set()
     for a, b, comps in transitions:
         sid, tid = obj_ids[a], obj_ids[b]
         is_id = a == b and all(cat.is_identity(c) for c in comps)
@@ -308,7 +320,7 @@ def diagram_category(rc, slots, fixed=None):
         elif is_id:
             mid = f"id:{sid}"
         else:
-            mid = f"{_parts_id(comps)}:{sid}=>{tid}"
+            mid = _fresh(f"{_parts_id(comps)}:{sid}=>{tid}", seen)
         if is_id:
             identity[sid] = mid
         rows.append((mid, sid, tid))

@@ -82,7 +82,6 @@ def embedding_parts(rc, k):
         return (objs[0],) + (objs[1],) * 4 + objs[2:], (arrows[0], i1, i1, i1) + arrows[1:]
 
     h = diagram_functor(a_k, b_k, fill, lambda c: (c[0],) + (c[1],) * 4 + c[2:])
-    check_functor(h).require(f"h: A_{k} -> B_{k} is not a functor")
     a_prime = b_k.full_subcategory(sorted(set(h.obj_map.values()),
                                           key=b_k.objects.index))
     return h, a_k, b_k, a_prime

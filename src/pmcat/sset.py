@@ -40,7 +40,7 @@ from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
 from ._util import UnionFind
-from .fincat import StructuralError, check_functor
+from .fincat import StructuralError, check_functor_typing
 from .relcat import diagram_category, diagram_functor, ARROW
 from .smith import smith_invariants
 
@@ -590,18 +590,35 @@ def nerve_map_tables(F, source, target):
     nerves ``source`` and ``target`` induced by the functor F.
 
     The image of an n-chain is the target's extension of the image of
-    its last face by F of its last morphism.  F is first checked by
-    ``check_functor``; the first violation it reports raises
-    StructuralError, naming the offending morphism or object.
+    its last face by F of its last morphism.  F's typing is checked by
+    ``check_functor_typing``; its laws are read off the tables as far as
+    the truncation shows them, without composing again in the target:
+    F keeps identities iff the tables commute with s_0 on vertices, and
+    composites iff they commute with d_1 on 2-chains.  A violation
+    raises StructuralError naming the morphism.
     """
-    check_functor(F).require("not a functor")
+    check_functor_typing(F).require("not a functor")
     where = {o: i for i, o in enumerate(target.simplices[0])}
     tables = {0: [where[F.obj_map[o]] for o in source.simplices[0]]}
-    for n in range(1, min(source.n_max, target.n_max) + 1):
+    top = min(source.n_max, target.n_max)
+    for n in range(1, top + 1):
         starts, below, rank = target.starts[n], tables[n - 1], target.rank[n]
         offset = {m: rank[h] for m, h in F.mor_map.items()}
         tables[n] = [starts[below[p]] + offset[x[-1]]
                      for p, x in zip(source.faces[(n, n)], source.simplices[n])]
+    if top >= 1:
+        s0 = target.degeneracies[(0, 0)]
+        for v, x in enumerate(source.degeneracies[(0, 0)]):
+            if tables[1][x] != s0[tables[0][v]]:
+                raise StructuralError(f"not a functor: F({source.simplices[1][x][0]}) "
+                                      f"is not an identity")
+    if top >= 2:
+        d1 = target.faces[(2, 1)]
+        composites = list(map(tables[1].__getitem__, source.faces[(2, 1)]))
+        if composites != list(map(d1.__getitem__, tables[2])):
+            x = next(x for x, (p, y) in enumerate(zip(composites, tables[2])) if p != d1[y])
+            f, g = source.simplices[2][x]
+            raise StructuralError(f"not a functor: F({g}.{f}) is not F({g}).F({f})")
     return tables
 
 

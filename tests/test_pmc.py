@@ -1,11 +1,12 @@
 from hypothesis import given, settings, strategies as st
 
+from pmcat.document import parse_document
 from pmcat.fincat import FinCategory, StructuralError
 from pmcat.pmc import (
     PartialModelStructure, trivial_partial_model_structure, weq_squares,
     verify_partial_model,
 )
-from pmcat.relcat import RelCategory, random_preorder_relcat
+from pmcat.relcat import RelCategory, diagram_category, random_preorder_relcat, WEQ
 from conftest import (
     chain_poset, boolean_lattice, walking_iso, terminal_category, cyclic_group,
 )
@@ -270,6 +271,60 @@ def test_marking_without_identities_leaves_the_laws_unchecked():
         "c-iii:functorial-factorization")
     assert fr.witnesses == [("01", "no factorization")]
     assert fr.notes == [LAWS_NOT_CHECKED]
+
+
+# two parallel pairs of legs x, x,y: A -> C and z, y,z: B -> D under
+# w: A -> B and w2: C -> D, every composite A -> D being d
+COMMA_IDS = """relcat-version 1
+object A
+object B
+object C
+object D
+morphism w A B
+morphism w2 C D
+morphism x A C
+morphism x,y A C
+morphism z B D
+morphism y,z B D
+morphism d A D
+compose w z d
+compose w y,z d
+compose x w2 d
+compose x,y w2 d
+weq w
+weq w2
+weq x
+weq x,y
+weq z
+weq y,z
+weq d
+"""
+
+
+def test_squares_whose_ids_would_collide_are_each_checked():
+    # the squares (x, y,z) and (x,y, z) from w to w2 both spell their
+    # components (x,y,z); Arr(W) keeps them apart, so a corrupted middle
+    # map on either one fails (c-iii) with the witnesses of the loops
+    pms = trivial_partial_model_structure(parse_document(COMMA_IDS))
+    arr = diagram_category(pms.rc, (WEQ,))
+    assert len(set(arr.morphisms)) == len(arr.morphisms) == len(weq_squares(pms.rc))
+    assert verify_partial_model(pms).verdict("c-iii:functorial-factorization").passed
+    for square, other in ((("w", "w2", "x", "y,z"), "z"), (("w", "w2", "x,y", "z"), "y,z")):
+        missing = dict(pms.middle)
+        del missing[square]
+        missing = PartialModelStructure(pms.rc, pms.u_sub, pms.v_sub, pms.factorization, missing)
+        a, b = square[2:]
+        for bad, witnesses in (
+                (missing, [(square, "no middle map")]),
+                (with_middle(pms, square, "x"), [(square, "middle map x mistyped")]),
+                (with_middle(pms, square, other), [
+                    (square, "bottom sub-square does not commute"),
+                    (square, ("w2", "id:D", "w2", "id:D"), "middle maps do not paste"),
+                    (("w", "d", "id:A", b), ("d", "w2", a, "id:D"), "middle maps do not paste")])):
+            fr = verify_partial_model(bad).verdict("c-iii:functorial-factorization")
+            assert not fr.passed
+            assert fr.witnesses == witnesses
+            assert_c_iii_matches_reference(bad)
 
 
 # -- axiom subsumption property ----------------------------------------------

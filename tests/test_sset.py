@@ -154,6 +154,16 @@ def test_induced_map_refuses_a_typed_map_that_breaks_a_law():
         nerve_map_tables(F, s, s)
 
 
+def test_induced_map_refuses_a_map_that_breaks_composites_as_far_as_the_nerve_shows():
+    # on B(Z/3), g2 -> g1 keeps the identity but sends g1.g1 = g2 to g1,
+    # not to g1.g1 = g2: the 2-chain (g1, g1) shows it, the 1-skeleton not
+    cat = cyclic_group(3)
+    F = Functor(cat, cat, {"*": "*"}, {"id:*": "id:*", "g1": "g1", "g2": "g1"})
+    with pytest.raises(StructuralError, match=r"F\(g1\.g1\) is not F\(g1\)\.F\(g1\)"):
+        nerve_map_tables(F, nerve(cat, 2), nerve(cat, 2))
+    assert nerve_map_tables(F, nerve(cat, 1), nerve(cat, 1))[1] == [0, 1, 1]
+
+
 def test_pi0_point_and_discrete():
     assert len(pi0(nerve(terminal_category(), 1))) == 1
     from conftest import poset_category
