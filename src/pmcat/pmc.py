@@ -207,6 +207,7 @@ def verify_partial_model(pms):
 
     # (c-iii) factorization: totality, correctness, functoriality
     f_wit = []
+    usable = set()     # the w whose factorization is typed, with known ids
     for w in rc.weq:
         entry = pms.factorization.get(w)
         if entry is None:
@@ -220,6 +221,7 @@ def verify_partial_model(pms):
                 and cat.src[v] == mid and cat.tgt[v] == cat.tgt[w]):
             f_wit.append((w, "factorization mistyped"))
             continue
+        usable.add(w)
         if cat.compose(v, u) != w:
             f_wit.append((w, f"composite v.u = {cat.compose(v, u)} differs from w"))
         if not pms.in_u(u):
@@ -235,7 +237,7 @@ def verify_partial_model(pms):
     mor_map = {}
     for s, sq in squares.items():
         w, w2, a, b = sq
-        if w not in pms.factorization or w2 not in pms.factorization:
+        if w not in usable or w2 not in usable:
             continue
         m = pms.middle.get(sq)
         u1, mid1, v1 = pms.factorization[w]
@@ -252,7 +254,7 @@ def verify_partial_model(pms):
         if cat.compose(b, v1) != cat.compose(v2, m):
             f_wit.append((sq, "bottom sub-square does not commute"))
     # a functor needs a typed middle map on every square, identity squares
-    # included, and so every w factored: its identity square is skipped if not
+    # included, and so every w usably factored: its identity square is skipped if not
     notes = []
     if len(mor_map) == len(squares) and len(arr.identity) == len(arr.objects):
         obj_map = {o: pms.factorization[w][1] for o, w in w_of.items()}

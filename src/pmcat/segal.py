@@ -42,7 +42,7 @@ from .relcat import (
     diagram_category, diagram_functor, validate_relative, ARROW, WEQ, WEQ_BACK,
 )
 from .pmc import CalculusError
-from .sset import nerve, pi0, homology
+from .sset import count_chains, nerve, pi0, homology
 from .hammock import check_saturation
 
 
@@ -440,18 +440,6 @@ _BOUNDARY = (
     "external homotopy-pullback criterion that is not re-verified here")
 
 
-def _count_chains(cat, n):
-    """Number of n-chains of morphisms (including identities) without
-    materializing them."""
-    counts = {o: 1 for o in cat.objects}
-    for _ in range(n):
-        nxt = {o: 0 for o in cat.objects}
-        for m in cat.morphisms:
-            nxt[cat.tgt[m]] += counts[cat.src[m]]
-        counts = nxt
-    return sum(counts.values())
-
-
 def _reduction(s):
     """What the homology of the nerve ``s`` is computed on: its
     category's preorder core, or its own chains when the category is not
@@ -522,8 +510,8 @@ def verify_segal(pms, k_range=(2, 3), sset_dims=2, cell_budget=200_000,
         failures = []
         dims = []
         for d in range(sset_dims + 1):
-            if (_count_chains(a_prime, d + 1) > cell_budget
-                    or _count_chains(b_k, d + 1) > cell_budget):
+            if (count_chains(a_prime, d + 1) > cell_budget
+                    or count_chains(b_k, d + 1) > cell_budget):
                 break
             dims.append(d)
         skipped = [d for d in range(sset_dims + 1) if d not in dims]

@@ -272,25 +272,16 @@ def homology(s, up_to):
     Refuses degrees that the truncation cannot certify: needs
     ``up_to <= n_max - 1`` so every required boundary map exists.  The
     nerve of a thin category is replaced by the nerve of its
-    :func:`preorder_core`, which has the same homotopy type; every other
-    simplicial set goes through its own normalized chains.
+    :func:`preorder_core`, which has the same homotopy type, and its own
+    tables are never read or built; every other simplicial set goes
+    through its own normalized chains, which read its tables.
     """
     if up_to > s.n_max - 1:
         raise TruncationError(
             f"homology up to degree {up_to} is not certified at truncation {s.n_max}")
     core = s.core if isinstance(s, Nerve) else None
-    return _chain_homology(s if core is None else nerve(core.category, up_to + 1), up_to)
-
-
-def nerve_homology(cat, up_to):
-    """H_0 .. H_up_to of the nerve of ``cat``, as :func:`homology` gives
-    them, without building the nerve of a thin category at all."""
-    core = preorder_core(cat)
-    return _chain_homology(nerve(cat if core is None else core.category, up_to + 1), up_to)
-
-
-def _chain_homology(s, up_to):
-    dims, boundaries = normalized_boundaries(s, up_to + 1)
+    dims, boundaries = normalized_boundaries(
+        s if core is None else nerve(core.category, up_to + 1), up_to + 1)
     return homology_of_boundaries(dims, boundaries, up_to)
 
 
@@ -422,13 +413,33 @@ class Nerve(TruncatedSimplicialSet):
     rank of m its position in ``cat.morphisms``.  ``starts[0]`` and
     ``rank[0]`` are None.  ``category`` is the category the nerve was
     built from.
+
+    The first read of ``simplices``, ``faces``, ``degeneracies``,
+    ``starts`` or ``rank`` builds all five; ``size`` and ``core`` build
+    nothing.
     """
 
-    def __init__(self, n_max, simplices, faces, degeneracies, starts, rank, category):
-        super().__init__(n_max, simplices, faces, degeneracies)
-        self.starts = starts
-        self.rank = rank
+    def __init__(self, category, n_max):
         self.category = category
+        self.n_max = n_max
+        self._positions = {}
+
+    @cached_property
+    def _tables(self):
+        return _nerve_tables(self.category, self.n_max)
+
+    simplices = property(lambda self: self._tables[0])
+    faces = property(lambda self: self._tables[1])
+    degeneracies = property(lambda self: self._tables[2])
+    starts = property(lambda self: self._tables[3])
+    rank = property(lambda self: self._tables[4])
+
+    def size(self, n):
+        if not 0 <= n <= self.n_max:
+            raise TruncationError(f"no level {n} at truncation {self.n_max}")
+        if "_tables" in self.__dict__:
+            return len(self.simplices[n])
+        return count_chains(self.category, n)
 
     @cached_property
     def core(self):
@@ -436,9 +447,22 @@ class Nerve(TruncatedSimplicialSet):
         return preorder_core(self.category)
 
 
+def count_chains(cat, n):
+    """Number of n-chains of morphisms of ``cat``, identities included,
+    counted per end object without building them."""
+    counts = dict.fromkeys(cat.objects, 1)
+    for _ in range(n):
+        nxt = dict.fromkeys(cat.objects, 0)
+        for m in cat.morphisms:
+            nxt[cat.tgt[m]] += counts[cat.src[m]]
+        counts = nxt
+    return sum(counts.values())
+
+
 def nerve(cat, n_max):
     """The nerve: n-simplices are composable n-chains of morphisms,
-    objects at n = 0, numbered as described on :class:`Nerve`.
+    objects at n = 0, numbered as described on :class:`Nerve`.  Nothing
+    is built here; the tables are built on their first read.
 
     Every operator follows from the last face d_n(x), the chain x
     without its last morphism u.  For i < n - 1, d_i(x) is d_i(d_n x)
@@ -459,6 +483,11 @@ def nerve(cat, n_max):
     >>> s.simplices[2][7], s.simplices[1][s.faces[(2, 1)][7]]
     (('f', 'g'), ('h',))
     """
+    return Nerve(cat, n_max)
+
+
+def _nerve_tables(cat, n_max):
+    """The five tables of :class:`Nerve`, every level at once."""
     objects, morphisms = cat.objects, cat.morphisms
     where = {o: i for i, o in enumerate(objects)}
     position = {m: u for u, m in enumerate(morphisms)}
@@ -528,7 +557,7 @@ def nerve(cat, n_max):
         ends = list(chain.from_iterable(map(out_ends.__getitem__, ends)))
         lasts = new_lasts           # the position of each chain's last morphism
         below_counts = counts
-    return Nerve(n_max, simplices, faces, degeneracies, starts, ranks, cat)
+    return simplices, faces, degeneracies, starts, ranks
 
 
 # -- bisimplicial sets --------------------------------------------------------

@@ -19,7 +19,7 @@ from pmcat.relcat import (
     random_preorder_relcat, validate_relative,
 )
 from pmcat.pmc import verify_partial_model
-from pmcat.sset import nerve, rezk_nerve, pi0, nerve_homology
+from pmcat.sset import nerve, rezk_nerve, pi0, homology
 from pmcat.hammock import (
     homotopy_category, bounded_localization_oracle, check_saturation,
     diagnostic_saturation,
@@ -125,12 +125,12 @@ def test_criterion_05_nerve_corroboration():
         for k in (2, 3):
             _, _, b_k, a_prime = embedding_parts(value.rc, k)
             assert len(pi0(nerve(a_prime, 1))) == len(pi0(nerve(b_k, 1))), (name, k)
-            ha, hb = nerve_homology(a_prime, 2), nerve_homology(b_k, 2)
+            ha, hb = homology(nerve(a_prime, 3), 2), homology(nerve(b_k, 3), 2)
             assert ha == hb, (name, k, ha, hb)
             achieved.append(f"{name}/k={k}")
     # not vacuous: P4 has no calculus data, and at k = 3 its nerves differ
     _, _, b_3, a_prime_3 = embedding_parts(relcat_of("P4"), 3)
-    assert nerve_homology(a_prime_3, 0) != nerve_homology(b_3, 0)
+    assert homology(nerve(a_prime_3, 1), 0) != homology(nerve(b_3, 1), 0)
     verdict(5, "pi0 and H_0..H_2 agree between the image and zigzag-chain "
                "nerves (exact Smith normal form on witnessed preorder cores): "
                + ", ".join(achieved) + "; P4 (no calculus data) differs at k=3")

@@ -318,3 +318,16 @@ def test_conflicting_factor_line_exits_two(tmp_path):
         code, _ = run_cli("check", str(doc))
     assert code == 2
     assert "line 7: conflicting factorization for f" in err.getvalue()
+
+
+def test_middle_map_on_mistyped_factorization_is_a_witness(tmp_path):
+    # the square's middle map is typed against a factorization that the
+    # per-w check rejects; it must not be composed with that factorization
+    doc = tmp_path / "mistyped.relcat"
+    doc.write_text("relcat-version 1\nobject 0\nobject 1\nmorphism 01 0 1\nweq 01\nu 01\n"
+                   "factor 01 01 0 id:1\nmiddle 01 01 id:0 id:1 id:0\n")
+    code, out = run_cli("check", str(doc), "--format", "json")
+    assert code == 1
+    c3 = json.loads(out)["result"]["axioms"]["axioms"]["c-iii:functorial-factorization"]
+    assert ["01", "factorization mistyped"] in c3["witnesses"]
+    assert c3["notes"][0].startswith("identity and pasting laws not checked")

@@ -10,7 +10,7 @@ from pmcat.smith import smith_invariants
 from pmcat.fincat import FinCategory, Functor, StructuralError
 from pmcat.sset import (
     TruncationError, AbelianGroup, nerve, nerve_map_tables, rezk_nerve, diagonal, pi0,
-    homology, homology_of_boundaries, normalized_boundaries, nerve_homology,
+    homology, homology_of_boundaries, normalized_boundaries,
     preorder_core, core_violations,
 )
 from pmcat import sset
@@ -392,7 +392,7 @@ def test_core_homology_matches_raw_on_random_preorders(seed):
         core = preorder_core(cat)
         assert core is not None and core_violations(cat, core) == []
         assert len(core.category.objects) + len(core.steps) == len(cat.objects)
-        assert nerve_homology(cat, 3) == homology(nerve(cat, 4), 3) == raw_nerve_homology(cat, 3)
+        assert homology(nerve(cat, 4), 3) == raw_nerve_homology(cat, 3)
 
 
 def stacked_pairs(dim):
@@ -433,14 +433,50 @@ def test_a_wrong_search_is_refused(monkeypatch):
         preorder_core(boolean_lattice())
 
 
-def test_group_has_no_core_and_keeps_its_torsion():
+def unbuilt(cat, n_max):
+    raise AssertionError("nerve tables were built")
+
+
+def lazy_size_cases():
+    from pmcat.fixtures import build
+    from pmcat.segal import chain_category, zigzag_chain_category
+    rc = build("B2").rc
+    yield from ((name, cat, 4) for name, cat in oracle_categories())
+    yield "B(Z/2)", cyclic_group(2), 4
+    yield "B2's A_2", chain_category(rc, 2), 4
+    # 440,896 2-chains, but 5,428,900 3-chains: built up to level 2 only
+    yield "B2's B_3", zigzag_chain_category(rc, 3), 2
+
+
+def test_nerve_sizes_are_counted_without_the_build(monkeypatch):
+    real = sset._nerve_tables
+    for name, cat, top in lazy_size_cases():
+        for n in range(top + 1):
+            monkeypatch.setattr(sset, "_nerve_tables", unbuilt)
+            s = nerve(cat, n)
+            counted = [s.size(m) for m in range(n + 1)]
+            with pytest.raises(TruncationError):
+                s.size(n + 1)
+            monkeypatch.setattr(sset, "_nerve_tables", real)
+            assert counted == [len(level) for level in s.simplices], (name, n)
+            assert counted == [s.size(m) for m in range(n + 1)], (name, n)
+
+
+def test_group_has_no_core_and_keeps_its_torsion(monkeypatch):
     cat = cyclic_group(2)
     assert preorder_core(cat) is None
+    built = []
+
+    def recorded(c, n_max, _real=sset._nerve_tables):
+        built.append(c)
+        return _real(c, n_max)
+    monkeypatch.setattr(sset, "_nerve_tables", recorded)
     s = nerve(cat, 4)
-    assert s.core is None
+    assert s.core is None and built == []
     z2 = AbelianGroup(0, (2,))
-    assert homology(s, 3) == nerve_homology(cat, 3) == [
-        AbelianGroup(1), z2, AbelianGroup(0), z2]
+    assert homology(s, 3) == [AbelianGroup(1), z2, AbelianGroup(0), z2]
+    # not thin: its own chains, so its own tables
+    assert len(built) == 1 and built[0] is cat
 
 
 def test_preorder_nerve_homology_runs_on_one_vertex(monkeypatch):
@@ -452,7 +488,11 @@ def test_preorder_nerve_homology_runs_on_one_vertex(monkeypatch):
     def counted(s, up_to, _real=sset.normalized_boundaries):
         vertices.append(s.size(0))
         return _real(s, up_to)
+
+    def core_only(cat, n_max, _real=sset._nerve_tables):
+        return unbuilt(cat, n_max) if cat is b_3 else _real(cat, n_max)
     monkeypatch.setattr(sset, "normalized_boundaries", counted)
+    monkeypatch.setattr(sset, "_nerve_tables", core_only)
     assert homology(nerve(b_3, 2), 1) == [AbelianGroup(1), AbelianGroup(0)]
     assert len(b_3.objects) == 361 and vertices == [1]
 
