@@ -115,7 +115,7 @@ class FinCategory:
             self._hom.setdefault((s, t), []).append(m)
             self._by_src.setdefault(s, []).append(m)
             self._by_tgt.setdefault(t, []).append(m)
-        self._opposite = None
+        self._opposite = self._report = None
 
     @classmethod
     def build(cls, objects, morphisms, comp):
@@ -150,7 +150,14 @@ class FinCategory:
         """Exhaustively check that the data describe a category: a
         ValidationReport listing every violated law with a concrete
         witness, empty iff this is a category.  The composition checked
-        is what :meth:`composites` lists."""
+        is what :meth:`composites` lists.  The report is computed on the
+        first call and kept: a category is not modified after
+        construction."""
+        if self._report is None:
+            self._report = self._law_scan()
+        return self._report
+
+    def _law_scan(self):
         objects, mids, identity = self.objects, self.morphisms, self.identity
         src, tgt, comp = self.src, self.tgt, dict(self.composites())
         structural = []

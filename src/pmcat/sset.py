@@ -148,6 +148,10 @@ class TruncatedSimplicialSet:
     def size(self, n):
         return len(self.simplices[n])
 
+    def edge_ends(self):
+        """The 0-simplices, and the (d0, d1) indices of each 1-simplex."""
+        return self.simplices[0], zip(self.faces[(1, 0)], self.faces[(1, 1)])
+
     def validate_identities(self):
         """All simplicial identities among operators defined within the
         truncation; returns a list of violation strings (empty = pass)."""
@@ -178,16 +182,17 @@ def pi0(s):
     """Connected components of the 0-simplices under 1-simplices.
 
     Returns the partition as a tuple of sorted tuples of simplex values.
+    The ends come from ``s.edge_ends()``: a nerve answers from its
+    category, so its components are those of the category and no table
+    is read or built.
     """
     if s.n_max < 1:
         raise TruncationError("pi0 needs 1-simplices")
-    uf = UnionFind(range(s.size(0)))
-    d0, d1 = s.faces[(1, 0)], s.faces[(1, 1)]
-    for e in range(s.size(1)):
-        uf.union(d0[e], d1[e])
-    classes = uf.classes()
-    vals = s.simplices[0]
-    return tuple(tuple(vals[i] for i in cls) for cls in classes)
+    vals, edges = s.edge_ends()
+    uf = UnionFind(range(len(vals)))
+    for a, b in edges:
+        uf.union(a, b)
+    return tuple(tuple(vals[i] for i in cls) for cls in uf.classes())
 
 
 def normalized_boundaries(s, up_to):
@@ -415,8 +420,8 @@ class Nerve(TruncatedSimplicialSet):
     built from.
 
     The first read of ``simplices``, ``faces``, ``degeneracies``,
-    ``starts`` or ``rank`` builds all five; ``size`` and ``core`` build
-    nothing.
+    ``starts`` or ``rank`` builds all five; ``size``, ``core`` and
+    :func:`pi0` build nothing.
     """
 
     def __init__(self, category, n_max):
@@ -440,6 +445,12 @@ class Nerve(TruncatedSimplicialSet):
         if "_tables" in self.__dict__:
             return len(self.simplices[n])
         return count_chains(self.category, n)
+
+    def edge_ends(self):
+        """Level 1 is ``category.morphisms`` in order, d0 the target."""
+        cat = self.category
+        where = {o: i for i, o in enumerate(cat.objects)}
+        return cat.objects, ((where[cat.tgt[m]], where[cat.src[m]]) for m in cat.morphisms)
 
     @cached_property
     def core(self):

@@ -25,6 +25,30 @@ def test_check_passes_on_marked_fixtures():
         assert code == 0, name
 
 
+def test_check_scans_the_category_laws_once(monkeypatch):
+    from pmcat.fincat import FinCategory
+    scanned = []
+
+    def counted(cat, _real=FinCategory._law_scan):
+        scanned.append(cat)
+        return _real(cat)
+    monkeypatch.setattr(FinCategory, "_law_scan", counted)
+    code, out = run_cli("check", str(fixture_path("B2")), "--format", "json")
+    assert code == 0 and json.loads(out)["result"]["kind"] == "calculus-structure"
+    assert len(scanned) == 1
+
+
+def test_mapspace_builds_no_nerve_table(monkeypatch):
+    from pmcat import sset
+    built = []
+    monkeypatch.setattr(sset, "_nerve_tables", lambda cat, n_max: built.append(cat))
+    for name in FIXTURES:
+        code, out = run_cli("mapspace", str(fixture_path(name)), *_endpoints(name),
+                            "--format", "json")
+        assert code == 0 and json.loads(out)["result"]["components"] is not None, name
+    assert built == []
+
+
 def test_check_fails_on_p4_with_witness():
     code, out = run_cli("check", str(fixture_path("P4")), "--format", "json")
     assert code == 1

@@ -17,8 +17,8 @@ def test_terminal_category_valid():
     assert pt.morphisms == ("id:*",)
 
 
-def test_identity_law_violation_has_witness():
-    # poset [1] with the composite of 01 after id:0 pointing at the wrong id
+def broken_identity_law():
+    """Poset [1] with the composite of 01 after id:0 pointing at the wrong id."""
     objects = ["0", "1"]
     rows = [("id:0", "0", "0"), ("id:1", "1", "1"), ("01", "0", "1")]
     identity = {"0": "id:0", "1": "id:1"}
@@ -27,12 +27,29 @@ def test_identity_law_violation_has_witness():
         ("id:0", "01"): "id:0",   # wrong on purpose
         ("01", "id:1"): "01",
     }
-    report = FinCategory(objects, rows, identity, comp).validate()
+    return FinCategory(objects, rows, identity, comp)
+
+
+def test_identity_law_violation_has_witness():
+    report = broken_identity_law().validate()
     assert not report.ok
     laws = {v.law for v in report.violations}
     assert "identity-law" in laws
     witnesses = [v.witness for v in report.violations if v.law == "identity-law"]
     assert ("id:0", "01") in witnesses
+
+
+def test_validate_scans_once_and_keeps_reporting_a_broken_law(monkeypatch):
+    scanned = []
+
+    def counted(cat, _real=FinCategory._law_scan):
+        scanned.append(cat)
+        return _real(cat)
+    monkeypatch.setattr(FinCategory, "_law_scan", counted)
+    cat = broken_identity_law()
+    reports = [cat.validate(), cat.validate()]
+    assert scanned == [cat] and reports[1] is reports[0]
+    assert ("id:0", "01") in [v.witness for v in reports[1].violations]
 
 
 def test_p4_full_table_valid():

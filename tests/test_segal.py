@@ -365,6 +365,26 @@ def test_verify_segal_boolean_lattice_reports_skips():
     assert r2["pi0"][0] == r2["pi0"][1]
 
 
+def test_verify_segal_builds_only_the_tables_of_preorder_cores(monkeypatch):
+    from pmcat import sset
+    from pmcat.fixtures import build
+    cores, built = [], []
+
+    def recorded_core(cat, _real=sset.preorder_core):
+        core = _real(cat)
+        cores.append(core.category)
+        return core
+
+    def recorded_tables(cat, n_max, _real=sset._nerve_tables):
+        built.append(cat)
+        return _real(cat, n_max)
+    monkeypatch.setattr(sset, "preorder_core", recorded_core)
+    monkeypatch.setattr(sset, "_nerve_tables", recorded_tables)
+    rep = verify_segal(build("B2"), (2, 3), 2)
+    assert rep.passed, rep.describe()
+    assert built and all(any(cat is core for core in cores) for cat in built)
+
+
 def test_verify_segal_groupoid_low_dims():
     rep = verify_segal(pms_of(j_rc(), groupoid=True), (2,), 0)
     assert rep.passed, rep.describe()

@@ -177,6 +177,46 @@ def test_pi0_needs_edges():
         pi0(s)
 
 
+def table_pi0(cat):
+    """pi0 read off the built face tables of the nerve of ``cat``."""
+    s = nerve(cat, 1)
+    return pi0(sset.TruncatedSimplicialSet(1, s.simplices, s.faces, s.degeneracies))
+
+
+def pi0_cases():
+    from pmcat.fixtures import FIXTURES, build
+    from pmcat.hammock import zigzag_category
+    from pmcat.segal import chain_category, zigzag_chain_category
+    yield from oracle_categories()
+    yield "B(Z/2)", cyclic_group(2)
+    rc = build("B2").rc
+    yield "B2's A_2", chain_category(rc, 2)
+    yield "B2's B_3", zigzag_chain_category(rc, 3)
+    for name in FIXTURES:
+        rc = getattr(build(name), "rc", build(name))
+        for a, b in product(rc.cat.objects, repeat=2):
+            yield f"{name} zigzags {a} ~> {b}", zigzag_category(rc, a, b)
+
+
+def test_pi0_of_a_nerve_comes_from_its_category(monkeypatch):
+    real, sizes = sset._nerve_tables, set()
+    for name, cat in pi0_cases():
+        monkeypatch.setattr(sset, "_nerve_tables", unbuilt)
+        components = pi0(nerve(cat, 1))
+        monkeypatch.setattr(sset, "_nerve_tables", real)
+        assert components == table_pi0(cat), name
+        sizes.add(len(components))
+    assert {0, 1, 2} <= sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_pi0_of_random_preorders_matches_the_face_tables(seed):
+    rc = random_preorder_relcat(seed, max_objects=6)
+    for cat in (rc.cat, restrict_to_weq(rc).cat):
+        assert pi0(nerve(cat, 1)) == table_pi0(cat)
+
+
 # -- homology -------------------------------------------------------------
 
 def sympy_nerve_homology(cat, n_max, up_to):
