@@ -146,6 +146,8 @@ class TruncatedSimplicialSet:
         self._positions = {}
 
     def size(self, n):
+        if not 0 <= n <= self.n_max:
+            raise TruncationError(f"no level {n} at truncation {self.n_max}")
         return len(self.simplices[n])
 
     def edge_ends(self):
@@ -421,7 +423,8 @@ class Nerve(TruncatedSimplicialSet):
 
     The first read of ``simplices``, ``faces``, ``degeneracies``,
     ``starts`` or ``rank`` builds all five; ``size``, ``core`` and
-    :func:`pi0` build nothing.
+    :func:`pi0` build nothing.  Index tables into the nerve take their
+    entries from ``indices[n]``, the list 0..size(n)-1, built once.
     """
 
     def __init__(self, category, n_max):
@@ -451,6 +454,10 @@ class Nerve(TruncatedSimplicialSet):
         cat = self.category
         where = {o: i for i, o in enumerate(cat.objects)}
         return cat.objects, ((where[cat.tgt[m]], where[cat.src[m]]) for m in cat.morphisms)
+
+    @cached_property
+    def indices(self):
+        return [list(range(self.size(n))) for n in range(self.n_max + 1)]
 
     @cached_property
     def core(self):
@@ -587,6 +594,11 @@ class TruncatedBisimplicialSet:
         self.vdegens = vdegens    # (k, n, j) -> indices into (k, n+1)
 
     def size(self, k, n):
+        if not (0 <= k <= self.k_max and 0 <= n <= self.n_max):
+            raise TruncationError(f"no level ({k}, {n}) at truncation {self.k_max, self.n_max}")
+        return self._count(k, n)
+
+    def _count(self, k, n):
         return len(self.simplices[(k, n)])
 
     def validate_identities(self):
@@ -638,13 +650,13 @@ def nerve_map_tables(F, source, target):
     raises StructuralError naming the morphism.
     """
     check_functor_typing(F).require("not a functor")
-    where = {o: i for i, o in enumerate(target.simplices[0])}
+    where = dict(zip(target.simplices[0], target.indices[0]))
     tables = {0: [where[F.obj_map[o]] for o in source.simplices[0]]}
     top = min(source.n_max, target.n_max)
     for n in range(1, top + 1):
         starts, below, rank = target.starts[n], tables[n - 1], target.rank[n]
-        offset = {m: rank[h] for m, h in F.mor_map.items()}
-        tables[n] = [starts[below[p]] + offset[x[-1]]
+        offset, index = {m: rank[h] for m, h in F.mor_map.items()}, target.indices[n]
+        tables[n] = [index[starts[below[p]] + offset[x[-1]]]
                      for p, x in zip(source.faces[(n, n)], source.simplices[n])]
     if top >= 1:
         s0 = target.degeneracies[(0, 0)]
@@ -662,6 +674,43 @@ def nerve_map_tables(F, source, target):
     return tables
 
 
+class ClassificationNerve(TruncatedBisimplicialSet):
+    """The classification nerve of :func:`rezk_nerve`.  ``columns[k]``
+    is the nerve of A_k: its tables are the vertical ones and its sizes
+    are column k's, so ``size`` and ``validate_identities`` build no
+    grid.  ``simplices`` is built on its first read."""
+
+    def __init__(self, columns, hfaces, hdegens):
+        self.k_max, self.n_max = len(columns) - 1, columns[0].n_max
+        self.columns, self.hfaces, self.hdegens = columns, hfaces, hdegens
+        self.vfaces = {(k, *nj): t for k, c in enumerate(columns) for nj, t in c.faces.items()}
+        self.vdegens = {(k, *nj): t for k, c in enumerate(columns)
+                        for nj, t in c.degeneracies.items()}
+
+    def _count(self, k, n):
+        return self.columns[k].size(n)
+
+    @cached_property
+    def simplices(self):
+        simplices = {}
+        for k, s in enumerate(self.columns):
+            diagrams, components = s.category.diagrams, s.category.components
+            grids = [((objs,), (arrows,), ()) for objs, arrows in map(diagrams.__getitem__,
+                                                                       s.simplices[0])]
+            simplices[(k, 0)] = grids
+            # a grid is the grid of its last face with one more row: the
+            # target diagram and the components of the last morphism
+            rows = {m: ((diagrams[t][0],), (diagrams[t][1],), (components[m],))
+                    for m, t in s.category.tgt.items()}
+            for n in range(1, self.n_max + 1):
+                grids = [(objs + o, arrows + a, steps + c)
+                         for (objs, arrows, steps), (o, a, c) in zip(
+                             map(grids.__getitem__, s.faces[(n, n)]),
+                             map(rows.__getitem__, map(itemgetter(-1), s.simplices[n])))]
+                simplices[(k, n)] = grids
+        return simplices
+
+
 def rezk_nerve(rc, k_max=4, n_max=4):
     """The classification nerve of a relative category.
 
@@ -674,30 +723,12 @@ def rezk_nerve(rc, k_max=4, n_max=4):
     vertical operators; the horizontal ones are induced by the functors
     A_k -> A_{k-1} (drop or compose at a vertex) and A_k -> A_{k+1}
     (repeat a vertex).  A grid is stored canonically as (object rows,
-    horizontal arrow rows, vertical step rows).
+    horizontal arrow rows, vertical step rows); the operator tables are
+    built here, the grids on their first read (:class:`ClassificationNerve`).
     """
     cat = rc.cat
     chains = [diagram_category(rc, (ARROW,) * k) for k in range(k_max + 1)]
     nerves = [nerve(a_k, n_max) for a_k in chains]
-    simplices = {}
-    vfaces, vdegens = {}, {}
-    for k, (a_k, s) in enumerate(zip(chains, nerves)):
-        diagrams, components = a_k.diagrams, a_k.components
-        grids = [((objs,), (arrows,), ()) for objs, arrows in map(diagrams.__getitem__,
-                                                                   s.simplices[0])]
-        simplices[(k, 0)] = grids
-        # a grid is the grid of its last face with one more row: the
-        # target diagram and the components of the last morphism
-        rows = {m: ((diagrams[t][0],), (diagrams[t][1],), (components[m],))
-                for m, t in a_k.tgt.items()}
-        for n in range(1, n_max + 1):
-            grids = [(objs + o, arrows + a, steps + c)
-                     for (objs, arrows, steps), (o, a, c) in zip(
-                         map(grids.__getitem__, s.faces[(n, n)]),
-                         map(rows.__getitem__, map(itemgetter(-1), s.simplices[n])))]
-            simplices[(k, n)] = grids
-        vfaces.update(((k, n, j), t) for (n, j), t in s.faces.items())
-        vdegens.update(((k, n, j), t) for (n, j), t in s.degeneracies.items())
 
     def face(k, i):
         def objects(objs, arrows):
@@ -727,8 +758,7 @@ def rezk_nerve(rc, k_max=4, n_max=4):
         for i in range(k + 1):
             tables = nerve_map_tables(degeneracy(k, i), nerves[k], nerves[k + 1])
             hdegens.update(((k, n, i), t) for n, t in tables.items())
-    return TruncatedBisimplicialSet(k_max, n_max, simplices, hfaces, vfaces,
-                                    hdegens, vdegens)
+    return ClassificationNerve(nerves, hfaces, hdegens)
 
 
 def diagonal(b):

@@ -192,14 +192,21 @@ def _endpoints(name):
     return ("--from", objects[0], "--to", objects[-1])
 
 
+def _nerve_flags(name):
+    # J has 35.8 million cells at the default (4, 4)
+    return ("--kmax", "2", "--nmax", "2") if name == "J" else ()
+
+
 def test_command_reports_match_goldens():
     """``segal --full`` pins the B_k object ids, ``export`` the
-    classification nerve's simplex order and operator tables, and
-    ho/saturate/yoneda/mapspace every report the zigzag categories feed
-    (P4 ``ho`` exits 2, so it has no report)."""
+    classification nerve's simplex order and operator tables, ``nerve``
+    its sizes and identity checks, and ho/saturate/yoneda/mapspace every
+    report the zigzag categories feed (P4 ``ho`` exits 2, so it has no
+    report)."""
     import pathlib
     calls = [(name, "segal", ("--full",)) for name in ("pt", "I1", "Iw")]
     calls += [(name, "export", ()) for name in ("pt", "I1", "Iw", "P4")]
+    calls += [(name, "nerve", _nerve_flags(name)) for name in FIXTURES]
     for name in FIXTURES:
         for command in ("ho", "saturate", "yoneda", "mapspace"):
             if (name, command) != ("P4", "ho"):
@@ -225,6 +232,20 @@ def test_consecutive_calls_keep_defaults():
     code, out = run_cli("segal", path, "--full", "--format", "json")
     assert out == golden.read_text()
     assert sorted(json.loads(out)["result"]["detail"]["k"]) == ["2", "3"]
+
+
+def test_nerve_builds_no_grid(monkeypatch):
+    import pathlib
+    from pmcat.sset import ClassificationNerve
+
+    def ungridded(b):
+        raise AssertionError("grids were built")
+    monkeypatch.setattr(ClassificationNerve, "simplices", property(ungridded))
+    for name in FIXTURES:
+        golden = pathlib.Path(fixture_path(name)).parent / "expected" / f"{name}.nerve.json"
+        code, out = run_cli("nerve", str(fixture_path(name)), *_nerve_flags(name),
+                            "--format", "json")
+        assert out == golden.read_text() and code == 0, name
 
 
 def test_nerve_reports_the_total_of_its_truncated_list(monkeypatch):

@@ -665,6 +665,63 @@ def test_rezk_level_zero_matches_nerve_of_marked_subcategory():
                     assert lhs == rhs
 
 
+def ungridded(b):
+    raise AssertionError("grids were built")
+
+
+def rezk_size_cases():
+    from pmcat.fixtures import FIXTURES, build
+    for name in FIXTURES:
+        yield name, getattr(build(name), "rc", build(name))
+    cat = cyclic_group(2)
+    yield "B(Z/2)", RelCategory(cat, cat.morphisms)
+
+
+def test_rezk_sizes_are_counted_before_the_grids_are_built():
+    levels = list(product(range(4), range(4)))
+    for name, rc in rezk_size_cases():
+        b = rezk_nerve(rc, 3, 3)
+        counted = [b.size(k, n) for k, n in levels]
+        assert "simplices" not in vars(b), name
+        assert counted == [len(b.simplices[level]) for level in levels], name
+        assert counted == [b.size(k, n) for k, n in levels], name
+
+
+def test_rezk_nerve_of_b2_holds_no_grid(monkeypatch):
+    # 74 MiB when every grid was built with the tables; tracing
+    # validate_identities too would take 15 times its 0.7 s, so it runs
+    # untraced, with the grids made to raise
+    import tracemalloc
+    from pmcat.fixtures import build
+    rc = build("B2").rc
+    tracemalloc.start()
+    try:
+        b = rezk_nerve(rc, 4, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(sset.ClassificationNerve, "simplices", property(ungridded))
+    assert b.validate_identities() == []
+    assert sum(b.size(k, n) for k in range(5) for n in range(5)) == 111_022
+    assert peak < 45 * 2**20
+
+
+def test_sizes_outside_the_truncation_are_refused():
+    b = rezk_nerve(iw(), 1, 2)
+    plain = sset.TruncatedBisimplicialSet(b.k_max, b.n_max, b.simplices, b.hfaces,
+                                          b.vfaces, b.hdegens, b.vdegens)
+    assert plain.validate_identities() == []
+    for level in ((2, 0), (0, -1), (-1, 0), (0, 3)):
+        for s in (b, plain):
+            with pytest.raises(TruncationError):
+                s.size(*level)
+    d = diagonal(rezk_nerve(iw(), 2, 2))
+    assert [d.size(n) for n in range(3)] == [len(level) for level in d.simplices]
+    for n in (-1, 3):
+        with pytest.raises(TruncationError):
+            d.size(n)
+
+
 # -- diagonal ----------------------------------------------------------------
 
 def test_diagonal_requires_square_truncation():
