@@ -13,6 +13,12 @@ Pushouts and pullbacks are found by exhaustive search over all candidate
 cocones and cones, and universality is certified against every
 competitor.
 
+One lemma is used throughout: in a thin category (every hom-set has at
+most one element) any two parallel morphisms are equal.  So a thin
+category composes from its hom index, a functor into one is checked by
+its typing alone, and the pushout and pullback searches on one compose
+nothing: every square in it commutes.
+
 All values are immutable after construction; every operation is a pure
 function of its inputs, and ties are broken by input order, never by
 iteration order of sets.
@@ -477,26 +483,30 @@ class ConeWitness(CoconeWitness):
         return super().verify(cat.opposite(), f, g)
 
 
-def _cocones(cat, f, g):
-    """All cocones under the span of f and g, in deterministic order."""
+def _cocones(cat, f, g, thin=False):
+    """All cocones under the span of f and g, in deterministic order.
+    With ``thin`` (``cat`` is thin) p.f and q.g are parallel, hence equal,
+    so every pair of legs into a common apex is a cocone."""
     out = []
-    compose = cat.compose
+    compose, hom, a, b = cat.compose, cat._hom, cat.tgt[f], cat.tgt[g]
     for apex in cat.objects:
-        for p in cat.hom(cat.tgt[f], apex):
-            for q in cat.hom(cat.tgt[g], apex):
-                if compose(p, f) == compose(q, g):
+        for p in hom.get((a, apex), ()):
+            for q in hom.get((b, apex), ()):
+                if thin or compose(p, f) == compose(q, g):
                     out.append((apex, p, q))
     return out
 
 
-def _comparisons(cat, apex, p, q, competitors):
+def _comparisons(cat, apex, p, q, competitors, thin=False):
     """For each competing cocone, the one morphism out of ``apex`` that
     carries p and q to its legs, as ((apex', p', q'), h); None as soon as
-    some competitor has none or several."""
-    compose = cat.compose
+    some competitor has none or several.  With ``thin`` that morphism is
+    the one in hom(apex, apex'), which carries the legs by the lemma."""
+    compose, hom = cat.compose, cat._hom
     out = []
     for apex2, p2, q2 in competitors:
-        hs = [h for h in cat.hom(apex, apex2) if compose(h, p) == p2 and compose(h, q) == q2]
+        hs = [h for h in hom.get((apex, apex2), ())
+              if thin or (compose(h, p) == p2 and compose(h, q) == q2)]
         if len(hs) != 1:
             return None
         out.append(((apex2, p2, q2), hs[0]))
@@ -510,14 +520,39 @@ def find_pushout(cat, f, g):
     None when no universal cocone exists.  Among isomorphic pushouts the
     one whose apex comes first in the category's object order wins, and
     within an apex legs are scanned in morphism input order.
+
+    On a thin category the search composes nothing: parallel morphisms
+    are equal, so a cocone is any apex with a morphism from both targets
+    and a comparison is the one morphism between two apexes.  The scan
+    order is the same, and so is the witness; :meth:`CoconeWitness.verify`
+    still composes.  In the poset 0 < 1, 0 < 2, 1 < 12, 2 < 12 the
+    pushout of the span 1 <- 0 -> 2 is 12:
+
+    >>> square = FinCategory.build(
+    ...     ["0", "1", "2", "12"],
+    ...     [("01", "0", "1"), ("02", "0", "2"), ("0-12", "0", "12"),
+    ...      ("1-12", "1", "12"), ("2-12", "2", "12")],
+    ...     {("01", "1-12"): "0-12", ("02", "2-12"): "0-12"})
+    >>> square.is_thin()
+    True
+    >>> wit = find_pushout(square, "01", "02")
+    >>> wit.apex, wit.leg_f, wit.leg_g, wit.verify(square, "01", "02")
+    ('12', '1-12', '2-12', True)
     """
     if cat.src[f] != cat.src[g]:
         raise StructuralError(f"not a span: {f}, {g} have different sources")
-    competitors = _cocones(cat, f, g)
+    return _universal_cocone(cat, f, g, CoconeWitness)
+
+
+def _universal_cocone(cat, f, g, witness):
+    """The first cocone in scan order with a comparison to every
+    competitor, as a ``witness``; None if there is none."""
+    thin = cat.is_thin()
+    competitors = _cocones(cat, f, g, thin)
     for apex, p, q in competitors:
-        comparisons = _comparisons(cat, apex, p, q, competitors)
+        comparisons = _comparisons(cat, apex, p, q, competitors, thin)
         if comparisons is not None:
-            return CoconeWitness(apex, p, q, comparisons)
+            return witness(apex, p, q, comparisons)
     return None
 
 
@@ -526,10 +561,7 @@ def find_pullback(cat, f, g):
     find_pushout with the same tie-breaking."""
     if cat.tgt[f] != cat.tgt[g]:
         raise StructuralError(f"not a cospan: {f}, {g} have different targets")
-    wit = find_pushout(cat.opposite(), f, g)
-    if wit is None:
-        return None
-    return ConeWitness(wit.apex, wit.leg_f, wit.leg_g, wit.comparisons)
+    return _universal_cocone(cat.opposite(), f, g, ConeWitness)
 
 
 def pair_id(a, b):

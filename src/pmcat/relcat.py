@@ -239,14 +239,16 @@ def diagram_transitions(rc, slots, fixed=None):
     the components are extended one vertex at a time through marked maps,
     and each slot's target arrow is sought only among the morphisms
     between the two target vertices; components at a fixed end are
-    identities.  Per source, transitions are stably sorted by target
-    index.  See :func:`diagram_category` for ``slots`` and ``fixed``.
+    identities.  On a thin category every such arrow closes its square,
+    whose two paths are parallel, so nothing is composed.  Per source,
+    transitions are stably sorted by target index.  See
+    :func:`diagram_category` for ``slots`` and ``fixed``.
     """
     cat = rc.cat
     slots = tuple(slots)
     first, last = fixed if fixed is not None else (None, None)
     diagrams = _shaped_diagrams(rc, slots, first, last)
-    compose, tgt, is_weq = cat.compose, cat.tgt, rc.is_weq
+    compose, tgt, is_weq, thin = cat.compose, cat.tgt, rc.is_weq, cat.is_thin()
     # a diagram is determined by its arrows, or by its vertex if it has none
     index = {arrows or objs: i for i, (objs, arrows) in enumerate(diagrams)}
     weq_out = {o: [m for m in cat.out_of(o) if is_weq(m)] for o in cat.objects}
@@ -268,9 +270,9 @@ def diagram_transitions(rc, slots, fixed=None):
                     # the square from the source arrow (vertex i+1 -> vertex i
                     # when backward) to a target arrow b
                     x, y = (c, prev) if slot.backward else (prev, c)
-                    side = compose(y, arrow)
+                    side = None if thin else compose(y, arrow)
                     for b in cat.hom(tgt[x], tgt[y]):
-                        if compose(b, x) == side and (not slot.marked or is_weq(b)):
+                        if (thin or compose(b, x) == side) and (not slot.marked or is_weq(b)):
                             nxt.append((comps + (c,), targets + (b,)))
             partial = nxt
         found = [(index[targets or (tgt[comps[0]],)], comps) for comps, targets in partial]

@@ -67,40 +67,57 @@ class AbelianGroup:
 
 def _identity_violations(n_max, sizes, faces, degeneracies):
     """Violations of the simplicial identities among the operators of a
-    truncated simplicial set given by its level sizes and index tables."""
+    truncated simplicial set given by its level sizes and index tables.
+
+    Each identity composes its two sides as whole tables over a level and
+    compares them; indices are walked only where they differ.  A table
+    shorter than its level raises IndexError, as reading it would."""
     bad = []
+
+    def level(table, n):
+        # the entries of an operator table on the simplices of level n
+        if len(table) < sizes[n]:
+            raise IndexError(f"operator table of {len(table)} entries "
+                             f"on level {n} of {sizes[n]} simplices")
+        return table if len(table) == sizes[n] else table[:sizes[n]]
+
+    def compare(left, right, message):
+        if left != right:
+            bad.extend(message(x) for x, (p, q) in enumerate(zip(left, right)) if p != q)
+
     for n in range(2, n_max + 1):
         for j in range(n + 1):
             for i in range(j):
-                fj, fi = faces[(n, j)], faces[(n, i)]
                 gi, gj1 = faces[(n - 1, i)], faces[(n - 1, j - 1)]
-                for x in range(sizes[n]):
-                    if gi[fj[x]] != gj1[fi[x]]:
-                        bad.append(f"d{i} d{j} != d{j - 1} d{i} at dim {n} index {x}")
+                compare([gi[y] for y in level(faces[(n, j)], n)],
+                        [gj1[y] for y in level(faces[(n, i)], n)],
+                        lambda x: f"d{i} d{j} != d{j - 1} d{i} at dim {n} index {x}")
     for n in range(0, n_max - 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                si, sj = degeneracies[(n, i)], degeneracies[(n, j)]
                 s2i, s2j1 = degeneracies[(n + 1, i)], degeneracies[(n + 1, j + 1)]
-                for x in range(sizes[n]):
-                    if s2i[sj[x]] != s2j1[si[x]]:
-                        bad.append(f"s{i} s{j} != s{j + 1} s{i} at dim {n} index {x}")
+                compare([s2i[y] for y in level(degeneracies[(n, j)], n)],
+                        [s2j1[y] for y in level(degeneracies[(n, i)], n)],
+                        lambda x: f"s{i} s{j} != s{j + 1} s{i} at dim {n} index {x}")
     for n in range(0, n_max):
+        ident = list(range(sizes[n]))
         for j in range(n + 1):
-            sj = degeneracies[(n, j)]
+            sj = level(degeneracies[(n, j)], n)
             for i in range(n + 2):
                 di = faces[(n + 1, i)]
-                for x in range(sizes[n]):
-                    y = di[sj[x]]
-                    if i == j or i == j + 1:
-                        if y != x:
-                            bad.append(f"d{i} s{j} != id at dim {n} index {x}")
-                    elif i < j:
-                        if n >= 1 and y != degeneracies[(n - 1, j - 1)][faces[(n, i)][x]]:
-                            bad.append(f"d{i} s{j} != s{j - 1} d{i} at dim {n} index {x}")
-                    else:
-                        if n >= 1 and y != degeneracies[(n - 1, j)][faces[(n, i - 1)][x]]:
-                            bad.append(f"d{i} s{j} != s{j} d{i - 1} at dim {n} index {x}")
+                composed = [di[y] for y in sj]
+                # at n = 0 only i = j and i = j + 1 occur: level n - 1 exists below
+                if i == j or i == j + 1:
+                    compare(composed, ident,
+                            lambda x: f"d{i} s{j} != id at dim {n} index {x}")
+                elif i < j:
+                    s = degeneracies[(n - 1, j - 1)]
+                    compare(composed, [s[y] for y in level(faces[(n, i)], n)],
+                            lambda x: f"d{i} s{j} != s{j - 1} d{i} at dim {n} index {x}")
+                else:
+                    s = degeneracies[(n - 1, j)]
+                    compare(composed, [s[y] for y in level(faces[(n, i - 1)], n)],
+                            lambda x: f"d{i} s{j} != s{j} d{i - 1} at dim {n} index {x}")
     return bad
 
 

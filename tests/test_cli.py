@@ -376,3 +376,38 @@ def test_middle_map_on_mistyped_factorization_is_a_witness(tmp_path):
     c3 = json.loads(out)["result"]["axioms"]["axioms"]["c-iii:functorial-factorization"]
     assert ["01", "factorization mistyped"] in c3["witnesses"]
     assert c3["notes"][0].startswith("identity and pasting laws not checked")
+
+
+# every subcommand with its edge flags; mapspace also gets the fixture's
+# first and last object
+EDGE_CALLS = (
+    ("check",),
+    ("nerve", "--kmax", "0", "--nmax", "0"),
+    ("nerve", "--kmax", "0", "--nmax", "1"),
+    ("segal", "--k", "2", "--dims", "0"),
+    ("segal", "--k", "2", "--cell-budget", "0"),
+    ("ho",),
+    ("mapspace", "--nmax", "0"),
+    ("saturate", "--bound", "4"),
+    ("saturate", "--diagnostic", "--bound", "4"),
+    ("yoneda", "--dims", "0"),
+    ("export", "--kmax", "0", "--nmax", "0"),
+    ("export", "--what", "nerve", "--nmax", "0"),
+)
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_every_subcommand_keeps_the_exit_contract(fmt):
+    """Each subcommand on each fixture at its edge flags exits 0, 1 or 2,
+    and no exception but argparse's SystemExit leaves ``main``."""
+    for name in FIXTURES:
+        for command, *flags in EDGE_CALLS:
+            if command == "mapspace":
+                flags += _endpoints(name)
+            argv = [command, str(fixture_path(name)), *flags, "--format", fmt]
+            with contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code, _ = run_cli(*argv)
+                except SystemExit as e:
+                    code = e.code
+            assert code in (0, 1, 2), argv

@@ -606,6 +606,32 @@ def test_rezk_identities_catch_a_corrupted_entry(tables, key, target, expected):
     assert len(b.validate_identities()) == expected
 
 
+def test_identity_violations_name_every_index_in_order():
+    # each identity is compared as a whole table; the messages are those
+    # of a walk over every index, identity by identity
+    s = nerve(chain_poset(2), 3)
+    face = s.faces[(2, 1)]
+    face[1] = (face[1] + 1) % s.size(1)
+    degeneracy = s.degeneracies[(1, 0)]
+    degeneracy[0] = (degeneracy[0] + 2) % s.size(2)
+    assert s.validate_identities() == [
+        "d0 d1 != d0 d0 at dim 2 index 1", "d0 d2 != d1 d0 at dim 3 index 1",
+        "d1 d2 != d1 d1 at dim 3 index 3", "d1 d3 != d2 d1 at dim 3 index 3",
+        "d1 d3 != d2 d1 at dim 3 index 4", "s0 s0 != s1 s0 at dim 0 index 0",
+        "s0 s1 != s2 s0 at dim 1 index 0", "d0 s0 != id at dim 1 index 0",
+        "d1 s0 != id at dim 1 index 0", "d1 s0 != id at dim 1 index 3",
+        "d2 s0 != s0 d1 at dim 2 index 0", "d2 s0 != s0 d1 at dim 2 index 1",
+        "d3 s0 != s0 d2 at dim 2 index 0", "d3 s0 != s0 d2 at dim 2 index 1",
+        "d3 s0 != s0 d2 at dim 2 index 2", "d0 s1 != s0 d0 at dim 2 index 0",
+        "d1 s2 != s1 d1 at dim 2 index 1",
+    ]
+    # a level with a simplex that no table has an entry for: its tables
+    # are read past their end, not cut short
+    s.simplices[1].append(("0", "extra"))
+    with pytest.raises(IndexError):
+        s.validate_identities()
+
+
 def test_rezk_horizontal_tables_send_each_grid_to_its_image():
     # every horizontal operator is nerve_map_tables of a functor between
     # chain categories; each (k, n)-grid must land on the grid that the
