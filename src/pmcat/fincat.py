@@ -15,9 +15,10 @@ competitor.
 
 One lemma is used throughout: in a thin category (every hom-set has at
 most one element) any two parallel morphisms are equal.  So a thin
-category composes from its hom index, a functor into one is checked by
-its typing alone, and the pushout and pullback searches on one compose
-nothing: every square in it commutes.
+category composes from its hom index, is associative once its table is
+typed, and a functor into one is checked by its typing alone.  Its
+pushout (pullback) search composes nothing and reads only the targets
+of the span (sources of the cospan), the ends pmc keys witnesses by.
 
 All values are immutable after construction; every operation is a pure
 function of its inputs, and ties are broken by input order, never by
@@ -121,7 +122,7 @@ class FinCategory:
             self._hom.setdefault((s, t), []).append(m)
             self._by_src.setdefault(s, []).append(m)
             self._by_tgt.setdefault(t, []).append(m)
-        self._opposite = self._report = None
+        self._opposite = self._report = self._rows = None
 
     @classmethod
     def build(cls, objects, morphisms, comp):
@@ -218,7 +219,9 @@ class FinCategory:
                 violations.append(Violation(
                     "identity-law", (m, i_t), f"{i_t}.{m} is {comp.get((m, i_t))}, expected {m}"))
 
-        # associativity over all composable triples
+        # associativity over all composable triples, decided by typing when thin
+        if not violations and self.is_thin():
+            return ValidationReport(structural, violations)
         by_src = self._by_src
         for f in mids:
             for g in by_src.get(tgt[f], ()):
@@ -251,6 +254,15 @@ class FinCategory:
     def is_thin(self):
         """True when every hom-set has at most one element."""
         return len(self._hom) == len(self.morphisms)
+
+    def rows(self):
+        """A thin category's hom index, source -> {target: morphism}, built
+        once (not a cached_property: its write would slow attribute reads)."""
+        if self._rows is None:
+            self._rows = {}
+            for (a, b), (m,) in self._hom.items():
+                self._rows.setdefault(a, {})[b] = m
+        return self._rows
 
     def compose(self, g, f):
         """Classical order: ``compose(g, f)`` is g after f.  Raises
@@ -333,14 +345,11 @@ class ComponentwiseCategory(FinCategory):
         self._by_parts = {(self.src[m], self.tgt[m], c): m for m, c in components.items()}
         self._factors = tuple(factors)
         if all(P.is_thin() for P in factors):
-            src, tgt = self.src, self.tgt
-            index = {}              # source -> target -> the one morphism
-            for (a, b), (m,) in self._hom.items():
-                index.setdefault(a, {})[b] = m
+            src, tgt, rows = self.src, self.tgt, self.rows()
 
             def compose(g, f):
                 if tgt[f] == src[g]:
-                    h = index[src[f]].get(tgt[g])
+                    h = rows[src[f]].get(tgt[g])
                     if h is not None:
                         return h
                 raise _no_composite(g, f)
@@ -483,30 +492,27 @@ class ConeWitness(CoconeWitness):
         return super().verify(cat.opposite(), f, g)
 
 
-def _cocones(cat, f, g, thin=False):
-    """All cocones under the span of f and g, in deterministic order.
-    With ``thin`` (``cat`` is thin) p.f and q.g are parallel, hence equal,
-    so every pair of legs into a common apex is a cocone."""
+def _cocones(cat, f, g):
+    """All cocones under the span of f and g, in deterministic order."""
     out = []
     compose, hom, a, b = cat.compose, cat._hom, cat.tgt[f], cat.tgt[g]
     for apex in cat.objects:
         for p in hom.get((a, apex), ()):
             for q in hom.get((b, apex), ()):
-                if thin or compose(p, f) == compose(q, g):
+                if compose(p, f) == compose(q, g):
                     out.append((apex, p, q))
     return out
 
 
-def _comparisons(cat, apex, p, q, competitors, thin=False):
+def _comparisons(cat, apex, p, q, competitors):
     """For each competing cocone, the one morphism out of ``apex`` that
     carries p and q to its legs, as ((apex', p', q'), h); None as soon as
-    some competitor has none or several.  With ``thin`` that morphism is
-    the one in hom(apex, apex'), which carries the legs by the lemma."""
+    some competitor has none or several."""
     compose, hom = cat.compose, cat._hom
     out = []
     for apex2, p2, q2 in competitors:
         hs = [h for h in hom.get((apex, apex2), ())
-              if thin or (compose(h, p) == p2 and compose(h, q) == q2)]
+              if compose(h, p) == p2 and compose(h, q) == q2]
         if len(hs) != 1:
             return None
         out.append(((apex2, p2, q2), hs[0]))
@@ -546,11 +552,20 @@ def find_pushout(cat, f, g):
 
 def _universal_cocone(cat, f, g, witness):
     """The first cocone in scan order with a comparison to every
-    competitor, as a ``witness``; None if there is none."""
-    thin = cat.is_thin()
-    competitors = _cocones(cat, f, g, thin)
+    competitor, as a ``witness``; None if there is none.  On a thin
+    category a cocone is an apex reached from both targets, and it is
+    universal when its row of the hom index reaches every other."""
+    if cat.is_thin():
+        rows = cat.rows()
+        out_f, out_g = rows[cat.tgt[f]], rows[cat.tgt[g]]
+        competitors = [(x, out_f[x], out_g[x]) for x in cat.objects if x in out_f and x in out_g]
+        for apex, p, q in competitors:
+            if all(c[0] in rows[apex] for c in competitors):
+                return witness(apex, p, q, tuple((c, rows[apex][c[0]]) for c in competitors))
+        return None
+    competitors = _cocones(cat, f, g)
     for apex, p, q in competitors:
-        comparisons = _comparisons(cat, apex, p, q, competitors, thin)
+        comparisons = _comparisons(cat, apex, p, q, competitors)
         if comparisons is not None:
             return witness(apex, p, q, comparisons)
     return None

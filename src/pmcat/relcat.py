@@ -69,9 +69,11 @@ def validate_relative(rc):
 def unclosed_pairs(cat, members):
     """The composable pairs (f, g) of ``members`` whose composite is not
     one of them, in the order of ``members``."""
-    member_set = set(members)
-    return [(f, g) for f in members for g in members
-            if cat.composable(f, g) and cat.compose(g, f) not in member_set]
+    member_set, out_of = set(members), {}
+    for g in members:
+        out_of.setdefault(cat.src[g], []).append(g)
+    return [(f, g) for f in members for g in out_of.get(cat.tgt[f], ())
+            if cat.compose(g, f) not in member_set]
 
 
 @dataclass

@@ -1,16 +1,28 @@
 """The thin lemma (parallel morphisms of a thin category are equal) in the
-pushout and pullback search and in the enumeration of diagram maps:
-on a thin category they compose nothing, and must find exactly what the
-composing scans below find.  A category that is not thin still composes."""
+pushout and pullback search, the enumeration of diagram maps, the
+associativity scan and the axioms of a calculus structure: on a thin
+category they compose nothing, and must find exactly what the composing
+scans below find, or what the same call finds with ``is_thin`` forced to
+False.  A category that is not thin still composes."""
 
+import re
 from operator import itemgetter
+from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmcat.fincat import CoconeWitness, find_pullback, find_pushout
+from pmcat.document import DocumentError, parse_document, serialize_document
+from pmcat.fincat import (
+    CoconeWitness, FinCategory, StructuralError, find_pullback, find_pushout,
+)
+from pmcat.pmc import (
+    CalculusError, PartialModelStructure, trivial_partial_model_structure,
+    verify_partial_model,
+)
 from pmcat.relcat import (
     ARROW, WEQ, WEQ_BACK, RelCategory, _shaped_diagrams, diagram_transitions,
-    random_preorder_relcat,
+    random_preorder_relcat, unclosed_pairs,
 )
 from conftest import cyclic_group
 
@@ -158,3 +170,161 @@ def test_verify_rejects_a_corrupted_thin_witness(seed):
             assert not swapped.verify(cat, f, g)
         dropped = CoconeWitness(wit.apex, wit.leg_f, wit.leg_g, tuple(rest))
         assert not dropped.verify(cat, f, g)
+
+
+# -- witnesses keyed by their ends ---------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_witnesses_keyed_by_ends_are_the_searched_ones(seed):
+    pms = trivial_partial_model_structure(random_preorder_relcat(seed, max_objects=6))
+    cat = pms.rc.cat
+    spans, cospans = spans_and_cospans(cat)
+    for _ in range(2):      # the second round is answered from the memo alone
+        for move, search, pairs in ((pms.pushout, find_pushout, spans),
+                                    (pms.pullback, find_pullback, cospans)):
+            for a, f in pairs:
+                want = search(cat, a, f)
+                if want is None:
+                    named = f"of {re.escape(a)} along {re.escape(f)}$"
+                    with pytest.raises(CalculusError, match=named):
+                        move(a, f)
+                else:
+                    assert parts(move(a, f)) == parts(want), (a, f)
+    # one search per pair of ends: targets of a span, sources of a cospan
+    assert len(pms._witnesses) == (len({(cat.tgt[a], cat.tgt[f]) for a, f in spans})
+                                   + len({(cat.src[a], cat.src[f]) for a, f in cospans}))
+    # a pair that is no span (cospan) raises, though its ends are remembered
+    for a in cat.morphisms:
+        if not cat.is_identity(a):
+            with pytest.raises(StructuralError, match="not a span"):
+                pms.pushout(a, cat.identity[cat.tgt[a]])
+            with pytest.raises(StructuralError, match="not a cospan"):
+                pms.pullback(a, cat.identity[cat.src[a]])
+
+
+# -- the axioms of a thin calculus structure, against the composing paths ------
+
+CALCULUS_HEADS = ("weq", "u", "v", "factor", "middle")
+
+
+def axiom_outcome(text):
+    """The axiom report of a document as a dict, its parse error, or None
+    for a document that parses to no calculus structure."""
+    try:
+        value = parse_document(text)
+    except DocumentError as e:
+        return str(e)
+    if not isinstance(value, PartialModelStructure):
+        return None
+    return verify_partial_model(value).to_dict()
+
+
+def not_thin():
+    """Every category answers ``is_thin`` with False: the composing paths."""
+    return patch.object(FinCategory, "is_thin", lambda self: False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.data())
+def test_thin_axiom_reports_match_the_composing_reports(seed, data):
+    # an edit deletes a calculus line or puts another id of the same kind
+    # (the object of a factorization, a morphism elsewhere) in one place
+    rc = random_preorder_relcat(seed, max_objects=6)
+    lines = serialize_document(trivial_partial_model_structure(rc)).splitlines()
+    for _ in range(data.draw(st.integers(0, 2), label="edits")):
+        calculus = [i for i, line in enumerate(lines) if line.split()[0] in CALCULUS_HEADS]
+        if not calculus:
+            break
+        i = data.draw(st.sampled_from(calculus), label="line")
+        words = lines[i].split()
+        if data.draw(st.booleans(), label="delete"):
+            del lines[i]
+        else:
+            j = data.draw(st.integers(1, len(words) - 1), label="token")
+            ids = rc.cat.objects if (words[0], j) == ("factor", 3) else rc.cat.morphisms
+            words[j] = data.draw(st.sampled_from(ids), label="replacement")
+            lines[i] = " ".join(words)
+    text = "\n".join(lines) + "\n"
+    thin = axiom_outcome(text)
+    with not_thin():
+        assert axiom_outcome(text) == thin
+
+
+# the first seeds whose preorder has at least three objects
+RETYPE_SEEDS = [s for s in range(40)
+                if len(random_preorder_relcat(s, max_objects=4).cat.objects) > 2][:6]
+
+
+@pytest.mark.parametrize("seed", RETYPE_SEEDS)
+def test_thin_c_iii_matches_the_composing_check_on_every_retyped_entry(seed):
+    # every single edit that puts into a factorization or a middle map
+    # another id sharing an end with the one it replaces: the typing
+    # checks are all that is left of (c-iii) on a thin C
+    rc = random_preorder_relcat(seed, max_objects=4)
+    cat = rc.cat
+    lines = serialize_document(trivial_partial_model_structure(rc)).splitlines()
+    edits = 0
+    for i, line in enumerate(lines):
+        words = line.split()
+        for j in {"factor": (2, 3, 4), "middle": (5,)}.get(words[0], ()):
+            old = words[j]
+            ids = cat.objects if (words[0], j) == ("factor", 3) else [
+                m for m in cat.morphisms
+                if cat.src[m] == cat.src[old] or cat.tgt[m] == cat.tgt[old]]
+            for new in ids:
+                if new != old:
+                    edited = " ".join(words[:j] + [new] + words[j + 1:])
+                    text = "\n".join(lines[:i] + [edited] + lines[i + 1:]) + "\n"
+                    thin = axiom_outcome(text)
+                    with not_thin():
+                        assert axiom_outcome(text) == thin, edited
+                    edits += 1
+    assert edits > 10
+
+
+# -- associativity decided by typing -------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.data())
+def test_thin_law_scan_matches_the_full_scan_on_a_corrupted_table(seed, data):
+    cat = random_preorder_relcat(seed, max_objects=5).cat
+    comp = dict(cat.composites())
+    key = data.draw(st.sampled_from(sorted(comp)), label="entry")
+    value = data.draw(st.sampled_from((None,) + cat.morphisms), label="value")
+    if value is None:
+        del comp[key]
+    else:
+        comp[key] = value
+    rows = [(m, cat.src[m], cat.tgt[m]) for m in cat.morphisms]
+
+    def scan():
+        return FinCategory(cat.objects, rows, cat.identity, comp)._law_scan().to_dict()
+    thin = scan()
+    with not_thin():
+        assert scan() == thin
+    assert thin["ok"] == (comp == dict(cat.composites()))
+
+
+# -- unclosed pairs follow out_of ---------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.data())
+def test_unclosed_pairs_keep_the_order_of_members(seed, data):
+    cat = random_preorder_relcat(seed, max_objects=6).cat
+    members = data.draw(st.lists(st.sampled_from(cat.morphisms), unique=True), label="members")
+    for order in (members, members[::-1]):
+        every_pair = [(f, g) for f in order for g in order if cat.composable(f, g)
+                      and cat.compose(g, f) not in set(order)]
+        assert unclosed_pairs(cat, order) == every_pair
+
+
+def test_u_closure_is_scanned_apart_from_w():
+    # W is every map of 0 < 1 < 2, U leaves out the composite 02: the
+    # scan of W finds nothing, so c-i must scan U itself
+    text = ("relcat-version 1\nobject 0\nobject 1\nobject 2\nmorphism 01 0 1\n"
+            "morphism 12 1 2\nmorphism 02 0 2\ncompose 01 12 02\n"
+            "weq 01\nweq 12\nweq 02\nu 01\nu 12\n")
+    report = axiom_outcome(text)
+    assert report["axioms"]["a:relative-category"]["passed"]
+    assert ["01", "12"] in report["axioms"]["c-i:u-pushout-closure"]["witnesses"]
