@@ -1,15 +1,13 @@
 """Relative categories and the weak-equivalence axioms.
 
 Builds the fixture library, validates the category and marking laws,
-and shows the two-out-of-three / two-out-of-six scans at work --
-including the fixture designed to fail.
+shows the two-out-of-three / two-out-of-six scans at work -- including
+the fixture designed to fail -- and runs the full axiom battery on the
+fixtures that carry calculus data.
 """
 
 from pmcat.fixtures import FIXTURES, build
-from pmcat.relcat import (
-    RelCategory, validate_relative, check_two_of_three, check_two_of_six,
-    homotopically_full_subcategory,
-)
+from pmcat.relcat import validate_relative, check_two_of_three, check_two_of_six
 from pmcat.pmc import verify_partial_model
 
 print("== the fixture library ==")
@@ -42,11 +40,3 @@ for name in ("pt", "I1", "Iw", "J", "B2"):
     print(f"  {name:3}", "pass" if rep.passed else "FAIL")
     if name == "B2":
         print("      " + rep.describe().replace("\n", "\n      "))
-
-print()
-print("== homotopically full subcategories ==")
-sub = homotopically_full_subcategory(iw, ["0"])
-print("closure of {0} in Iw (0 and 1 are connected by a marked map):",
-      sub.cat.objects)
-sub = homotopically_full_subcategory(build("I1").rc, ["0"])
-print("closure of {0} in I1 (nothing is marked):", sub.cat.objects)

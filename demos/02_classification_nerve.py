@@ -3,12 +3,14 @@
 The (k, n)-simplices are grids: k-chains of morphisms stacked along n
 marked vertical maps, all squares commuting.  Level k = 0 recovers the
 nerve of the marked subcategory; the horizontal rows at n = 0 are the
-plain k-chains.
+plain k-chains.  The demo checks the simplicial identities, compares two
+markings of one category, and computes exact integral homology of small
+nerves.
 """
 
 from pmcat.fixtures import build
 from pmcat.relcat import restrict_to_weq
-from pmcat.sset import rezk_nerve, nerve, diagonal, pi0, homology
+from pmcat.sset import rezk_nerve, nerve, homology
 
 iw = build("Iw").rc
 print("== classification nerve of the marked interval ==")
@@ -23,13 +25,6 @@ print("level k = 0 against the nerve of the marked subcategory:")
 w_nerve = nerve(restrict_to_weq(iw).cat, 2)
 print("  level-0 sizes:", [b.size(0, n) for n in range(3)])
 print("  marked nerve: ", [w_nerve.size(n) for n in range(3)])
-
-print()
-print("== the diagonal and its invariants ==")
-d = diagonal(b)
-print("diagonal sizes:", [d.size(n) for n in range(3)])
-print("components:", len(pi0(d)))
-print("homology through degree 1:", [str(g) for g in homology(d, 1)])
 
 print()
 print("== a marking-sensitive comparison ==")

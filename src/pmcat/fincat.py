@@ -317,10 +317,10 @@ class FinCategory:
     def full_subcategory(self, objects):
         """Full subcategory on the listed objects, ids preserved,
         composing through this category."""
-        keep = [o for o in self.objects if o in set(objects)]
-        keep_set = set(keep)
+        wanted = set(objects)
+        keep = [o for o in self.objects if o in wanted]
         rows = [(m, self.src[m], self.tgt[m]) for m in self.morphisms
-                if self.src[m] in keep_set and self.tgt[m] in keep_set]
+                if self.src[m] in wanted and self.tgt[m] in wanted]
         identity = {o: self.identity[o] for o in keep}
         return FinCategory(keep, rows, identity, self.compose)
 

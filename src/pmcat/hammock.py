@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ._util import UnionFind
 from .fincat import FinCategory, StructuralError
-from .relcat import diagram_category, ARROW, WEQ_BACK
+from .relcat import diagram_category, diagram_transitions, ARROW, WEQ_BACK
 from .pmc import CalculusError
 from .sset import nerve
 
@@ -138,25 +138,28 @@ def homotopy_category(pms):
     """Hom-sets, identities and composition of the homotopy category,
     with composition induced by ho_compose on every pair of
     representatives (well-definedness is asserted, not assumed) and the
-    category laws re-verified exhaustively at class level."""
+    category laws re-verified exhaustively at class level.  The classes
+    from a to b are the components of the zigzags a ~> b under the maps
+    between them, read off the diagram engine without building the
+    zigzag category."""
     rc = pms.rc
     cat = rc.cat
-    classes = {}          # (a, b) -> list of tuple of zigzag keys
+    classes = {}          # (a, b) -> classes of zigzag indices
     class_of = {}         # (a, b, key) -> class id
     members = {}
     rows = []
     for a in cat.objects:
         for b in cat.objects:
-            zc = zigzag_category(rc, a, b)
-            uf = UnionFind(zc.objects)
-            for m in zc.morphisms:
-                uf.union(zc.src[m], zc.tgt[m])
+            diagrams, transitions = diagram_transitions(rc, HAMMOCK, (a, b))
+            uf = UnionFind(range(len(diagrams)))
+            for i, j, _comps in transitions:
+                uf.union(i, j)
             cls = uf.classes()
             classes[(a, b)] = cls
             for i, group in enumerate(cls):
                 cid = f"[{a}=>{b}#{i}]"
                 rows.append((cid, a, b))
-                members[cid] = frozenset(zc.diagrams[o][1] for o in group)
+                members[cid] = frozenset(diagrams[d][1] for d in group)
                 for key in members[cid]:
                     class_of[(a, b, key)] = cid
     objects = list(cat.objects)

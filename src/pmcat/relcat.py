@@ -18,7 +18,6 @@ functors between them that move diagrams and components.
 from dataclasses import dataclass
 from operator import itemgetter
 
-from ._util import UnionFind
 from .fincat import (
     ComponentwiseCategory, FinCategory, Functor, StructuralError, Violation,
     ValidationReport,
@@ -117,19 +116,21 @@ def check_two_of_six(rc):
     two-of-three holds, and every isomorphism is marked.
     """
     cat = rc.cat
-    compose = cat.compose
+    compose, is_weq, out_of, tgt = cat.compose, rc.is_weq, cat.out_of, cat.tgt
+    marked_after = {}     # s -> each t after s, in out_of order, with t.s marked
     witnesses = []
     for r in cat.morphisms:
-        for s in cat.out_of(cat.tgt[r]):
+        r_marked = is_weq(r)
+        for s in out_of(tgt[r]):
             sr = compose(s, r)
-            if not rc.is_weq(sr):
+            if not is_weq(sr):
                 continue
-            for t in cat.out_of(cat.tgt[s]):
-                ts = compose(t, s)
-                if not rc.is_weq(ts):
-                    continue
-                tsr = compose(t, sr)
-                if not (rc.is_weq(r) and rc.is_weq(s) and rc.is_weq(t) and rc.is_weq(tsr)):
+            after = marked_after.get(s)
+            if after is None:
+                after = marked_after[s] = [t for t in out_of(tgt[s]) if is_weq(compose(t, s))]
+            rs_marked = r_marked and is_weq(s)
+            for t in after:
+                if not (rs_marked and is_weq(t) and is_weq(compose(t, sr))):
                     witnesses.append((r, s, t))
     notes = []
     if not witnesses:
@@ -141,22 +142,6 @@ def check_two_of_six(rc):
         if not two_of_three.passed or unmarked_isos:
             return PropertyReport("two-of-six", False, [], notes)
     return PropertyReport("two-of-six", not witnesses, witnesses, notes)
-
-
-def homotopically_full_subcategory(rc, seed_objects):
-    """Full relative subcategory on the closure of the seeds under
-    zigzags of weak equivalences between objects."""
-    cat = rc.cat
-    unknown = [o for o in seed_objects if o not in set(cat.objects)]
-    if unknown:
-        raise StructuralError(f"unknown seed objects: {unknown}")
-    uf = UnionFind(cat.objects)
-    for w in rc.weq:
-        uf.union(cat.src[w], cat.tgt[w])
-    keep_roots = {uf.find(o) for o in seed_objects}
-    keep = [o for o in cat.objects if uf.find(o) in keep_roots]
-    sub = cat.full_subcategory(keep)
-    return RelCategory(sub, [w for w in rc.weq if w in set(sub.morphisms)])
 
 
 def restrict_to_weq(rc):

@@ -777,25 +777,3 @@ def rezk_nerve(rc, k_max=4, n_max=4):
             hdegens.update(((k, n, i), t) for n, t in tables.items())
     return ClassificationNerve(nerves, hfaces, hdegens)
 
-
-def diagonal(b):
-    """Diagonal simplicial set of a bisimplicial set (square truncation
-    required): n-simplices are the (n, n)-simplices, with operators
-    applied in both directions."""
-    if b.k_max != b.n_max:
-        raise TruncationError("diagonal needs k_max == n_max")
-    t = b.n_max
-    simplices = [b.simplices[(n, n)] for n in range(t + 1)]
-    faces = {}
-    degeneracies = {}
-    for n in range(1, t + 1):
-        for i in range(n + 1):
-            vf = b.vfaces[(n, n, i)]
-            hf = b.hfaces[(n, n - 1, i)]
-            faces[(n, i)] = [hf[vf[x]] for x in range(b.size(n, n))]
-    for n in range(0, t):
-        for i in range(n + 1):
-            hd = b.hdegens[(n, n, i)]
-            vd = b.vdegens[(n + 1, n, i)]
-            degeneracies[(n, i)] = [vd[hd[x]] for x in range(b.size(n, n))]
-    return TruncatedSimplicialSet(t, simplices, faces, degeneracies)

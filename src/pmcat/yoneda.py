@@ -7,7 +7,9 @@ into the zigzag's left leg.  Only the marked part of the action is
 materialized: the width-one model does not support precomposition along
 arbitrary maps without further calculus moves, and the relative-functor
 content only involves the marked maps.  Every report states this model
-explicitly.
+explicitly.  For every A the report checks the action's functor laws
+over the marked maps: each acts by a simplicial map, identities act as
+identities and composites as composites.
 
 A marked map w: A -> A' induces, by precomposition into the right leg,
 a map of presheaves; the verifier checks it is levelwise a bijection on
@@ -16,7 +18,8 @@ Homology isomorphy is certified through the algebraic mapping cone: the
 cone complex must be acyclic one degree beyond the target range.  The
 components of every value are compared with the hom-sets counted by the
 bounded word oracle.  Each value is built once, in a table keyed by
-(B, A) that also keeps its components, boundaries and homology.
+(B, A) that also keeps its components, boundaries and homology; the
+action, the induced maps and the hom comparison all read that table.
 """
 
 from dataclasses import dataclass, field
@@ -79,87 +82,69 @@ class PresheafValue:
             dims, {n: rows[n] for n in range(1, n_max)}, n_max - 2)
 
 
-def presheaf_values(rc, n_max, objects=None):
-    """The value table: (B, A) -> PresheafValue for every object B and
-    every A in ``objects`` (default: all objects)."""
+def presheaf_values(rc, n_max):
+    """The value table: (B, A) -> PresheafValue for every pair of objects."""
+    objects = rc.cat.objects
+    return {(b, a): PresheafValue(rc, b, a, n_max) for b in objects for a in objects}
+
+
+def _leg_map(rc, source, target, f, left):
+    """The map from the value ``source`` to the value ``target`` induced
+    by f on the zigzags' legs: with ``left``, f: B' -> B sends the left
+    leg l: X -> B' to f.l; otherwise f: A -> A' sends the right leg
+    r: A' -> Y to r.f.  The moved end's component becomes an identity."""
     cat = rc.cat
-    return {(b, a): PresheafValue(rc, b, a, n_max)
-            for b in cat.objects for a in (cat.objects if objects is None else objects)}
+    if left:
+        b = cat.tgt[f]
+        move = lambda objs, arrows: ((b,) + objs[1:], (cat.compose(f, arrows[0]),) + arrows[1:])
+        steps = lambda comps: (cat.identity[b],) + comps[1:]
+    else:
+        a = cat.src[f]
+        move = lambda objs, arrows: (objs[:-1] + (a,), arrows[:-1] + (cat.compose(arrows[-1], f),))
+        steps = lambda comps: comps[:-1] + (cat.identity[a],)
+    F = diagram_functor(source.zigzags, target.zigzags, move, steps)
+    return SSetMap(source.nerve, target.nerve,
+                   nerve_map_tables(F, source.nerve, target.nerve))
 
 
-@dataclass
-class SimplicialPresheaf:
-    """Value table of one object under the embedding."""
-
-    source: str
-    n_max: int
-    values: dict           # object B -> TruncatedSimplicialSet
-    action: dict           # marked g: B' -> B  ->  SSetMap value(B') -> value(B)
-    model: str = MODEL_NOTE
-
-
-def yoneda_object(rc, a, n_max):
-    """The presheaf of zigzag mapping spaces into ``a``, read from the
-    value table built for ``a`` alone.
-
-    The action table covers the marked morphisms: g: B' -> B acts by
-    sending the left leg l: X -> B' to g.l.
-    """
+def presheaf_action(rc, a, table):
+    """The action on the presheaf of ``a``, read from ``table``: each
+    marked g: B' -> B as the map from the value at (B', a) to the value
+    at (B, a) that sends the left leg l: X -> B' to g.l."""
     cat = rc.cat
-    table = presheaf_values(rc, n_max, (a,))
-    values = {b: table[(b, a)].nerve for b in cat.objects}
-    action = {}
-    for g in rc.weq:
-        b_prime, b = cat.src[g], cat.tgt[g]
-        F = diagram_functor(
-            table[(b_prime, a)].zigzags, table[(b, a)].zigzags,
-            lambda objs, arrows: ((b,) + objs[1:], (cat.compose(g, arrows[0]),) + arrows[1:]),
-            lambda comps: (cat.identity[b],) + comps[1:])
-        action[g] = SSetMap(values[b_prime], values[b],
-                            nerve_map_tables(F, values[b_prime], values[b]))
-    return SimplicialPresheaf(a, n_max, values, action)
+    return {g: _leg_map(rc, table[(cat.src[g], a)], table[(cat.tgt[g], a)], g, True)
+            for g in rc.weq}
 
 
-def check_presheaf_action(rc, presheaf):
-    """Functor laws of the action table over the marked subcategory."""
+def check_presheaf_action(rc, action):
+    """Functor laws of an action table over the marked subcategory;
+    list of violations."""
     cat = rc.cat
     bad = []
-    for g, mp in presheaf.action.items():
+    for g, mp in action.items():
         for msg in mp.check_simplicial():
             bad.append(f"action of {g} is not simplicial: {msg}")
         if cat.is_identity(g) and not mp.is_identity_map():
             bad.append(f"action of identity {g} is not the identity")
-    for g1 in rc.weq:
-        for g2 in rc.weq:
-            if cat.composable(g1, g2):
+    for g1, first in action.items():
+        for g2 in cat.out_of(cat.tgt[g1]):
+            if g2 in action:
                 g21 = cat.compose(g2, g1)
-                lhs = presheaf.action[g2].compose(presheaf.action[g1])
-                rhs = presheaf.action[g21]
-                if lhs.tables != rhs.tables:
+                if action[g2].compose(first).tables != action[g21].tables:
                     bad.append(f"action of {g2}.{g1} differs from the composite")
     return bad
 
 
-def weq_induced_presheaf_maps(rc, w, n_max, table=None):
+def weq_induced_presheaf_maps(rc, w, table):
     """The levelwise maps induced by a marked w: A -> A', keyed by B,
-    from the value at (B, A') to the value at (B, A): the zigzag right
-    leg r: A' -> Y is precomposed to r.w.  Values are read from
-    ``table`` (built for A and A' alone when not given)."""
+    from the value at (B, A') to the value at (B, A) in ``table``: the
+    zigzag right leg r: A' -> Y is precomposed to r.w."""
     cat = rc.cat
     if not rc.is_weq(w):
         raise StructuralError(f"{w} is not marked")
     a, a_prime = cat.src[w], cat.tgt[w]
-    table = table or presheaf_values(rc, n_max, (a, a_prime))
-    maps = {}
-    for b in cat.objects:
-        source, target = table[(b, a_prime)], table[(b, a)]
-        F = diagram_functor(
-            source.zigzags, target.zigzags,
-            lambda objs, arrows: (objs[:-1] + (a,), arrows[:-1] + (cat.compose(arrows[-1], w),)),
-            lambda comps: comps[:-1] + (cat.identity[a],))
-        maps[b] = SSetMap(source.nerve, target.nerve,
-                          nerve_map_tables(F, source.nerve, target.nerve))
-    return maps
+    return {b: _leg_map(rc, table[(b, a_prime)], table[(b, a)], w, False)
+            for b in cat.objects}
 
 
 def _pi0_bijective(mp, src_classes, tgt_classes):
@@ -209,8 +194,9 @@ def _cone_acyclic(mp, source_boundaries, target_boundaries, up_to):
 class YonedaReport:
     """Evidence that the embedding is a relative functor with marked
     maps inducing levelwise component bijections and homology
-    isomorphisms, plus the component-level hom comparison against the
-    bounded word oracle (a pair unstable at ORACLE_BOUND is only noted)."""
+    isomorphisms, that each presheaf's action is lawful, plus the
+    component-level hom comparison against the bounded word oracle (a
+    pair unstable at ORACLE_BOUND is only noted)."""
 
     n_dims: int
     failures: list = field(default_factory=list)
@@ -235,9 +221,10 @@ class YonedaReport:
 
 def verify_yoneda_relative(rc, n_dims):
     """Levelwise component-bijection and homology-isomorphism checks for
-    every marked map, plus the component-level hom comparison against
-    the bounded word oracle at every pair of objects; every check reads
-    one table of presheaf values, built at truncation n_dims + 2."""
+    every marked map, the action's functor laws on every presheaf, and
+    the component-level hom comparison against the bounded word oracle
+    at every pair of objects; every check reads one table of presheaf
+    values, built at truncation n_dims + 2."""
     cat = rc.cat
     report = YonedaReport(n_dims, notes=[MODEL_NOTE])
     table = presheaf_values(rc, n_dims + 2)
@@ -245,7 +232,7 @@ def verify_yoneda_relative(rc, n_dims):
         if cat.is_identity(w):
             continue
         a, a_prime = cat.src[w], cat.tgt[w]
-        maps = weq_induced_presheaf_maps(rc, w, n_dims + 2, table)
+        maps = weq_induced_presheaf_maps(rc, w, table)
         report.checked_weqs += 1
         for b, mp in maps.items():
             bad = mp.check_simplicial()
@@ -260,6 +247,10 @@ def verify_yoneda_relative(rc, n_dims):
                     report.failures.append((w, b, f"H_{i}", f"{h_src} != {h_tgt}"))
             if not _cone_acyclic(mp, source.boundaries, target.boundaries, n_dims + 1):
                 report.failures.append((w, b, "cone", "mapping cone not acyclic"))
+
+    for a in cat.objects:
+        for msg in check_presheaf_action(rc, presheaf_action(rc, a, table)):
+            report.failures.append((a, "action", msg))
 
     report.checked_pairs = len(table)
     for (a, b), value in table.items():

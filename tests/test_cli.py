@@ -338,6 +338,26 @@ def test_yoneda_hom_comparison_can_fail_with_calculus_data(monkeypatch):
     assert len(result["failures"]) == len(pairs) == result["pairs_checked"] == 16
 
 
+def test_yoneda_exits_one_on_an_unlawful_action(monkeypatch):
+    # the identity of 0 moves a vertex of the presheaf of 0: the report
+    # names the object and the law
+    real = yoneda.presheaf_action
+
+    def corrupted(rc, a, table):
+        action = real(rc, a, table)
+        if a == "0":
+            tables = action["id:0"].tables
+            tables[0][0] = 1 - tables[0][0]
+        return action
+
+    monkeypatch.setattr(yoneda, "presheaf_action", corrupted)
+    code, out = run_cli("yoneda", str(fixture_path("Iw")), "--dims", "1",
+                        "--format", "json")
+    failures = json.loads(out)["result"]["failures"]
+    assert code == 1
+    assert ["0", "action", "action of identity id:0 is not the identity"] in failures
+
+
 def test_export_subcommand():
     code, out = run_cli("export", str(fixture_path("I1")), "--what", "nerve",
                         "--nmax", "1", "--format", "json")

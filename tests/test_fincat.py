@@ -62,6 +62,15 @@ def test_p4_full_table_valid():
                 assert p4.compose(h, p4.compose(g, f)) == p4.compose(p4.compose(h, g), f)
 
 
+def test_full_subcategory_reads_its_objects_once():
+    cat = chain_poset(3)
+    as_list = cat.full_subcategory(["1", "2", "3"])
+    from_generator = cat.full_subcategory(o for o in ["1", "2", "3"])
+    assert as_list.objects == from_generator.objects == ("1", "2", "3")
+    assert as_list.morphisms == from_generator.morphisms
+    assert from_generator.validate().ok
+
+
 def test_unknown_ids_are_structural_errors():
     report = FinCategory(["0"], [("f", "0", "bogus")], {"0": "f"}, {}).validate()
     assert report.structural and not report.ok

@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pmcat import hammock
 from pmcat.fincat import category_isomorphism
@@ -195,6 +196,19 @@ def test_ho_class_level_laws_hold():
     for pms in (iw_pms(), i1_pms(), b2_pms(), j_pms()):
         ho = homotopy_category(pms)
         assert ho.cat.validate().ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_ho_hom_sets_are_the_mapping_space_components(seed):
+    # the category path (zigzag category, nerve, pi0) is the reference
+    rc = random_preorder_relcat(seed)
+    pms = trivial_partial_model_structure(rc)
+    assume(verify_partial_model(pms).passed)
+    ho = homotopy_category(pms)
+    for a in rc.cat.objects:
+        for b in rc.cat.objects:
+            assert len(ho.cat.hom(a, b)) == len(pi0(mapping_space(rc, a, b, 1))), (a, b)
 
 
 # -- bounded localization oracle ------------------------------------------------

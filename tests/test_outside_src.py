@@ -1,12 +1,13 @@
 """Guards for what uses pmcat from outside ``src/``: the benchmark's
-per-layer metrics and the demos; and for what ``src/`` itself may
-import."""
+per-layer metrics and the demos; for what ``src/`` itself may import;
+and for public code that nothing but the tests and demos use."""
 
 import ast
 import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -80,3 +81,45 @@ def test_only_fincat_reads_the_composition_table():
                 readers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert len(paths) > 20
     assert readers == []
+
+
+def _unreached_public_names(root):
+    """Public module-level functions and classes of ``src/pmcat`` that no
+    other top-level statement of the library reads (as a name or an
+    attribute) and that ``perfbench/*.py`` and ``BENCHMARK.json`` do not
+    name: code only the tests and demos reach."""
+    statements = []
+    for path in sorted((root / "src" / "pmcat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        statements.extend((path.name, node) for node in tree.body)
+    used_by = {}       # name -> the top-level statements that read it
+    for i, (_file, node) in enumerate(statements):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                used_by.setdefault(sub.id, set()).add(i)
+            elif isinstance(sub, ast.Attribute):
+                used_by.setdefault(sub.attr, set()).add(i)
+    outside = "\n".join(path.read_text(encoding="utf-8") for path in
+                        [*sorted((root / "perfbench").glob("*.py")), root / "BENCHMARK.json"])
+    unreached = []
+    for i, (file, node) in enumerate(statements):
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and not used_by.get(node.name, set()) - {i}
+                and not re.search(rf"\b{node.name}\b", outside)):
+            unreached.append(f"{file}:{node.name}")
+    return unreached
+
+
+def test_every_public_name_has_a_use_outside_the_tests():
+    assert _unreached_public_names(ROOT) == []
+
+
+def test_the_unreached_name_guard_sees_a_name_used_only_by_itself(tmp_path):
+    (tmp_path / "src" / "pmcat").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "pmcat" / "a.py").write_text(
+        "def lonely(n):\n    return lonely(n - 1)\n\n"
+        "def used():\n    pass\n\nclass Timed:\n    pass\n\nTABLE = [used]\n")
+    (tmp_path / "BENCHMARK.json").write_text('{"per_layer": [{"name": "a.Timed.s"}]}')
+    assert _unreached_public_names(tmp_path) == ["a.py:lonely"]

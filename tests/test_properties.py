@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from pmcat.fincat import find_pushout, find_pullback
 from pmcat.relcat import (
     RelCategory, random_preorder_relcat, validate_relative, restrict_to_weq,
-    homotopically_full_subcategory,
 )
 from pmcat.sset import nerve, rezk_nerve, pi0, homology
 from conftest import boolean_lattice
@@ -71,22 +70,6 @@ def test_h0_rank_is_component_count(seed):
     rc = random_preorder_relcat(seed, max_objects=5)
     s = nerve(rc.cat, 2)
     assert homology(s, 0)[0].rank == len(pi0(s))
-
-
-@settings(max_examples=30, deadline=None)
-@given(seeds, seeds)
-def test_homotopically_full_idempotent_and_monotone(seed, pick):
-    rc = random_preorder_relcat(seed, max_objects=6)
-    objs = rc.cat.objects
-    seed_a = [objs[pick % len(objs)]]
-    seed_b = sorted(set(seed_a) | {objs[(pick // 7) % len(objs)]})
-    small = homotopically_full_subcategory(rc, seed_a)
-    again = homotopically_full_subcategory(small, seed_a)
-    assert small.cat.objects == again.cat.objects
-    assert small.weq == again.weq
-    bigger = homotopically_full_subcategory(rc, seed_b)
-    assert set(small.cat.objects) <= set(bigger.cat.objects)
-    assert validate_relative(small).ok == validate_relative(rc).ok
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 from pmcat.fincat import StructuralError
 from pmcat.relcat import (
     RelCategory, validate_relative, check_two_of_three, check_two_of_six,
-    homotopically_full_subcategory,
     restrict_to_weq, random_preorder_relcat,
 )
-from conftest import chain_poset, walking_iso
+from conftest import chain_poset, cyclic_group, walking_iso
 
 
 def iw():
@@ -123,34 +122,40 @@ def test_two_of_six_implies_two_of_three_and_isos(seed):
         assert all(rc.is_weq(m) for m in rc.cat.isos())
 
 
-# -- homotopically full subcategories ---------------------------------------
-
-def test_homotopically_full_whole_category():
-    rc = iw()
-    sub = homotopically_full_subcategory(rc, ["0"])
-    assert set(sub.cat.objects) == {"0", "1"}
-
-
-def test_homotopically_full_single_component():
-    rc = i1()
-    sub = homotopically_full_subcategory(rc, ["0"])
-    assert set(sub.cat.objects) == {"0"}
-
-
-def test_homotopically_full_all_seeds_is_identity():
-    rc = p4()
-    sub = homotopically_full_subcategory(rc, rc.cat.objects)
-    assert sub.cat.objects == rc.cat.objects
-    assert sub.weq == rc.weq
+def _two_of_six_by_triples(rc):
+    """Reference: every composable triple, each composite formed anew."""
+    cat = rc.cat
+    witnesses = []
+    for r in cat.morphisms:
+        for s in cat.out_of(cat.tgt[r]):
+            sr = cat.compose(s, r)
+            if not rc.is_weq(sr):
+                continue
+            for t in cat.out_of(cat.tgt[s]):
+                if not rc.is_weq(cat.compose(t, s)):
+                    continue
+                tsr = cat.compose(t, sr)
+                if not (rc.is_weq(r) and rc.is_weq(s) and rc.is_weq(t) and rc.is_weq(tsr)):
+                    witnesses.append((r, s, t))
+    return witnesses
 
 
-def test_homotopically_full_idempotent_and_monotone():
-    rc = p4()
-    small = homotopically_full_subcategory(rc, ["0"])
-    again = homotopically_full_subcategory(small, ["0"])
-    assert small.cat.objects == again.cat.objects
-    bigger = homotopically_full_subcategory(rc, ["0", "1"])
-    assert set(small.cat.objects) <= set(bigger.cat.objects)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=0))
+def test_two_of_six_witnesses_match_the_triple_scan(seed, drop):
+    # the random marking, and the same marking with some maps dropped
+    # (no longer closed), give the reference's witnesses in its order
+    rc = random_preorder_relcat(seed)
+    thinned = RelCategory(rc.cat, [w for i, w in enumerate(rc.weq) if not drop >> i & 1])
+    for marked in (rc, thinned):
+        assert check_two_of_six(marked).witnesses == _two_of_six_by_triples(marked)
+
+
+def test_two_of_six_witnesses_match_the_triple_scan_on_groups():
+    for cat in (cyclic_group(2), cyclic_group(3), walking_iso()):
+        for weq in (cat.morphisms, []):
+            rc = RelCategory(cat, weq)
+            assert check_two_of_six(rc).witnesses == _two_of_six_by_triples(rc)
 
 
 # -- restriction to the marked subcategory -----------------------------------

@@ -9,7 +9,7 @@ from pmcat.relcat import RelCategory, random_preorder_relcat, restrict_to_weq
 from pmcat.smith import smith_invariants
 from pmcat.fincat import FinCategory, Functor, StructuralError
 from pmcat.sset import (
-    TruncationError, AbelianGroup, nerve, nerve_map_tables, rezk_nerve, diagonal, pi0,
+    TruncationError, AbelianGroup, nerve, nerve_map_tables, rezk_nerve, pi0,
     homology, homology_of_boundaries, normalized_boundaries,
     preorder_core, core_violations,
 )
@@ -741,38 +741,12 @@ def test_sizes_outside_the_truncation_are_refused():
         for s in (b, plain):
             with pytest.raises(TruncationError):
                 s.size(*level)
-    d = diagonal(rezk_nerve(iw(), 2, 2))
-    assert [d.size(n) for n in range(3)] == [len(level) for level in d.simplices]
+    c = nerve(chain_poset(1), 2)
+    flat = sset.TruncatedSimplicialSet(c.n_max, c.simplices, c.faces, c.degeneracies)
+    assert flat.validate_identities() == []
+    assert [flat.size(n) for n in range(3)] == [c.size(n) for n in range(3)] == [2, 3, 4]
     for n in (-1, 3):
-        with pytest.raises(TruncationError):
-            d.size(n)
+        for s in (c, flat):
+            with pytest.raises(TruncationError):
+                s.size(n)
 
-
-# -- diagonal ----------------------------------------------------------------
-
-def test_diagonal_requires_square_truncation():
-    b = rezk_nerve(iw(), 1, 2)
-    with pytest.raises(TruncationError):
-        diagonal(b)
-
-
-def test_diagonal_of_vertically_rigid_nerve_is_horizontal_nerve():
-    # W = identities: the vertical direction is constant, so the
-    # diagonal recovers the ordinary nerve
-    d = diagonal(rezk_nerve(i1(), 2, 2))
-    plain = nerve(chain_poset(1), 2)
-    assert [d.size(n) for n in range(3)] == [plain.size(n) for n in range(3)]
-    assert d.validate_identities() == []
-
-
-def test_diagonal_rigid_zero_simplices():
-    d = diagonal(rezk_nerve(i1(), 2, 2))
-    assert d.size(0) == 2
-
-
-def test_diagonal_interval_connected():
-    d = diagonal(rezk_nerve(iw(), 1, 1))
-    assert len(pi0(d)) == 1
-    d2 = diagonal(rezk_nerve(iw(), 2, 2))
-    assert len(pi0(d2)) == 1
-    assert d2.validate_identities() == []

@@ -6,7 +6,7 @@ from pmcat.relcat import RelCategory
 from pmcat.pmc import trivial_partial_model_structure
 from pmcat.sset import pi0, nerve, normalized_boundaries
 from pmcat.yoneda import (
-    yoneda_object, check_presheaf_action, weq_induced_presheaf_maps,
+    presheaf_values, presheaf_action, check_presheaf_action, weq_induced_presheaf_maps,
     verify_yoneda_relative, MODEL_NOTE, SSetMap, _cone_acyclic,
 )
 from pmcat.hammock import homotopy_category, zigzag_category
@@ -35,26 +35,56 @@ def p4_rc():
 
 def test_point_value_is_single_point():
     rc = RelCategory(terminal_category(), [])
-    y = yoneda_object(rc, "*", 2)
-    assert y.values["*"].size(0) == 1
-    assert len(pi0(y.values["*"])) == 1
+    value = presheaf_values(rc, 2)[("*", "*")].nerve
+    assert value.size(0) == 1
+    assert len(pi0(value)) == 1
 
 
 def test_rigid_interval_values():
-    rc = i1_rc()
-    y1 = yoneda_object(rc, "1", 2)
-    assert y1.values["0"].size(0) == 1
-    assert y1.values["1"].size(0) == 1
-    y0 = yoneda_object(rc, "0", 2)
-    assert y0.values["1"].size(0) == 0
+    # the value of the presheaf of A at B is keyed (B, A)
+    table = presheaf_values(i1_rc(), 2)
+    assert table[("0", "1")].nerve.size(0) == 1
+    assert table[("1", "1")].nerve.size(0) == 1
+    assert table[("1", "0")].nerve.size(0) == 0
 
 
 def test_action_tables_are_functorial():
     for rc in (iw_rc(), i1_rc(), b2_rc(), p4_rc()):
+        table = presheaf_values(rc, 2)
         for a in rc.cat.objects:
-            y = yoneda_object(rc, a, 2)
-            assert check_presheaf_action(rc, y) == []
-            assert y.model == MODEL_NOTE
+            action = presheaf_action(rc, a, table)
+            assert list(action) == list(rc.weq)
+            assert check_presheaf_action(rc, action) == []
+
+
+def _corrupt_identity(action, g):
+    """Move one vertex of the action of the identity ``g``."""
+    mp = action[g]
+    mp.tables[0][0] = (mp.tables[0][0] + 1) % mp.target.size(0)
+    return action
+
+
+def test_check_presheaf_action_catches_a_corrupted_identity():
+    rc = iw_rc()
+    action = _corrupt_identity(presheaf_action(rc, "0", presheaf_values(rc, 2)), "id:0")
+    bad = check_presheaf_action(rc, action)
+    assert "action of identity id:0 is not the identity" in bad
+    assert "action of 01.id:0 differs from the composite" in bad
+    assert any(msg.startswith("action of id:0 is not simplicial") for msg in bad)
+
+
+def test_the_report_names_an_unlawful_action(monkeypatch):
+    real = yoneda.presheaf_action
+
+    def corrupted(rc, a, table):
+        action = real(rc, a, table)
+        return _corrupt_identity(action, "id:0") if a == "0" else action
+
+    monkeypatch.setattr(yoneda, "presheaf_action", corrupted)
+    report = verify_yoneda_relative(iw_rc(), 1)
+    assert not report.passed
+    assert {f[:2] for f in report.failures} == {("0", "action")}
+    assert ("0", "action", "action of identity id:0 is not the identity") in report.failures
 
 
 def assert_chain_images(mp, source, target, move, steps):
@@ -77,9 +107,9 @@ def assert_chain_images(mp, source, target, move, steps):
 def test_presheaf_maps_send_each_chain_to_its_image():
     rc = b2_rc()
     cat = rc.cat
+    table = presheaf_values(rc, 3)
     for a in cat.objects:
-        presheaf = yoneda_object(rc, a, 3)
-        for g, mp in presheaf.action.items():
+        for g, mp in presheaf_action(rc, a, table).items():
             b_prime, b = cat.src[g], cat.tgt[g]
             assert_chain_images(
                 mp, zigzag_category(rc, b_prime, a), zigzag_category(rc, b, a),
@@ -87,7 +117,7 @@ def test_presheaf_maps_send_each_chain_to_its_image():
                 lambda comps: (cat.identity[b],) + comps[1:])
     for w in rc.weq:
         a, a_prime = cat.src[w], cat.tgt[w]
-        for b, mp in weq_induced_presheaf_maps(rc, w, 3).items():
+        for b, mp in weq_induced_presheaf_maps(rc, w, table).items():
             assert_chain_images(
                 mp, zigzag_category(rc, b, a_prime), zigzag_category(rc, b, a),
                 lambda objs, arrows: (objs[:-1] + (a,),
@@ -97,14 +127,15 @@ def test_presheaf_maps_send_each_chain_to_its_image():
 
 def test_weq_induced_maps_are_simplicial():
     rc = iw_rc()
-    maps = weq_induced_presheaf_maps(rc, "01", 3)
+    maps = weq_induced_presheaf_maps(rc, "01", presheaf_values(rc, 3))
     for b, mp in maps.items():
         assert mp.check_simplicial() == []
 
 
 @pytest.mark.parametrize("n, expected", [(0, 4), (1, 8), (2, 4)])
 def test_check_simplicial_catches_a_corrupted_entry(n, expected):
-    mp = weq_induced_presheaf_maps(iw_rc(), "01", 2)["1"]
+    rc = iw_rc()
+    mp = weq_induced_presheaf_maps(rc, "01", presheaf_values(rc, 2))["1"]
     assert mp.check_simplicial() == []
     mp.tables[n][0] = (mp.tables[n][0] + 1) % mp.target.size(n)
     assert len(mp.check_simplicial()) == expected
@@ -147,6 +178,7 @@ def test_interval_weq_induces_component_bijections():
     report = verify_yoneda_relative(iw_rc(), 1)
     assert report.passed, report.to_dict()
     assert report.checked_weqs == 1
+    assert report.notes == [MODEL_NOTE]
 
 
 def test_identities_always_pass():
@@ -179,10 +211,10 @@ def test_hom_comparison_matches_homotopy_category_everywhere():
         ho = homotopy_category(pms)
         y_report = verify_yoneda_relative(rc, 1)
         assert y_report.passed
+        table = presheaf_values(rc, 1)
         for a in rc.cat.objects:
             for b in rc.cat.objects:
-                y = yoneda_object(rc, b, 1)
-                assert len(pi0(y.values[a])) == len(ho.hom_classes(a, b))
+                assert len(pi0(table[(a, b)].nerve)) == len(ho.hom_classes(a, b))
 
 
 def test_p4_diagnostic_mode_uses_oracle():
