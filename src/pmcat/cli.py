@@ -1,21 +1,24 @@
 """Command-line interface.
 
 Exit codes: 0 when every requested check passes, 1 when a verified
-property fails (a witness is printed), 2 for unusable input (parse
-error, unresolved id, non-closed composition table, or weak
-equivalences that are not a subcategory where a nerve composes them) or
-bad usage (unknown flags, malformed or out-of-range numbers).
+property fails (a witness is printed), 2 for unusable input (a file
+that cannot be read or is not UTF-8, parse error, unresolved id,
+non-closed composition table, or weak equivalences that are not a
+subcategory where a nerve composes them) or bad usage (unknown flags,
+malformed or out-of-range numbers).
 
 Reports are emitted on stdout as human-readable text or, with
 ``--format json``, as a versioned machine-readable document that is
-byte-identical across runs on identical input.
+byte-identical across runs on identical input.  ``_write_json`` spells
+JSON exactly as ``json.dumps(report, indent=2, sort_keys=True)`` would,
+with the C string encoder, and the tests compare the two.  Each input is
+read once, by ``parse_file``, which also returns the digest reports embed.
 """
 
 import argparse
-import hashlib
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .fincat import StructuralError
@@ -33,17 +36,55 @@ from .document import parse_file, DocumentError
 REPORT_FORMAT = "pmcat-report/1"
 
 
-def _input_block(path):
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    return {"file": os.path.basename(path), "sha256": digest}
-
-
 def _emit(report, fmt):
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        out = []
+        _write_json(report, out, "\n")
+        out.append("\n")
+        sys.stdout.write("".join(out))
     else:
         _emit_text(report)
+
+
+def _write_json(value, out, nl):
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2,
+    sort_keys=True)`` spells it; ``nl`` is the newline and indent of the
+    line the value starts on.  Only the types reports hold are written:
+    dict with str keys, list, tuple, str, int, bool and None."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out += (sep, _quote(key), ": ")
+            _write_json(value[key], out, inner)
+            sep = comma
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = comma
+        out.append(nl + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"a report cannot hold {type(value).__name__}")
 
 
 def _emit_text(report, indent=0):
@@ -71,15 +112,16 @@ def _report(command, args, result, exit_code):
         "format": REPORT_FORMAT,
         "tool_version": __version__,
         "command": command,
-        "input": _input_block(args.file),
+        "input": {"file": os.path.basename(args.file), "sha256": args.sha256},
         "result": result,
         "exit_code": exit_code,
     }
 
 
 def _load(args, need_calculus=False):
-    """The parsed document and its relative category."""
-    value = parse_file(args.file)
+    """The parsed document and its relative category; the digest of the
+    bytes read goes to ``args.sha256`` for the report."""
+    value, args.sha256 = parse_file(args.file)
     is_pms = isinstance(value, PartialModelStructure)
     if need_calculus and not is_pms:
         raise DocumentError(0, "this command needs calculus data (u/v/factor lines)")

@@ -13,22 +13,37 @@ optionally with calculus data.  Directives:
     factor <w> <u> <mid> <v>     # w = v.u through the object <mid>
     middle <w> <w2> <a> <b> <m>  # middle map of the square (a, b)
 
-Blank lines and ``#`` comments are ignored.  Identity morphisms are
-auto-generated with the reserved ids ``id:<object>``.  A document with
-any u/v/factor/middle line parses to a calculus structure, otherwise to
-a raw relative category; omitting weq lines leaves only the identities
-marked.
+A document is UTF-8 text.  Blank lines and ``#`` comments are ignored.
+Identity morphisms are auto-generated with the reserved ids
+``id:<object>``.  A document with any u/v/factor/middle line parses to
+a calculus structure, otherwise to a raw relative category; omitting
+weq lines leaves only the identities marked.
 
 The serializer emits a canonical form (fixed directive order, input
 order within each block), so parse -> serialize -> parse is the
 identity on documents and serializer output round-trips byte-exactly.
 """
 
+import hashlib
+
 from .fincat import FinCategory, StructuralError, CategoryLawError, ID_PREFIX
 from .relcat import RelCategory
 from .pmc import PartialModelStructure
 
 FORMAT_VERSION = "1"
+
+# directive -> (words on its line, usage named when the count is wrong)
+DIRECTIVES = {
+    "relcat-version": (2, f"relcat-version {FORMAT_VERSION}"),
+    "object": (2, "object <id>"),
+    "morphism": (4, "morphism <id> <src> <tgt>"),
+    "compose": (4, "compose <f> <g> <h>"),
+    "weq": (2, "weq <morphism>"),
+    "u": (2, "u <morphism>"),
+    "v": (2, "v <morphism>"),
+    "factor": (5, "factor <w> <u> <mid> <v>"),
+    "middle": (6, "middle <w> <w2> <a> <b> <m>"),
+}
 
 
 class DocumentError(ValueError):
@@ -60,29 +75,36 @@ def parse_document(text):
     mor_ids = set()
     line_of = {}
 
-    def need(line_no, parts, n, usage):
-        if len(parts) != n:
-            raise DocumentError(line_no, f"expected '{usage}'")
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
         head = parts[0]
-        if head == "relcat-version":
-            need(line_no, parts, 2, "relcat-version 1")
-            if parts[1] != FORMAT_VERSION:
-                raise DocumentError(line_no, f"unsupported version {parts[1]}")
-            seen_version = True
-        elif head == "object":
-            need(line_no, parts, 2, "object <id>")
-            if parts[1] in declared:
-                raise DocumentError(line_no, f"object {parts[1]} declared twice")
-            declared.add(parts[1])
-            objects.append(parts[1])
+        try:
+            words, usage = DIRECTIVES[head]
+        except KeyError:
+            raise DocumentError(line_no, f"unknown directive '{head}'") from None
+        if len(parts) != words:
+            raise DocumentError(line_no, f"expected '{usage}'")
+        # branches in the order of their frequency in calculus documents
+        if head == "middle":
+            sq, m = tuple(parts[1:5]), parts[5]
+            if middle.setdefault(sq, m) != m:
+                raise DocumentError(line_no, f"conflicting middle map for {sq}")
+            line_of.setdefault(("middle", sq), line_no)
+            has_calculus = True
+        elif head == "compose":
+            f, g, h = parts[1:]
+            if comp.setdefault((f, g), h) != h:
+                raise DocumentError(line_no, f"conflicting composite for ({f}, {g})")
+            line_of[("compose", f, g)] = line_no
+        elif head == "factor":
+            w, entry = parts[1], tuple(parts[2:])
+            if factor.setdefault(w, entry) != entry:
+                raise DocumentError(line_no, f"conflicting factorization for {w}")
+            line_of.setdefault(("factor", w), line_no)
+            has_calculus = True
         elif head == "morphism":
-            need(line_no, parts, 4, "morphism <id> <src> <tgt>")
             mid, src, tgt = parts[1:]
             if mid in mor_ids:
                 raise DocumentError(line_no, f"morphism {mid} declared twice")
@@ -91,38 +113,22 @@ def parse_document(text):
             mor_ids.add(mid)
             line_of[mid] = line_no
             morphisms.append((mid, src, tgt))
-        elif head == "compose":
-            need(line_no, parts, 4, "compose <f> <g> <h>")
-            f, g, h = parts[1:]
-            if (f, g) in comp and comp[(f, g)] != h:
-                raise DocumentError(line_no, f"conflicting composite for ({f}, {g})")
-            comp[(f, g)] = h
-            line_of[(f, g)] = line_no
         elif head == "weq":
-            need(line_no, parts, 2, "weq <morphism>")
             weq.append(parts[1])
             line_of[("weq", parts[1])] = line_no
-        elif head in ("u", "v"):
-            need(line_no, parts, 2, f"{head} <morphism>")
+        elif head == "u" or head == "v":
             (u_sub if head == "u" else v_sub).append(parts[1])
             line_of.setdefault((head, parts[1]), line_no)
             has_calculus = True
-        elif head == "factor":
-            need(line_no, parts, 5, "factor <w> <u> <mid> <v>")
-            w, entry = parts[1], tuple(parts[2:])
-            if factor.setdefault(w, entry) != entry:
-                raise DocumentError(line_no, f"conflicting factorization for {w}")
-            line_of.setdefault(("factor", w), line_no)
-            has_calculus = True
-        elif head == "middle":
-            need(line_no, parts, 6, "middle <w> <w2> <a> <b> <m>")
-            sq, m = tuple(parts[1:5]), parts[5]
-            if middle.setdefault(sq, m) != m:
-                raise DocumentError(line_no, f"conflicting middle map for {sq}")
-            line_of.setdefault(("middle", sq), line_no)
-            has_calculus = True
-        else:
-            raise DocumentError(line_no, f"unknown directive '{head}'")
+        elif head == "object":
+            if parts[1] in declared:
+                raise DocumentError(line_no, f"object {parts[1]} declared twice")
+            declared.add(parts[1])
+            objects.append(parts[1])
+        else:  # relcat-version
+            if parts[1] != FORMAT_VERSION:
+                raise DocumentError(line_no, f"unsupported version {parts[1]}")
+            seen_version = True
 
     if not seen_version:
         raise DocumentError(1, "missing 'relcat-version 1' header")
@@ -135,7 +141,7 @@ def parse_document(text):
     for (f, g), h in comp.items():
         for m in (f, g, h):
             if m not in all_mor:
-                raise DocumentError(line_of[(f, g)], f"unknown morphism {m}")
+                raise DocumentError(line_of[("compose", f, g)], f"unknown morphism {m}")
     for w in weq:
         if w not in all_mor:
             raise DocumentError(line_of[("weq", w)], f"unknown morphism {w}")
@@ -175,11 +181,17 @@ def parse_document(text):
 
 
 def parse_file(path):
+    """Parse the document at ``path`` from one read of its bytes:
+    (parsed value, SHA-256 hex digest of the bytes)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_document(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
     except OSError as e:
         raise DocumentError(0, f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise DocumentError(0, f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
+    return parse_document(text), hashlib.sha256(data).hexdigest()
 
 
 def serialize_document(value):

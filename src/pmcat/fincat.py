@@ -166,7 +166,8 @@ class FinCategory:
 
     def _law_scan(self):
         objects, mids, identity = self.objects, self.morphisms, self.identity
-        src, tgt, comp = self.src, self.tgt, dict(self.composites())
+        src, tgt = self.src, self.tgt
+        comp = self._comp if self._comp is not None else dict(self.composites())
         structural = []
         violations = []
         obj_set = set(objects)
@@ -194,20 +195,24 @@ class FinCategory:
         if structural:
             return ValidationReport(structural, violations)
 
-        # totality and typing of the table
+        # totality and typing over the composable pairs, spurious entries
+        # among the table's own; violations in (f, g) order of mids
+        by_src = self._by_src
         for f in mids:
-            for g in mids:
-                if tgt[f] == src[g]:
-                    h = comp.get((f, g))
-                    if h is None:
-                        violations.append(Violation(
-                            "missing-composite", (f, g), "no entry for composable pair"))
-                    elif not (src[h] == src[f] and tgt[h] == tgt[g]):
-                        violations.append(Violation(
-                            "composite-typing", (f, g, h), "composite has wrong source or target"))
-                elif (f, g) in comp:
+            for g in by_src.get(tgt[f], ()):
+                h = comp.get((f, g))
+                if h is None:
                     violations.append(Violation(
-                        "spurious-composite", (f, g), "entry for non-composable pair"))
+                        "missing-composite", (f, g), "no entry for composable pair"))
+                elif not (src[h] == src[f] and tgt[h] == tgt[g]):
+                    violations.append(Violation(
+                        "composite-typing", (f, g, h), "composite has wrong source or target"))
+        spurious = [Violation("spurious-composite", (f, g), "entry for non-composable pair")
+                    for f, g in comp if tgt[f] != src[g]]
+        if spurious:
+            position = {m: i for i, m in enumerate(mids)}
+            violations = sorted(violations + spurious,
+                                key=lambda v: (position[v.witness[0]], position[v.witness[1]]))
 
         # identity laws
         for m in mids:
@@ -222,7 +227,6 @@ class FinCategory:
         # associativity over all composable triples, decided by typing when thin
         if not violations and self.is_thin():
             return ValidationReport(structural, violations)
-        by_src = self._by_src
         for f in mids:
             for g in by_src.get(tgt[f], ()):
                 gf = comp.get((f, g))

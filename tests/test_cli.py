@@ -2,6 +2,7 @@ import io
 import json
 import contextlib
 import dataclasses
+import builtins
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmcat import yoneda
-from pmcat.cli import main
+from pmcat.cli import main, _write_json
 from pmcat.document import serialize_document
 from pmcat.pmc import trivial_partial_model_structure
 from pmcat.relcat import RelCategory, random_preorder_relcat
@@ -42,6 +43,21 @@ def test_check_scans_the_category_laws_once(monkeypatch):
     assert len(scanned) == 1
 
 
+@pytest.mark.parametrize("argv", [("check",), ("ho",), ("export",),
+                                  ("mapspace", "--from", "0", "--to", "1")])
+def test_a_call_reads_its_document_once(monkeypatch, argv):
+    path = str(fixture_path("Iw"))
+    opened = []
+
+    def counted(file, *args, _real=builtins.open, **kwargs):
+        opened.append(file)
+        return _real(file, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", counted)
+    code, out = run_cli(argv[0], path, *argv[1:], "--format", "json")
+    assert code == 0 and json.loads(out)["input"]["file"] == "Iw.relcat"
+    assert opened.count(path) == 1
+
+
 def test_mapspace_builds_no_nerve_table(monkeypatch):
     from pmcat import sset
     built = []
@@ -68,6 +84,33 @@ def test_malformed_document_exits_two(tmp_path):
         code, _ = run_cli("check", str(bad))
     assert code == 2
     assert "ghost" in err.getvalue()
+
+
+# every subcommand, with the flags it needs
+SUBCOMMANDS = (("check",), ("nerve",), ("segal",), ("ho",),
+               ("mapspace", "--from", "0", "--to", "0"), ("saturate",), ("yoneda",),
+               ("export",))
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS)
+def test_non_utf8_document_exits_two(tmp_path, argv):
+    bad = tmp_path / "bad.relcat"
+    bad.write_bytes(b"relcat-version 1\nobject \xff\xfe\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv[0], str(bad), *argv[1:], "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.getvalue() == (f"input error: line 0: {bad} is not UTF-8: "
+                              "invalid start byte at byte 24\n")
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS)
+def test_unreadable_document_exits_two(tmp_path, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv[0], str(tmp_path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.getvalue().startswith(f"input error: line 0: cannot read {tmp_path}: ")
 
 
 def test_missing_composite_exits_two(tmp_path):
@@ -188,6 +231,53 @@ def test_reports_match_goldens():
         code, out = run_cli("check", str(fixture_path(name)), "--format", "json")
         assert out == golden.read_text(), name
         assert code == json.loads(out)["exit_code"]
+
+
+def _written(value):
+    out = []
+    _write_json(value, out, "\n")
+    return "".join(out)
+
+
+def test_writer_spells_every_golden_as_json_dumps():
+    import pathlib
+    goldens = sorted((pathlib.Path(fixture_path("pt")).parent / "expected").glob("*.json"))
+    assert len(goldens) > 40
+    for golden in goldens:
+        text = golden.read_text()
+        value = json.loads(text)
+        assert _written(value) + "\n" == text, golden.name
+        assert _written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# keys and strings with non-ASCII characters, quotes, backslashes and
+# control characters, and ""
+_texts = st.text(alphabet=st.sampled_from('a"\\\x00\x1f\n\t\x7f\xe9\u2028\U0001f600 '),
+                 max_size=6)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+    | st.sampled_from((0, -1, 2 ** 64 + 1, -(2 ** 64) - 1)) | _texts,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_texts, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_writer_matches_json_dumps(value):
+    assert _written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_writer_prints_bools_as_json_literals():
+    assert _written([True, False, 1, 0]) == "[\n  true,\n  false,\n  1,\n  0\n]"
+    assert _written({"a": True}) == '{\n  "a": true\n}'
+
+
+@pytest.mark.parametrize("value", [1.5, [0.0], {"x": {"y": float("nan")}}, {1: "a"},
+                                   {"a": 1, None: 2}, {(1, 2): 3}, {"s": {1, 2}}, b"x"])
+def test_writer_refuses_what_reports_do_not_hold(value):
+    with pytest.raises(TypeError):
+        _written(value)
 
 
 def _endpoints(name):

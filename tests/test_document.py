@@ -160,3 +160,76 @@ def test_unknown_calculus_id_reports_its_line(extra, message):
         parse_document(doc)
     assert err.value.line == 9
     assert message in str(err.value)
+
+
+# -- every parse error pinned to its line and message ----------------------------
+
+HEAD = "relcat-version 1\nobject 0\nobject 1\nmorphism f 0 1\n"   # lines 1-4
+
+PARSE_ERRORS = [
+    # a wrong word count names the directive's usage
+    ("relcat-version\n", 1, "expected 'relcat-version 1'"),
+    ("relcat-version 1 2\n", 1, "expected 'relcat-version 1'"),
+    ("relcat-version 1\nobject\n", 2, "expected 'object <id>'"),
+    ("relcat-version 1\nobject a b\n", 2, "expected 'object <id>'"),
+    (HEAD + "morphism g 0\n", 5, "expected 'morphism <id> <src> <tgt>'"),
+    (HEAD + "compose f id:1\n", 5, "expected 'compose <f> <g> <h>'"),
+    (HEAD + "weq f f\n", 5, "expected 'weq <morphism>'"),
+    (HEAD + "u\n", 5, "expected 'u <morphism>'"),
+    (HEAD + "v f f\n", 5, "expected 'v <morphism>'"),
+    (HEAD + "factor f f 1\n", 5, "expected 'factor <w> <u> <mid> <v>'"),
+    (HEAD + "middle f f id:0 id:1\n", 5, "expected 'middle <w> <w2> <a> <b> <m>'"),
+    # a comment in the middle of a line cuts the line short
+    (HEAD + "morphism g 0 # 1\n", 5, "expected 'morphism <id> <src> <tgt>'"),
+    # unknown directives, before the header too
+    (HEAD + "frobnicate yes\n", 5, "unknown directive 'frobnicate'"),
+    ("frobnicate\nrelcat-version 1\n", 1, "unknown directive 'frobnicate'"),
+    # declarations
+    ("relcat-version 2\n", 1, "unsupported version 2"),
+    ("object 0\n", 1, "missing 'relcat-version 1' header"),
+    ("relcat-version 1\nobject 0\nobject 0\n", 3, "object 0 declared twice"),
+    (HEAD + "morphism f 1 0\n", 5, "morphism f declared twice"),
+    (HEAD + "morphism id:x 0 1\n", 5, "id: ids are reserved for identities"),
+    (HEAD + "morphism g 0 ghost\n", 5, "unknown object ghost"),
+    # an unknown id in a repeated entry: compose and weq name the last
+    # line, u, v, factor and middle the first
+    (HEAD + "compose f ghost f\n# x\ncompose f ghost f\n", 7, "unknown morphism ghost"),
+    (HEAD + "weq ghost\nweq f\nweq ghost\n", 7, "unknown morphism ghost"),
+    (HEAD + "u ghost\nu f\nu ghost\n", 5, "unknown morphism ghost in u block"),
+    (HEAD + "v ghost\nv f\nv ghost\n", 5, "unknown morphism ghost in v block"),
+    (HEAD + "factor f ghost 1 id:1\nfactor f ghost 1 id:1\n", 5,
+     "unknown morphism ghost in factor block"),
+    (HEAD + "factor f f ghost id:1\nfactor f f ghost id:1\n", 5,
+     "unknown object ghost in factor block"),
+    (HEAD + "middle f f id:0 id:1 ghost\nmiddle f f id:0 id:1 ghost\n", 5,
+     "unknown morphism ghost in middle block"),
+    # conflicting entries name the second line
+    (HEAD + "morphism g 1 1\ncompose f g f\ncompose f g g\n", 7,
+     "conflicting composite for (f, g)"),
+    (HEAD + "factor f f 1 id:1\nfactor f id:0 0 f\n", 6, "conflicting factorization for f"),
+    (HEAD + "middle f f id:0 id:1 id:1\nmiddle f f id:0 id:1 f\n", 6,
+     "conflicting middle map for ('f', 'f', 'id:0', 'id:1')"),
+]
+
+
+@pytest.mark.parametrize("doc, line, message", PARSE_ERRORS)
+def test_parse_errors_are_pinned(doc, line, message):
+    with pytest.raises(DocumentError) as err:
+        parse_document(doc)
+    assert (err.value.line, err.value.message) == (line, message)
+
+
+def test_comments_inside_words_end_the_line():
+    rc = parse_document("relcat-version 1\nobject 0#1\nobject 1 # c\n"
+                        "morphism f 0 1#x\nweq f  # c\n")
+    assert rc.cat.objects == ("0", "1")
+    assert "f" in rc.weq
+
+
+def test_a_morphism_named_like_a_directive_keeps_its_lines():
+    # the compose line's unknown id is on line 5, whatever the later weq
+    # line of the same two words says
+    doc = HEAD.replace("morphism f", "morphism weq") + "compose weq ghost weq\nweq ghost\n"
+    with pytest.raises(DocumentError) as err:
+        parse_document(doc)
+    assert (err.value.line, err.value.message) == (5, "unknown morphism ghost")

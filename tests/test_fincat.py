@@ -52,6 +52,59 @@ def test_validate_scans_once_and_keeps_reporting_a_broken_law(monkeypatch):
     assert ("id:0", "01") in [v.witness for v in reports[1].violations]
 
 
+def interleaved_table_faults():
+    """Objects a, b, c with f: a->b, g: b->c, k: a->c, e: c->a, and a
+    table whose missing, mistyped and spurious entries interleave in
+    (f, g) order."""
+    objects = ["a", "b", "c"]
+    ids = {o: "id:" + o for o in objects}
+    rows = [(i, o, o) for o, i in ids.items()] + [
+        ("f", "a", "b"), ("g", "b", "c"), ("k", "a", "c"), ("e", "c", "a")]
+    comp = {}
+    for m, s, t in rows:
+        comp[(ids[s], m)] = m
+        comp[(m, ids[t])] = m
+    comp.update({
+        ("g", "f"): "f",      # spurious: g ends at c, f starts at a
+        ("f", "g"): "f",      # mistyped: g.f goes a -> c
+        ("e", "f"): "g",      # mistyped: f.e goes c -> b
+        ("f", "k"): "k",      # spurious
+        ("k", "e"): "id:a",
+        ("e", "g"): "e",      # spurious
+    })
+    del comp[("e", "id:a")]   # missing; (g, e) and (e, k) are missing too
+    return FinCategory(objects, rows, ids, comp)
+
+
+def test_table_faults_are_listed_in_pair_order():
+    report = interleaved_table_faults().validate()
+    assert report.structural == []
+    no_entry = "h.(g.f) = None but (h.g).f = None"
+    assert [(v.law, v.witness, v.detail) for v in report.violations] == [
+        ("composite-typing", ("f", "g", "f"), "composite has wrong source or target"),
+        ("spurious-composite", ("f", "k"), "entry for non-composable pair"),
+        ("spurious-composite", ("g", "f"), "entry for non-composable pair"),
+        ("missing-composite", ("g", "e"), "no entry for composable pair"),
+        ("missing-composite", ("e", "id:a"), "no entry for composable pair"),
+        ("composite-typing", ("e", "f", "g"), "composite has wrong source or target"),
+        ("spurious-composite", ("e", "g"), "entry for non-composable pair"),
+        ("missing-composite", ("e", "k"), "no entry for composable pair"),
+        ("identity-law", ("e", "id:a"), "id:a.e is None, expected e"),
+        ("associativity", ("id:b", "g", "e"), no_entry),
+        ("associativity", ("id:c", "e", "id:a"), no_entry),
+        ("associativity", ("id:c", "e", "f"), "h.(g.f) = g but (h.g).f = None"),
+        ("associativity", ("id:c", "e", "k"), no_entry),
+        ("associativity", ("f", "g", "id:c"), "h.(g.f) = None but (h.g).f = f"),
+        ("associativity", ("f", "g", "e"), no_entry),
+        ("associativity", ("g", "id:c", "e"), no_entry),
+        ("associativity", ("k", "e", "id:a"), "h.(g.f) = id:a but (h.g).f = None"),
+        ("associativity", ("k", "e", "f"), "h.(g.f) = f but (h.g).f = None"),
+        ("associativity", ("k", "e", "k"), "h.(g.f) = k but (h.g).f = None"),
+        ("associativity", ("e", "f", "id:b"), "h.(g.f) = None but (h.g).f = g"),
+        ("associativity", ("e", "f", "g"), "h.(g.f) = None but (h.g).f = g"),
+    ]
+
+
 def test_p4_full_table_valid():
     p4 = chain_poset(3)
     assert p4.validate().ok
