@@ -3,9 +3,11 @@ exhaustive search.
 
 A category is a finite list of objects, a finite list of morphisms with
 source/target, an identity morphism per object, and a composition that
-is read only through ``compose`` and ``composites``.  A category given
-by its data stores its composition table, on which every law (identity,
-associativity, typing) is checked by brute force.  A category built from
+is read only through ``compose`` and ``composites``.  Each category
+keeps one index of its morphisms, the hom index (source, target) ->
+morphisms; other modules read it through :meth:`FinCategory.hom`.  A
+category given by its data stores its composition table, on which every
+law (identity, associativity, typing) is checked by brute force.  A category built from
 others stores none: subcategories and the opposite answer through the
 category they come from, and a :class:`ComponentwiseCategory` composes
 componentwise on demand, or from its hom index when it is thin.
@@ -122,7 +124,7 @@ class FinCategory:
             self._hom.setdefault((s, t), []).append(m)
             self._by_src.setdefault(s, []).append(m)
             self._by_tgt.setdefault(t, []).append(m)
-        self._opposite = self._report = self._rows = None
+        self._opposite = self._report = None
 
     @classmethod
     def build(cls, objects, morphisms, comp):
@@ -259,15 +261,6 @@ class FinCategory:
         """True when every hom-set has at most one element."""
         return len(self._hom) == len(self.morphisms)
 
-    def rows(self):
-        """A thin category's hom index, source -> {target: morphism}, built
-        once (not a cached_property: its write would slow attribute reads)."""
-        if self._rows is None:
-            self._rows = {}
-            for (a, b), (m,) in self._hom.items():
-                self._rows.setdefault(a, {})[b] = m
-        return self._rows
-
     def compose(self, g, f):
         """Classical order: ``compose(g, f)`` is g after f.  Raises
         StructuralError when there is no composite."""
@@ -338,36 +331,40 @@ class ComponentwiseCategory(FinCategory):
     category of ``factors`` (``components`` maps an id to its tuple),
     composed position by position: diagrams and their natural
     transformations, or the pairs of a fiber product.  A composite is
-    missing when the composed tuple is no morphism.  Over thin factors a
-    morphism is fixed by its ends, as each component is by its own, so
-    g.f is read from the hom index: the one morphism src(f) -> tgt(g).
+    missing when the composed tuple is no morphism.  The hom index is
+    the only index: a tuple is found by scanning the hom-set of its
+    ends.  Over thin factors a morphism is fixed by its ends, as each
+    component is by its own, so g.f is the one morphism src(f) -> tgt(g).
     """
 
     def __init__(self, objects, morphisms, identity, factors, components):
         super().__init__(objects, morphisms, identity, self._componentwise)
         self.components = components
-        self._by_parts = {(self.src[m], self.tgt[m], c): m for m, c in components.items()}
         self._factors = tuple(factors)
         if all(P.is_thin() for P in factors):
-            src, tgt, rows = self.src, self.tgt, self.rows()
+            src, tgt, hom = self.src, self.tgt, self._hom
 
             def compose(g, f):
                 if tgt[f] == src[g]:
-                    h = rows[src[f]].get(tgt[g])
+                    h = hom.get((src[f], tgt[g]))
                     if h is not None:
-                        return h
+                        return h[0]
                 raise _no_composite(g, f)
             self.compose = compose
 
     def lookup(self, src_id, tgt_id, comps):
         """Id of the morphism with these ends and components, or None."""
-        return self._by_parts.get((src_id, tgt_id, tuple(comps)))
+        comps = tuple(comps)
+        for m in self._hom.get((src_id, tgt_id), ()):
+            if self.components[m] == comps:
+                return m
+        return None
 
     def _componentwise(self, g, f):
         if self.tgt[f] == self.src[g]:
-            parts = tuple(P.compose(b, a) for P, a, b in
-                          zip(self._factors, self.components[f], self.components[g]))
-            h = self._by_parts.get((self.src[f], self.tgt[g], parts))
+            h = self.lookup(self.src[f], self.tgt[g], (
+                P.compose(b, a) for P, a, b in
+                zip(self._factors, self.components[f], self.components[g])))
             if h is not None:
                 return h
         raise _no_composite(g, f)
@@ -558,14 +555,14 @@ def _universal_cocone(cat, f, g, witness):
     """The first cocone in scan order with a comparison to every
     competitor, as a ``witness``; None if there is none.  On a thin
     category a cocone is an apex reached from both targets, and it is
-    universal when its row of the hom index reaches every other."""
+    universal when the hom index has a morphism from it to every other."""
     if cat.is_thin():
-        rows = cat.rows()
-        out_f, out_g = rows[cat.tgt[f]], rows[cat.tgt[g]]
-        competitors = [(x, out_f[x], out_g[x]) for x in cat.objects if x in out_f and x in out_g]
+        hom, a, b = cat._hom, cat.tgt[f], cat.tgt[g]
+        competitors = [(x, hom[a, x][0], hom[b, x][0])
+                       for x in cat.objects if (a, x) in hom and (b, x) in hom]
         for apex, p, q in competitors:
-            if all(c[0] in rows[apex] for c in competitors):
-                return witness(apex, p, q, tuple((c, rows[apex][c[0]]) for c in competitors))
+            if all((apex, c[0]) in hom for c in competitors):
+                return witness(apex, p, q, tuple((c, hom[apex, c[0]][0]) for c in competitors))
         return None
     competitors = _cocones(cat, f, g)
     for apex, p, q in competitors:

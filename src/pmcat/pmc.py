@@ -73,6 +73,7 @@ class PartialModelStructure:
         self.factorization = dict(factorization)   # w -> (u, mid object, v)
         self.middle = dict(middle)                 # (w, w2, a, b) -> m
         self._witnesses = {}                       # (kind, a, f) or thin ends -> witness or None
+        self._thin = cat.is_thin()                 # the category never changes
 
     def in_u(self, m):
         return self._u.is_weq(m)
@@ -95,7 +96,7 @@ class PartialModelStructure:
     def _witness(self, kind, search, a, f):
         cat = self.rc.cat
         shared, ends = (cat.src, cat.tgt) if kind == "pushout" else (cat.tgt, cat.src)
-        by_ends = shared[a] == shared[f] and cat.is_thin()     # the search reads only these
+        by_ends = shared[a] == shared[f] and self._thin     # the search reads only these
         key = (kind, ends[a], ends[f]) if by_ends else (kind, a, f)
         if key not in self._witnesses:     # the search raises on a non-span
             self._witnesses[key] = search(cat, a, f)

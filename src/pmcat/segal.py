@@ -410,11 +410,15 @@ class SegalReport:
             and not r["corroboration_failures"]
             for r in self.k_results.values())
 
-    def to_dict(self):
+    def to_dict(self, full=False):
+        """A JSON-ready copy: each k's certificate is replaced by its
+        ``certificate_summary``, with the full evidence when ``full``."""
         return {
             "passed": self.passed,
             "saturation": self.saturation_passed,
-            "k": {str(k): r for k, r in self.k_results.items()},
+            "k": {str(k): {**{key: v for key, v in r.items() if key != "certificate"},
+                           "certificate_summary": r["certificate"].to_dict(full=full)}
+                  for k, r in self.k_results.items()},
             "boundary": self.boundary_statement,
         }
 

@@ -4,6 +4,7 @@ of ``check_functor`` and ``check_transformation`` against reference
 checkers that read composition tables."""
 
 import hashlib
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +66,25 @@ def test_componentwise_composites_of_a_category_that_is_not_thin():
     b_2 = zigzag_chain_category(RelCategory(z2, z2.morphisms), 2)
     assert not b_2.is_thin()
     assert composition_digest(b_2) == Z2_B2_DIGEST
+
+
+def test_lookup_finds_each_morphism_by_its_parts():
+    # the hom-set of the ends is scanned for the components: in B(Z/2)'s
+    # B_2 a hom-set holds parallel morphisms, and each is found by its own
+    z2 = cyclic_group(2)
+    thin = zigzag_chain_category(build("B2").rc, 2)
+    b_2 = zigzag_chain_category(RelCategory(z2, z2.morphisms), 2)
+    assert thin.is_thin()
+    for cat in (thin, b_2):
+        for m in cat.morphisms:
+            assert cat.lookup(cat.src[m], cat.tgt[m], cat.components[m]) == m
+    a, b = next(pair for pair in product(b_2.objects, repeat=2) if len(b_2.hom(*pair)) > 1)
+    later = b_2.hom(a, b)[-1]
+    assert b_2.lookup(a, b, list(b_2.components[later])) == later
+    taken = {b_2.components[m] for m in b_2.hom(a, b)}
+    stray = next(c for c in product(z2.morphisms, repeat=len(b_2.components[later]))
+                 if c not in taken)
+    assert b_2.lookup(a, b, stray) is None
 
 
 def stores_no_table(cat):

@@ -14,6 +14,8 @@ import sys
 import pytest
 
 import pmcat
+from pmcat.fixtures import build
+from pmcat.segal import zigzag_chain_category
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -66,10 +68,9 @@ def test_library_imports_only_the_standard_library():
     assert checked
 
 
-def test_only_fincat_reads_the_composition_table():
-    # composition is read through compose() and composites(); the table
-    # behind them is fincat's own, so no other module of the library,
-    # the tests or the demos reads an attribute named comp or _comp
+def _attribute_readers_outside_fincat(names):
+    """Where a module of the library, the tests or the demos other than
+    ``fincat.py`` reads an attribute with one of ``names``."""
     readers = []
     paths = [path for folder in ("src/pmcat", "tests", "demos")
              for path in sorted((ROOT / folder).glob("*.py"))]
@@ -77,10 +78,26 @@ def test_only_fincat_reads_the_composition_table():
         if path == ROOT / "src" / "pmcat" / "fincat.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ("comp", "_comp"):
+            if isinstance(node, ast.Attribute) and node.attr in names:
                 readers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert len(paths) > 20
-    assert readers == []
+    return readers
+
+
+def test_only_fincat_reads_the_composition_table():
+    # composition is read through compose() and composites(); the table
+    # behind them is fincat's own
+    assert _attribute_readers_outside_fincat(("comp", "_comp")) == []
+
+
+def test_only_fincat_reads_the_hom_index():
+    # a category keeps one index of its morphisms, by their ends, and
+    # other modules ask it through hom(), out_of(), into() and lookup()
+    assert _attribute_readers_outside_fincat(("_hom", "_rows", "_by_parts")) == []
+    b_2 = zigzag_chain_category(build("B2").rc, 2)
+    parts = {(b_2.src[m], b_2.tgt[m], c) for m, c in b_2.components.items()}
+    for value in vars(b_2).values():
+        assert not (isinstance(value, dict) and parts & value.keys())
 
 
 def _unreached_public_names(root):

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -355,6 +356,18 @@ def test_verify_segal_interval():
     for k in (2, 3):
         assert rep.k_results[k]["homology_dims_compared"] == [0, 1, 2]
         assert rep.k_results[k]["skipped_dims"] == []
+
+
+def test_segal_report_to_dict_is_a_json_ready_copy():
+    rep = verify_segal(pms_of(iw_rc()), (2,), 0)
+    cert = rep.k_results[2]["certificate"]
+    first = json.dumps(rep.to_dict(), sort_keys=True)
+    assert json.dumps(rep.to_dict(), sort_keys=True) == first
+    assert rep.k_results[2]["certificate"] is cert
+    summary = json.loads(first)["k"]["2"]["certificate_summary"]
+    assert summary == json.loads(json.dumps(cert.to_dict()))
+    full = rep.to_dict(full=True)["k"]["2"]["certificate_summary"]
+    assert "object_rows" in full and "object_rows" not in summary
 
 
 def test_verify_segal_boolean_lattice_reports_skips():
