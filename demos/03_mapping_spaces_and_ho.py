@@ -31,9 +31,9 @@ print()
 print("== homotopy categories ==")
 for name in ("I1", "Iw", "B2"):
     pms = build(name)
-    ho = homotopy_category(pms)
-    counts = {f"{a}->{b}": len(ho.hom_classes(a, b))
-              for a in ho.cat.objects for b in ho.cat.objects}
+    ho_cat, _class_of = homotopy_category(pms)
+    counts = {f"{a}->{b}": len(ho_cat.hom(a, b))
+              for a in ho_cat.objects for b in ho_cat.objects}
     print(f"  {name}: hom class counts {counts}")
 print("  (I1 localizes to the arrow category; Iw to the two-object")
 print("   isomorphism; B2 collapses to an indiscrete groupoid)")
@@ -41,12 +41,12 @@ print("   isomorphism; B2 collapses to an indiscrete groupoid)")
 print()
 print("== the independent word oracle agrees ==")
 pms = build("Iw")
-ho = homotopy_category(pms)
+ho_cat, _class_of = homotopy_category(pms)
 for a in ("0", "1"):
     for b in ("0", "1"):
         rep = bounded_localization_oracle(pms.rc, a, b, 7)
         print(f"  ({a},{b}): oracle {rep.count} (stable={rep.stable}), "
-              f"homotopy category {len(ho.hom_classes(a, b))}")
+              f"homotopy category {len(ho_cat.hom(a, b))}")
 
 print()
 print("== saturation ==")

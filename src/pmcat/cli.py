@@ -205,15 +205,15 @@ def cmd_ho(args):
             "note": "structure does not satisfy the axioms",
             "axioms": axioms.to_dict()}, 1)
     try:
-        ho = homotopy_category(pms)
+        ho_cat, _class_of = homotopy_category(pms)
     except HoConsistencyError as e:
         return _report("ho", args, {"kind": "homotopy-category",
                                     "consistency_error": str(e)}, 1)
-    hom = {f"{a}=>{b}": len(ho.hom_classes(a, b))
-           for a in ho.cat.objects for b in ho.cat.objects}
+    hom = {f"{a}=>{b}": len(ho_cat.hom(a, b))
+           for a in ho_cat.objects for b in ho_cat.objects}
     result = {
         "kind": "homotopy-category",
-        "objects": list(ho.cat.objects),
+        "objects": list(ho_cat.objects),
         "hom_class_counts": hom,
         "laws_verified": True,
     }

@@ -4,13 +4,17 @@ A map from A to B in the localized category is modelled by a zigzag
 
     A <--l-- X --m--> Y <--r-- B
 
-whose outer maps l and r are weak equivalences.  Zigzags with fixed
-endpoints form a category (morphisms are componentwise weak
-equivalences commuting with all structure maps), the mapping space is
-its nerve, and hom-sets of the homotopy category are its connected
-components.  Composition of classes is carried out by explicit calculus
-moves: merge the wrong-way pair, factor it, pull the one middle map
-back along the V-part and push the other forward along the U-part.
+whose outer maps l and r are weak equivalences.  A zigzag is its arrow
+triple (l, m, r), as the diagram engine lists it; the triple fixes its
+ends, A = tgt l and B = src r.  Zigzags with fixed endpoints form a
+category (morphisms are componentwise weak equivalences commuting with
+all structure maps), the mapping space is its nerve, and hom-sets of the
+homotopy category are its connected components.  homotopy_category
+returns ``(ho_cat, class_of)``: the class-level FinCategory and the map
+from each triple to its class.  Composition of classes is carried out by
+explicit calculus moves: merge the wrong-way pair, factor it, pull the
+one middle map back along the V-part and push the other forward along
+the U-part.
 
 An independent cross-check is provided by a bounded word-rewriting
 oracle over alternating zigzags of arbitrary length, quotiented by the
@@ -27,37 +31,6 @@ from .fincat import FinCategory, StructuralError
 from .relcat import diagram_category, diagram_transitions, ARROW, WEQ_BACK
 from .pmc import CalculusError
 from .sset import nerve
-
-
-@dataclass(frozen=True)
-class Zigzag:
-    """A <- X -> Y <- B with the outer maps marked.
-
-    ``left``: X -> A in W, ``mid``: X -> Y arbitrary, ``right``: B -> Y
-    in W.  Source and target objects are derivable but kept explicit.
-    """
-
-    source: str
-    target: str
-    left: str
-    mid: str
-    right: str
-
-    @property
-    def key(self):
-        """The arrows (left, mid, right): the zigzag within its hom."""
-        return (self.left, self.mid, self.right)
-
-
-def identity_zigzag(rc, a):
-    i = rc.cat.identity[a]
-    return Zigzag(a, a, i, i, i)
-
-
-def zigzag_of_morphism(rc, f):
-    cat = rc.cat
-    return Zigzag(cat.src[f], cat.tgt[f],
-                  cat.identity[cat.src[f]], f, cat.identity[cat.tgt[f]])
 
 
 HAMMOCK = (WEQ_BACK, ARROW, WEQ_BACK)
@@ -84,50 +57,27 @@ def mapping_space(rc, a, b, n_max):
 def ho_compose(pms, z1, z2):
     """Normalized composite of composable zigzags via calculus moves.
 
-    Steps: (1) merge the two wrong-way maps through the shared endpoint
-    into one backward marked map; (2) factor it as v.u; (3) pull the
-    first middle map back along v and push the second forward along u;
-    (4) compose the remaining same-direction maps.
+    Zigzags are arrow triples (l, m, r).  Steps: (1) merge the two
+    wrong-way maps through the shared endpoint into one backward marked
+    map; (2) factor it as v.u; (3) pull the first middle map back along v
+    and push the second forward along u; (4) compose the remaining
+    same-direction maps.
     """
-    if z1.target != z2.source:
-        raise StructuralError(f"zigzags do not compose: {z1} then {z2}")
     cat = pms.rc.cat
-    back = cat.compose(z1.right, z2.left)         # X2 -> Y1, marked
+    l1, m1, r1 = z1
+    l2, m2, r2 = z2
+    if cat.src[r1] != cat.tgt[l2]:
+        raise StructuralError(f"zigzags do not compose: {z1} then {z2}")
+    back = cat.compose(r1, l2)                    # X2 -> Y1, marked
     u, mid_obj, v = pms.factor(back)
-    pb = pms.pullback(v, z1.mid)                  # cospan Y1 <- M, X1 ->
+    pb = pms.pullback(v, m1)                      # cospan Y1 <- M, X1 ->
     q, p = pb.leg_f, pb.leg_g                     # q: P -> M, p: P -> X1
-    po = pms.pushout(u, z2.mid)                   # span M <- X2 -> Y2
+    po = pms.pushout(u, m2)                       # span M <- X2 -> Y2
     mq, uq = po.leg_f, po.leg_g                   # mq: M -> Q, uq: Y2 -> Q
-    left = cat.compose(z1.left, p)
-    mid = cat.compose(mq, q)
-    right = cat.compose(uq, z2.right)
-    out = Zigzag(z1.source, z2.target, left, mid, right)
-    if not (pms.rc.is_weq(left) and pms.rc.is_weq(right)):
+    out = (cat.compose(l1, p), cat.compose(mq, q), cat.compose(uq, r2))
+    if not (pms.rc.is_weq(out[0]) and pms.rc.is_weq(out[2])):
         raise CalculusError(f"composite zigzag has unmarked outer maps: {out}")
     return out
-
-
-class HoCategory:
-    """The homotopy category: hom-sets are zigzag components.
-
-    ``cat`` is the class-level FinCategory (one morphism per component),
-    and ``class_of`` maps (source, target, zigzag key) to the class
-    morphism id.
-    """
-
-    def __init__(self, cat, class_of):
-        self.cat = cat
-        self.class_of = class_of
-
-    def hom_classes(self, a, b):
-        return self.cat.hom(a, b)
-
-    def image_of_morphism(self, rc, f):
-        z = zigzag_of_morphism(rc, f)
-        return self.class_of[(z.source, z.target, z.key)]
-
-    def is_iso(self, class_id):
-        return self.cat.is_iso(class_id)
 
 
 class HoConsistencyError(ValueError):
@@ -135,18 +85,21 @@ class HoConsistencyError(ValueError):
 
 
 def homotopy_category(pms):
-    """Hom-sets, identities and composition of the homotopy category,
-    with composition induced by ho_compose on every pair of
-    representatives (well-definedness is asserted, not assumed) and the
-    category laws re-verified exhaustively at class level.  The classes
-    from a to b are the components of the zigzags a ~> b under the maps
-    between them, read off the diagram engine without building the
-    zigzag category."""
+    """The homotopy category as ``(ho_cat, class_of)``.
+
+    ``ho_cat`` is a FinCategory with one morphism per class of zigzags,
+    and ``class_of`` maps each zigzag, the arrow triple (l, m, r), to its
+    class.  The classes from a to b are the components of the zigzags
+    a ~> b under the maps between them, read off the diagram engine
+    without building the zigzag category.  Composition is induced by
+    ho_compose on every pair of representatives (well-definedness is
+    asserted, not assumed) and the category laws are re-verified
+    exhaustively at class level."""
     rc = pms.rc
     cat = rc.cat
-    classes = {}          # (a, b) -> classes of zigzag indices
-    class_of = {}         # (a, b, key) -> class id
-    members = {}
+    classes = {}          # (a, b) -> class ids
+    class_of = {}         # (l, m, r) -> class id
+    members = {}          # class id -> its zigzags
     rows = []
     for a in cat.objects:
         for b in cat.objects:
@@ -154,31 +107,24 @@ def homotopy_category(pms):
             uf = UnionFind(range(len(diagrams)))
             for i, j, _comps in transitions:
                 uf.union(i, j)
-            cls = uf.classes()
-            classes[(a, b)] = cls
-            for i, group in enumerate(cls):
+            classes[(a, b)] = []
+            for i, group in enumerate(uf.classes()):
                 cid = f"[{a}=>{b}#{i}]"
                 rows.append((cid, a, b))
+                classes[(a, b)].append(cid)
                 members[cid] = frozenset(diagrams[d][1] for d in group)
-                for key in members[cid]:
-                    class_of[(a, b, key)] = cid
+                for z in members[cid]:
+                    class_of[z] = cid
     objects = list(cat.objects)
-    identity = {a: class_of[(a, a, identity_zigzag(rc, a).key)] for a in objects}
+    identity = {a: class_of[(cat.identity[a],) * 3] for a in objects}
     comp = {}
     for a in objects:
         for b in objects:
             for c in objects:
-                for i in range(len(classes[(a, b)])):
-                    cid1 = f"[{a}=>{b}#{i}]"
-                    for j in range(len(classes[(b, c)])):
-                        cid2 = f"[{b}=>{c}#{j}]"
-                        results = set()
-                        for key1 in members[cid1]:
-                            z1 = Zigzag(a, b, *key1)
-                            for key2 in members[cid2]:
-                                z2 = Zigzag(b, c, *key2)
-                                out = ho_compose(pms, z1, z2)
-                                results.add(class_of[(a, c, out.key)])
+                for cid1 in classes[(a, b)]:
+                    for cid2 in classes[(b, c)]:
+                        results = {class_of[ho_compose(pms, z1, z2)]
+                                   for z1 in members[cid1] for z2 in members[cid2]}
                         if len(results) != 1:
                             raise HoConsistencyError(
                                 f"composition of {cid1} and {cid2} is not "
@@ -188,7 +134,7 @@ def homotopy_category(pms):
     report = ho_cat.validate()
     if not report.ok:
         raise HoConsistencyError("class-level laws fail:\n" + report.describe())
-    return HoCategory(ho_cat, class_of)
+    return ho_cat, class_of
 
 
 # -- bounded localization oracle ---------------------------------------------
@@ -212,7 +158,6 @@ class OracleReport:
     bound: int
     classes: tuple          # classes meeting the core window
     count: int
-    count_at_smaller_bound: int
     stable: bool
     all_classes: tuple      # full partition of words up to the bound
 
@@ -320,7 +265,7 @@ def bounded_localization_oracle(rc, a, b, length_bound):
     smaller_full = _oracle_partition(rc, a, b, length_bound - 2)
     smaller = _core_classes(smaller_full, length_bound - 4)
     return OracleReport(a, b, length_bound, classes, len(classes),
-                        len(smaller), len(classes) == len(smaller), full)
+                        len(classes) == len(smaller), full)
 
 
 @dataclass
@@ -331,7 +276,6 @@ class SaturationReport:
     mode: str
     convention: str
     verdict: str            # "pass" | "fail" | "inconclusive"
-    iso_morphisms: tuple
     unmarked_but_iso: tuple
     marked_but_not_iso: tuple
     notes: list
@@ -357,15 +301,15 @@ def check_saturation(pms):
     diagnostic_saturation for the oracle-driven variant on a raw
     relative category."""
     rc = pms.rc
-    ho = homotopy_category(pms)
-    isos = [f for f in rc.cat.morphisms if ho.is_iso(ho.image_of_morphism(rc, f))]
-    iso_set = set(isos)
-    unmarked = tuple(f for f in isos if not rc.is_weq(f))
-    not_iso = tuple(f for f in rc.weq if f not in iso_set)
+    cat = rc.cat
+    ho_cat, class_of = homotopy_category(pms)
+    isos = {f for f in cat.morphisms if ho_cat.is_iso(
+        class_of[(cat.identity[cat.src[f]], f, cat.identity[cat.tgt[f]])])}
+    unmarked = tuple(f for f in cat.morphisms if f in isos and not rc.is_weq(f))
+    not_iso = tuple(f for f in rc.weq if f not in isos)
     verdict = "pass" if not unmarked and not not_iso else "fail"
     return SaturationReport(
-        "verified-structure", "weq-components",
-        verdict, tuple(isos), unmarked, not_iso,
+        "verified-structure", "weq-components", verdict, unmarked, not_iso,
         ["invertibility decided by exhaustive two-sided inverse search "
          "over homotopy-category classes"])
 
@@ -414,4 +358,4 @@ def diagnostic_saturation(rc, length_bound=7):
     if unstable:
         notes.append(f"unstable word spaces: {unstable}")
     return SaturationReport("diagnostic-oracle", "words", verdict,
-                            tuple(isos), unmarked, not_iso, notes)
+                            unmarked, not_iso, notes)

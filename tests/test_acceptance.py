@@ -139,16 +139,16 @@ def test_criterion_05_nerve_corroboration():
 def test_criterion_06_homotopy_category_oracle_equivalence():
     for name in ("pt", "I1", "Iw", "B2"):
         pms = build(name)
-        ho = homotopy_category(pms)
+        ho_cat, _class_of = homotopy_category(pms)
         for a in pms.rc.cat.objects:
             for b in pms.rc.cat.objects:
                 rep = bounded_localization_oracle(pms.rc, a, b, 7)
                 assert rep.stable, (name, a, b)
-                assert rep.count == len(ho.hom_classes(a, b)), (name, a, b)
+                assert rep.count == len(ho_cat.hom(a, b)), (name, a, b)
     assert category_isomorphism(thin_functor(
-        chain_poset(1), homotopy_category(build("I1")).cat, {"0": "0", "1": "1"})) is not None
+        chain_poset(1), homotopy_category(build("I1"))[0], {"0": "0", "1": "1"})) is not None
     assert category_isomorphism(thin_functor(
-        walking_iso(), homotopy_category(build("Iw")).cat, {"a": "0", "b": "1"})) is not None
+        walking_iso(), homotopy_category(build("Iw"))[0], {"a": "0", "b": "1"})) is not None
     verdict(6, "homotopy-category hom counts equal stable oracle counts at "
                "bound 7 on pt/I1/Iw/B2; Ho(I1) is the arrow category and "
                "Ho(Iw) the two-object isomorphism")

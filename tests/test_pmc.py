@@ -264,15 +264,6 @@ def test_mistyped_middle_map_leaves_the_laws_unchecked_with_a_note():
     assert fr.notes == [LAWS_NOT_CHECKED]
 
 
-def test_marking_without_identities_leaves_the_laws_unchecked():
-    # Arr(W) then has no identity squares, and 01 has no factorization
-    rc = RelCategory(chain_poset(1), ["01"], add_identities=False)
-    fr = verify_partial_model(PartialModelStructure(rc, rc.weq, rc.weq, {}, {})).verdict(
-        "c-iii:functorial-factorization")
-    assert fr.witnesses == [("01", "no factorization")]
-    assert fr.notes == [LAWS_NOT_CHECKED]
-
-
 # two parallel pairs of legs x, x,y: A -> C and z, y,z: B -> D under
 # w: A -> B and w2: C -> D, every composite A -> D being d
 COMMA_IDS = """relcat-version 1

@@ -47,12 +47,16 @@ def test_validate_relative_closure_violation():
                for v in report.violations)
 
 
-def test_validate_relative_missing_identity():
-    cat = chain_poset(1)
-    rc = RelCategory(cat, ["id:1", "01"], add_identities=False)
-    report = validate_relative(rc)
-    assert any(v.law == "identity-not-marked" and v.witness == ("0",)
-               for v in report.violations)
+def test_every_identity_is_marked():
+    # identities are marked whether or not weq lists them, in morphism order
+    for cat, weq in ((chain_poset(2), []), (chain_poset(2), ["01"]),
+                     (cyclic_group(3), []), (walking_iso(), ["s"])):
+        rc = RelCategory(cat, weq)
+        ids = {cat.identity[o] for o in cat.objects}
+        assert ids <= set(rc.weq)
+        assert set(rc.weq) == ids | set(weq)
+        assert list(rc.weq) == [m for m in cat.morphisms if m in rc.weq]
+        assert validate_relative(rc).ok
 
 
 def test_unknown_weq_id_is_structural():

@@ -208,13 +208,13 @@ def test_each_value_is_built_once(monkeypatch):
 def test_hom_comparison_matches_homotopy_category_everywhere():
     for rc in (iw_rc(), i1_rc()):
         pms = trivial_partial_model_structure(rc)
-        ho = homotopy_category(pms)
+        ho_cat, _class_of = homotopy_category(pms)
         y_report = verify_yoneda_relative(rc, 1)
         assert y_report.passed
         table = presheaf_values(rc, 1)
         for a in rc.cat.objects:
             for b in rc.cat.objects:
-                assert len(pi0(table[(a, b)].nerve)) == len(ho.hom_classes(a, b))
+                assert len(pi0(table[(a, b)].nerve)) == len(ho_cat.hom(a, b))
 
 
 def test_p4_diagnostic_mode_uses_oracle():
