@@ -489,6 +489,47 @@ def check_strict_segal_identity(rc, k, cache=None):
     return category_isomorphism(S) is not None
 
 
+def _segal_at(pms, k, sset_dims, cell_budget, cache):
+    """:func:`verify_segal` at one k; ``cache`` keeps A_k for the next."""
+    rc = pms.rc
+    parts = embedding_parts(rc, k)
+    _h, a_k, b_k, a_prime = parts
+    cache[k] = a_k
+    strict_ok = check_strict_segal_identity(rc, k, cache)
+    _r, cert = build_retraction(pms, k, parts)
+    # corroboration: nerve-level invariants of A'_k versus B_k
+    failures = []
+    dims = []
+    for d in range(sset_dims + 1):
+        if (count_chains(a_prime, d + 1) > cell_budget
+                or count_chains(b_k, d + 1) > cell_budget):
+            break
+        dims.append(d)
+    skipped = [d for d in range(sset_dims + 1) if d not in dims]
+    trunc = (max(dims) + 1) if dims else 1
+    nerve_a = nerve(a_prime, trunc)
+    nerve_b = nerve(b_k, trunc)
+    pi_a, pi_b = len(pi0(nerve_a)), len(pi0(nerve_b))
+    if pi_a != pi_b:
+        failures.append(f"pi0 {pi_a} != {pi_b}")
+    if dims:
+        h_a = homology(nerve_a, max(dims))
+        h_b = homology(nerve_b, max(dims))
+        for d in dims:
+            if h_a[d] != h_b[d]:
+                failures.append(f"H_{d}: {h_a[d]} != {h_b[d]}")
+    return {
+        "strict_identity": strict_ok,
+        "certificate_valid": cert.valid,
+        "certificate": cert,
+        "pi0": (pi_a, pi_b),
+        "homology_dims_compared": dims,
+        "skipped_dims": skipped,
+        "reduction": {"A'_k": _reduction(nerve_a), "B_k": _reduction(nerve_b)},
+        "corroboration_failures": failures,
+    }
+
+
 def verify_segal(pms, k_range=(2, 3), sset_dims=2, cell_budget=200_000,
                  allow_large=False):
     """The full per-k pipeline: strict fiber identity, retraction
@@ -498,48 +539,13 @@ def verify_segal(pms, k_range=(2, 3), sset_dims=2, cell_budget=200_000,
     simplices in some needed dimension are skipped and reported as
     skipped, never silently dropped.  k >= 5 needs ``allow_large``.
     """
-    rc = pms.rc
     if any(k >= 5 for k in k_range) and not allow_large:
         raise StructuralError(
             "k >= 5 grows as |Mor|^(k+3); pass --allow-large (allow_large=True)")
     cache = {}
-    k_results = {}
-    for k in sorted(k_range):
-        parts = embedding_parts(rc, k)
-        h, a_k, b_k, a_prime = parts
-        cache[k] = a_k
-        strict_ok = check_strict_segal_identity(rc, k, cache)
-        r_f, cert = build_retraction(pms, k, parts)
-        # corroboration: nerve-level invariants of A'_k versus B_k
-        failures = []
-        dims = []
-        for d in range(sset_dims + 1):
-            if (count_chains(a_prime, d + 1) > cell_budget
-                    or count_chains(b_k, d + 1) > cell_budget):
-                break
-            dims.append(d)
-        skipped = [d for d in range(sset_dims + 1) if d not in dims]
-        trunc = (max(dims) + 1) if dims else 1
-        nerve_a = nerve(a_prime, trunc)
-        nerve_b = nerve(b_k, trunc)
-        pi_a, pi_b = len(pi0(nerve_a)), len(pi0(nerve_b))
-        if pi_a != pi_b:
-            failures.append(f"pi0 {pi_a} != {pi_b}")
-        if dims:
-            h_a = homology(nerve_a, max(dims))
-            h_b = homology(nerve_b, max(dims))
-            for d in dims:
-                if h_a[d] != h_b[d]:
-                    failures.append(f"H_{d}: {h_a[d]} != {h_b[d]}")
-        k_results[k] = {
-            "strict_identity": strict_ok,
-            "certificate_valid": cert.valid,
-            "certificate": cert,
-            "pi0": (pi_a, pi_b),
-            "homology_dims_compared": dims,
-            "skipped_dims": skipped,
-            "reduction": {"A'_k": _reduction(nerve_a), "B_k": _reduction(nerve_b)},
-            "corroboration_failures": failures,
-        }
+    # one k at a time, each once: B_k, A'_k and their nerves go when
+    # _segal_at returns
+    k_results = {k: _segal_at(pms, k, sset_dims, cell_budget, cache)
+                 for k in sorted(set(k_range))}
     saturation = check_saturation(pms)
     return SegalReport(k_results, saturation.passed, _BOUNDARY)

@@ -11,7 +11,9 @@ morphisms out of its last vertex, and the blocks keep the order of the
 level below.  Recording where each block starts and each morphism's
 rank among the morphisms out of its source, every face, degeneracy and
 functor-induced map is index arithmetic on the level below; no chain is
-ever looked up by value.
+ever looked up by value.  So a nerve is index tables only: per level
+one list of ids, whose int objects every table shares, and the position
+of each chain's last morphism; chains are spelled only when read.
 
 Homology uses the normalized chain complex -- the quotient by degenerate
 simplices -- with integer coefficients.  Each boundary is built once, as
@@ -37,7 +39,6 @@ goes through its own normalized chains, which stay the reference.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import itemgetter
 
 from ._util import UnionFind
 from .fincat import StructuralError, check_functor_typing
@@ -434,14 +435,16 @@ class Nerve(TruncatedSimplicialSet):
     c + (m,) has index ``starts[n][index of c] + rank[n][m]``.  For
     n >= 2, ``rank[n][m]`` is the rank of m among the morphisms out of
     its source; level 1 is the same scheme with every start 0 and the
-    rank of m its position in ``cat.morphisms``.  ``starts[0]`` and
-    ``rank[0]`` are None.  ``category`` is the category the nerve was
-    built from.
+    rank of m its position in ``cat.morphisms``; ``lasts[n]`` gives each
+    n-chain's last morphism by that position.  ``starts[0]``, ``rank[0]``
+    and ``lasts[0]`` are None.  ``category`` is the category the nerve
+    was built from.
 
-    The first read of ``simplices``, ``faces``, ``degeneracies``,
-    ``starts`` or ``rank`` builds all five; ``size``, ``core`` and
-    :func:`pi0` build nothing.  Index tables into the nerve take their
-    entries from ``indices[n]``, the list 0..size(n)-1, built once.
+    The first read of ``indices``, ``lasts``, ``faces``,
+    ``degeneracies``, ``starts`` or ``rank`` builds all six.  Every entry
+    of a table into level n is an int object of ``indices[n]``, the list
+    0..size(n)-1.  ``simplices`` spells the chains as tuples on its first
+    read; ``size``, ``core`` and :func:`pi0` build nothing.
     """
 
     def __init__(self, category, n_max):
@@ -453,17 +456,28 @@ class Nerve(TruncatedSimplicialSet):
     def _tables(self):
         return _nerve_tables(self.category, self.n_max)
 
-    simplices = property(lambda self: self._tables[0])
-    faces = property(lambda self: self._tables[1])
-    degeneracies = property(lambda self: self._tables[2])
-    starts = property(lambda self: self._tables[3])
-    rank = property(lambda self: self._tables[4])
+    indices = property(lambda self: self._tables[0])
+    lasts = property(lambda self: self._tables[1])
+    faces = property(lambda self: self._tables[2])
+    degeneracies = property(lambda self: self._tables[3])
+    starts = property(lambda self: self._tables[4])
+    rank = property(lambda self: self._tables[5])
+
+    @cached_property
+    def simplices(self):
+        tails = [(m,) for m in self.category.morphisms]
+        simplices = [list(self.category.objects), tails][:self.n_max + 1]
+        for n in range(2, self.n_max + 1):
+            prev = simplices[-1]
+            simplices.append([prev[p] + tails[u]
+                              for p, u in zip(self.faces[(n, n)], self.lasts[n])])
+        return simplices
 
     def size(self, n):
         if not 0 <= n <= self.n_max:
             raise TruncationError(f"no level {n} at truncation {self.n_max}")
         if "_tables" in self.__dict__:
-            return len(self.simplices[n])
+            return len(self.indices[n])
         return count_chains(self.category, n)
 
     def edge_ends(self):
@@ -471,10 +485,6 @@ class Nerve(TruncatedSimplicialSet):
         cat = self.category
         where = {o: i for i, o in enumerate(cat.objects)}
         return cat.objects, ((where[cat.tgt[m]], where[cat.src[m]]) for m in cat.morphisms)
-
-    @cached_property
-    def indices(self):
-        return [list(range(self.size(n))) for n in range(self.n_max + 1)]
 
     @cached_property
     def core(self):
@@ -497,7 +507,8 @@ def count_chains(cat, n):
 def nerve(cat, n_max):
     """The nerve: n-simplices are composable n-chains of morphisms,
     objects at n = 0, numbered as described on :class:`Nerve`.  Nothing
-    is built here; the tables are built on their first read.
+    is built here; the index tables are built on their first read, and
+    the chains are spelled only when ``simplices`` is read.
 
     Every operator follows from the last face d_n(x), the chain x
     without its last morphism u.  For i < n - 1, d_i(x) is d_i(d_n x)
@@ -522,25 +533,26 @@ def nerve(cat, n_max):
 
 
 def _nerve_tables(cat, n_max):
-    """The five tables of :class:`Nerve`, every level at once."""
+    """The six tables of :class:`Nerve`, every level at once."""
     objects, morphisms = cat.objects, cat.morphisms
-    where = {o: i for i, o in enumerate(objects)}
-    position = {m: u for u, m in enumerate(morphisms)}
+    indices, lasts = [list(range(len(objects)))], [None]
+    positions = list(range(len(morphisms)))
+    where, position = dict(zip(objects, indices[0])), dict(zip(morphisms, positions))
     out = [cat.out_of(o) for o in objects]
     rank = {m: r for ms in out for r, m in enumerate(ms)}
-    simplices, starts, ranks = [list(objects)], [None], [None]
+    starts, ranks = [None], [None]
     faces, degeneracies = {}, {}
     if n_max >= 1:
-        simplices.append([(m,) for m in morphisms])
+        indices.append(positions)
+        lasts.append(positions)
         starts.append([0] * len(objects))
         ranks.append(position)
         faces[(1, 0)] = [where[cat.tgt[m]] for m in morphisms]
         faces[(1, 1)] = [where[cat.src[m]] for m in morphisms]
         degeneracies[(0, 0)] = [position[cat.identity[o]] for o in objects]
-    # per object: the ends, positions and 1-tuples of the morphisms out of it
+    # per object: the ends and positions of the morphisms out of it
     out_ends = [[where[cat.tgt[m]] for m in ms] for ms in out]
     out_at = [[position[m] for m in ms] for ms in out]
-    tails = [[(m,) for m in ms] for ms in out]
     rank_at = [rank[m] for m in morphisms]
     id_rank = [rank[cat.identity[o]] for o in objects]
     if n_max >= 2:
@@ -551,48 +563,51 @@ def _nerve_tables(cat, n_max):
                       for f, e in zip(morphisms, faces[(1, 0)])]
     ends = faces.get((1, 0), ())          # the last vertex of each chain of the level
     for n in range(2, n_max + 1):
-        prev = simplices[n - 1]
+        # every entry below is an int object of ``prev`` or of ``here``,
+        # taken by slicing or subscripting, never made afresh
+        prev = indices[n - 1]
         counts = [len(out[e]) for e in ends]
-        here = list(accumulate(counts, initial=0))
-        here.pop()
-        level = [c + t for c, e in zip(prev, ends) for t in tails[e]]
-        new_lasts = list(chain.from_iterable(map(out_at.__getitem__, ends)))
+        starts_at = list(accumulate(counts, initial=0))
+        here = list(range(starts_at.pop()))
+        starts_at = list(map(here.__getitem__, starts_at))
+        level_lasts = list(chain.from_iterable(map(out_at.__getitem__, ends)))
         if n == 2:
-            faces[(2, 0)] = new_lasts
+            faces[(2, 0)] = level_lasts
             faces[(2, 1)] = list(chain.from_iterable(composites))
         else:
             # the n-chains extending one (n-1)-chain y form a block, in
             # rank order, so d_i (i < n - 1) sends them onto the block of
-            # d_i(y); slicing one list of indices shares the int objects
-            below, canon = starts[n - 1], list(range(len(prev)))
+            # d_i(y)
+            below = starts[n - 1]
             for i in range(n - 1):
                 faces[(n, i)] = list(chain.from_iterable(
-                    canon[b:b + k]
+                    prev[b:b + k]
                     for b, k in zip(map(below.__getitem__, faces[(n - 1, i)]), counts)))
             if n == 3:
                 composites = [[rank_at[h] for h in hs] for hs in composites]
             faces[(n, n - 1)] = [
-                canon[b + r]
-                for b, u in zip(map(below.__getitem__, faces[(n - 1, n - 1)]), lasts)
+                prev[b + r]
+                for b, u in zip(map(below.__getitem__, faces[(n - 1, n - 1)]), lasts[n - 1])
                 for r in composites[u]]
-        faces[(n, n)] = list(chain.from_iterable(map(repeat, range(len(prev)), counts)))
+        faces[(n, n)] = list(chain.from_iterable(map(repeat, prev, counts)))
         # the degeneracies out of level n - 1 land here
-        degeneracies[(n - 1, n - 1)] = [s + id_rank[e] for s, e in zip(here, ends)]
+        degeneracies[(n - 1, n - 1)] = [here[s + id_rank[e]] for s, e in zip(starts_at, ends)]
         if n == 2:
             ids = degeneracies[(0, 0)]
-            degeneracies[(1, 0)] = [here[ids[v]] + r for v, r in zip(faces[(1, 1)], rank_at)]
+            degeneracies[(1, 0)] = [here[starts_at[ids[v]] + r]
+                                    for v, r in zip(faces[(1, 1)], rank_at)]
         else:
             for i in range(n - 1):
                 degeneracies[(n - 1, i)] = list(chain.from_iterable(
-                    range(b, b + k) for b, k in
-                    zip(map(here.__getitem__, degeneracies[(n - 2, i)]), below_counts)))
-        simplices.append(level)
-        starts.append(here)
+                    here[b:b + k] for b, k in
+                    zip(map(starts_at.__getitem__, degeneracies[(n - 2, i)]), below_counts)))
+        indices.append(here)
+        lasts.append(level_lasts)
+        starts.append(starts_at)
         ranks.append(rank)
         ends = list(chain.from_iterable(map(out_ends.__getitem__, ends)))
-        lasts = new_lasts           # the position of each chain's last morphism
         below_counts = counts
-    return simplices, faces, degeneracies, starts, ranks
+    return indices, lasts, faces, degeneracies, starts, ranks
 
 
 # -- bisimplicial sets --------------------------------------------------------
@@ -667,26 +682,27 @@ def nerve_map_tables(F, source, target):
     raises StructuralError naming the morphism.
     """
     check_functor_typing(F).require("not a functor")
-    where = dict(zip(target.simplices[0], target.indices[0]))
-    tables = {0: [where[F.obj_map[o]] for o in source.simplices[0]]}
+    morphisms = source.category.morphisms
+    where = dict(zip(target.category.objects, target.indices[0]))
+    tables = {0: [where[F.obj_map[o]] for o in source.category.objects]}
     top = min(source.n_max, target.n_max)
+    images = list(map(F.mor_map.__getitem__, morphisms))
     for n in range(1, top + 1):
-        starts, below, rank = target.starts[n], tables[n - 1], target.rank[n]
-        offset, index = {m: rank[h] for m, h in F.mor_map.items()}, target.indices[n]
-        tables[n] = [index[starts[below[p]] + offset[x[-1]]]
-                     for p, x in zip(source.faces[(n, n)], source.simplices[n])]
+        starts, below, index = target.starts[n], tables[n - 1], target.indices[n]
+        offset = list(map(target.rank[n].__getitem__, images))
+        tables[n] = [index[starts[below[p]] + offset[u]]
+                     for p, u in zip(source.faces[(n, n)], source.lasts[n])]
     if top >= 1:
         s0 = target.degeneracies[(0, 0)]
         for v, x in enumerate(source.degeneracies[(0, 0)]):
             if tables[1][x] != s0[tables[0][v]]:
-                raise StructuralError(f"not a functor: F({source.simplices[1][x][0]}) "
-                                      f"is not an identity")
+                raise StructuralError(f"not a functor: F({morphisms[x]}) is not an identity")
     if top >= 2:
         d1 = target.faces[(2, 1)]
         composites = list(map(tables[1].__getitem__, source.faces[(2, 1)]))
         if composites != list(map(d1.__getitem__, tables[2])):
             x = next(x for x, (p, y) in enumerate(zip(composites, tables[2])) if p != d1[y])
-            f, g = source.simplices[2][x]
+            f, g = morphisms[source.faces[(2, 2)][x]], morphisms[source.lasts[2][x]]
             raise StructuralError(f"not a functor: F({g}.{f}) is not F({g}).F({f})")
     return tables
 
@@ -711,19 +727,20 @@ class ClassificationNerve(TruncatedBisimplicialSet):
     def simplices(self):
         simplices = {}
         for k, s in enumerate(self.columns):
-            diagrams, components = s.category.diagrams, s.category.components
+            cat = s.category
+            diagrams, components = cat.diagrams, cat.components
             grids = [((objs,), (arrows,), ()) for objs, arrows in map(diagrams.__getitem__,
-                                                                       s.simplices[0])]
+                                                                       cat.objects)]
             simplices[(k, 0)] = grids
             # a grid is the grid of its last face with one more row: the
             # target diagram and the components of the last morphism
-            rows = {m: ((diagrams[t][0],), (diagrams[t][1],), (components[m],))
-                    for m, t in s.category.tgt.items()}
+            rows = [((diagrams[cat.tgt[m]][0],), (diagrams[cat.tgt[m]][1],), (components[m],))
+                    for m in cat.morphisms]
             for n in range(1, self.n_max + 1):
                 grids = [(objs + o, arrows + a, steps + c)
                          for (objs, arrows, steps), (o, a, c) in zip(
                              map(grids.__getitem__, s.faces[(n, n)]),
-                             map(rows.__getitem__, map(itemgetter(-1), s.simplices[n])))]
+                             map(rows.__getitem__, s.lasts[n]))]
                 simplices[(k, n)] = grids
         return simplices
 

@@ -152,8 +152,8 @@ def _pi0_bijective(mp, src_classes, tgt_classes):
     of its source and of its target; a simplicial map sends each
     component into one, so a vertex per component suffices."""
     class_of = {v: i for i, cls in enumerate(tgt_classes) for v in cls}
-    vertex = {v: i for i, v in enumerate(mp.source.simplices[0])}
-    image, into = mp.tables[0], mp.target.simplices[0]
+    vertex = {v: i for i, v in enumerate(mp.source.category.objects)}
+    image, into = mp.tables[0], mp.target.category.objects
     images = {class_of[into[image[vertex[cls[0]]]]] for cls in src_classes}
     return len(src_classes) == len(images) == len(tgt_classes)
 

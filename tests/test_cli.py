@@ -330,15 +330,32 @@ def test_consecutive_calls_keep_defaults():
 
 def test_nerve_builds_no_grid(monkeypatch):
     import pathlib
-    from pmcat.sset import ClassificationNerve
+    from pmcat.sset import ClassificationNerve, Nerve
 
     def ungridded(b):
         raise AssertionError("grids were built")
+
+    def unspelled(s):
+        raise AssertionError("chains were spelled")
     monkeypatch.setattr(ClassificationNerve, "simplices", property(ungridded))
+    monkeypatch.setattr(Nerve, "simplices", property(unspelled))
     for name in FIXTURES:
         golden = pathlib.Path(fixture_path(name)).parent / "expected" / f"{name}.nerve.json"
         code, out = run_cli("nerve", str(fixture_path(name)), *_nerve_flags(name),
                             "--format", "json")
+        assert out == golden.read_text() and code == 0, name
+
+
+def test_segal_spells_no_chain(monkeypatch):
+    import pathlib
+    from pmcat.sset import Nerve
+
+    def unspelled(s):
+        raise AssertionError("chains were spelled")
+    monkeypatch.setattr(Nerve, "simplices", property(unspelled))
+    for name in ("pt", "I1", "Iw"):
+        golden = pathlib.Path(fixture_path(name)).parent / "expected" / f"{name}.segal.json"
+        code, out = run_cli("segal", str(fixture_path(name)), "--full", "--format", "json")
         assert out == golden.read_text() and code == 0, name
 
 
@@ -525,6 +542,79 @@ def test_every_subcommand_keeps_the_exit_contract(fmt):
                 except SystemExit as e:
                     code = e.code
             assert code in (0, 1, 2), argv
+
+
+# -- fuzzed flags keep the exit contract ---------------------------------------
+
+# flag values, each drawn as (valid, malformed): sizes stay in 0..3, since
+# ``nerve J`` at its defaults needs over 2 GB; the malformed ones are not
+# integers, negative, or broken --k lists
+SIZES = (("0", "1", "2", "3"), ("x", "1.5", "", " ", "-1", "-12", "2e1", "0x2"))
+K_LISTS = (("2", "3", "2,3", "3,2,3"),
+           ("", ",", "2,", "2,,3", "1,2", "0", "-2", "2;3", "a,2", "2.5", "5"))
+# each fails to parse where it is appended; none abbreviates a switch, as
+# "--allow" would abbreviate --allow-large
+UNKNOWN_FLAGS = ("--bogus", "-q", "--kmax", "--k=", "--no-such-flag")
+
+# per subcommand, each flag and its values (None: a switch); ``nerve``
+# always gets both sizes, so that no call runs at its defaults, and
+# ``export`` a k_max of at most 2 (J's (3, 3) grids take 190 MB).
+# ``segal --allow-large`` is never drawn: with k = 5 it is unbounded
+FLAG_DRAWS = {
+    "check": {},
+    "ho": {},
+    "nerve": {"--kmax": SIZES, "--nmax": SIZES},
+    "segal": {"--k": K_LISTS, "--dims": SIZES, "--cell-budget": SIZES, "--full": None},
+    "mapspace": {"--nmax": SIZES},
+    "saturate": {"--bound": (("4", "5"), SIZES[0] + SIZES[1]), "--diagnostic": None},
+    "yoneda": {"--dims": SIZES},
+    "export": {"--what": (("nerve", "rezk-nerve"), ("grid",)),
+               "--kmax": (SIZES[0][:3], SIZES[1]), "--nmax": SIZES},
+}
+
+
+def fuzzed_flags(rng, command, objects):
+    """One drawn flag list for ``command``: each flag kept or dropped,
+    its value mostly valid, then perhaps an unknown flag."""
+    def draw(values):
+        valid, malformed = values
+        return rng.choice(valid if rng.random() < 0.8 else malformed)
+
+    draws = {**FLAG_DRAWS[command], "--format": (("text", "json"), ("xml",))}
+    if command == "mapspace":
+        draws.update({"--from": (objects, ("ghost", "")), "--to": (objects, ("ghost", ""))})
+    argv = []
+    for flag, values in draws.items():
+        if command == "nerve" or rng.random() < 0.8:
+            argv += [flag] if values is None else [flag, draw(values)]
+    if rng.random() < 0.1:
+        argv.append(rng.choice(UNKNOWN_FLAGS))
+    return argv
+
+
+def test_fuzzed_flags_keep_the_exit_contract():
+    """Every subcommand on every fixture, with flags drawn from four
+    seeded streams, exits 0, 1 or 2, and no exception but argparse's
+    SystemExit leaves ``main``; each exit code occurs."""
+    import random
+    seen = set()
+    for seed in range(4):
+        rng = random.Random(f"pmcat-fuzzed-flags-{seed}")
+        for command in FLAG_DRAWS:
+            for name in FIXTURES:
+                value = build(name)
+                objects = getattr(value, "rc", value).cat.objects
+                argv = [command, str(fixture_path(name)),
+                        *fuzzed_flags(rng, command, objects)]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    try:
+                        code, _ = run_cli(*argv)
+                    except SystemExit as e:
+                        code = e.code
+                assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), argv
+                seen.add(code)
+    assert seen == {0, 1, 2}
 
 
 def test_unread_calculus_data_is_named_in_a_note(tmp_path):

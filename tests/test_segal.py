@@ -398,6 +398,24 @@ def test_verify_segal_builds_only_the_tables_of_preorder_cores(monkeypatch):
     assert built and all(any(cat is core for core in cores) for cat in built)
 
 
+def test_verify_segal_keeps_one_k_alive(monkeypatch):
+    # B_2 and A'_2 are gone by the time B_3 is enumerated
+    import gc
+    import weakref
+    from pmcat.fixtures import build
+    alive, entered = [], []
+
+    def recorded_parts(rc, k, _real=segal.embedding_parts):
+        gc.collect()
+        entered.append((k, [ref() is not None for ref in alive]))
+        parts = _real(rc, k)
+        alive.extend(weakref.ref(c) for c in parts[2:])
+        return parts
+    monkeypatch.setattr(segal, "embedding_parts", recorded_parts)
+    assert verify_segal(build("B2"), (2, 3), 2).passed
+    assert entered == [(2, []), (3, [False, False])]
+
+
 def test_verify_segal_groupoid_low_dims():
     rep = verify_segal(pms_of(j_rc(), groupoid=True), (2,), 0)
     assert rep.passed, rep.describe()

@@ -133,6 +133,88 @@ def test_nerve_numbers_each_chain_by_its_last_face():
                 assert s.starts[n][last_face] + s.rank[n][chain[-1]] == x, (name, n, x)
 
 
+def chains_in_order(cat, n):
+    """The composable n-chains of ``cat`` by brute force, in the order of
+    the nerve: each (n-1)-chain in turn, extended by every morphism out
+    of its last vertex in the order of ``cat.morphisms``."""
+    if n == 0:
+        return list(cat.objects)
+    level = [()]
+    for _ in range(n):
+        level = [c + (m,) for c in level for m in cat.morphisms
+                 if not c or cat.src[m] == cat.tgt[c[-1]]]
+    return level
+
+
+def spelled_cases():
+    for k in (1, 2, 3):
+        yield f"[{k}]", chain_poset(k)
+    yield "B2", boolean_lattice()
+    yield "J", walking_iso()
+    for n in (2, 3):
+        # every map marked, and not thin
+        cat = cyclic_group(n)
+        yield f"B(Z/{n})", restrict_to_weq(RelCategory(cat, cat.morphisms)).cat
+
+
+@pytest.mark.parametrize("n_max", range(4))
+def test_chains_are_spelled_on_first_read_in_order(n_max):
+    for name, cat in spelled_cases():
+        s = nerve(cat, n_max)
+        # the operators are built and checked with no chain spelled
+        assert s.validate_identities() == [] and "simplices" not in vars(s), name
+        assert s.simplices == [chains_in_order(cat, n) for n in range(n_max + 1)], name
+        assert [len(level) for level in s.simplices] == [
+            s.size(n) for n in range(n_max + 1)], name
+
+
+def tables_on_spelled_chains(F, source, target):
+    """Reference for nerve_map_tables: its earlier formula, which read
+    each chain's last morphism off the spelled chain and looked the rank
+    of its image up by id."""
+    where = dict(zip(target.simplices[0], target.indices[0]))
+    tables = {0: [where[F.obj_map[o]] for o in source.simplices[0]]}
+    for n in range(1, min(source.n_max, target.n_max) + 1):
+        starts, below, rank = target.starts[n], tables[n - 1], target.rank[n]
+        offset = {m: rank[h] for m, h in F.mor_map.items()}
+        tables[n] = [starts[below[p]] + offset[x[-1]]
+                     for p, x in zip(source.faces[(n, n)], source.simplices[n])]
+    return tables
+
+
+def test_induced_tables_match_the_formula_on_spelled_chains(monkeypatch):
+    from pmcat.fixtures import build
+    calls = []
+
+    def recorded(F, source, target, _real=sset.nerve_map_tables):
+        tables = _real(F, source, target)
+        calls.append((F, source, target, tables))
+        return tables
+    monkeypatch.setattr(sset, "nerve_map_tables", recorded)
+    rezk_nerve(build("B2").rc, 2, 2)
+    assert len(calls) == 8      # faces 2 + 3, degeneracies 1 + 2
+    for F, source, target, tables in calls:
+        assert tables == tables_on_spelled_chains(F, source, target)
+        assert all(target.indices[n][y] is y for n, t in tables.items() for y in t)
+
+
+def test_every_table_entry_is_an_int_of_its_level():
+    # one int object per simplex: levels past 256 simplices leave
+    # CPython's shared small ints, so a fresh int would show there
+    from pmcat.fixtures import build
+    from pmcat.segal import chain_category
+    a_2 = chain_category(build("B2").rc, 2)
+    for name, cat in [*oracle_categories(), ("B2's A_2", a_2)]:
+        s = nerve(cat, 3)
+        ids = s.indices
+        for (n, i), table in s.faces.items():
+            assert all(ids[n - 1][y] is y for y in table), (name, n, i)
+        for (n, i), table in s.degeneracies.items():
+            assert all(ids[n + 1][y] is y for y in table), (name, n, i)
+        assert all(ids[1][u] is u for level in s.lasts[1:] for u in level), name
+    assert [len(level) for level in ids] == [16, 100, 400, 1225]
+
+
 @pytest.mark.parametrize("image", ["moved", None])
 def test_induced_map_refuses_a_morphism_sent_to_the_wrong_ends(image):
     cat = boolean_lattice()
@@ -626,8 +708,9 @@ def test_identity_violations_name_every_index_in_order():
         "d1 s2 != s1 d1 at dim 2 index 1",
     ]
     # a level with a simplex that no table has an entry for: its tables
-    # are read past their end, not cut short
-    s.simplices[1].append(("0", "extra"))
+    # are read past their end, not cut short.  A built nerve's size is
+    # the length of its id list, so the extra simplex goes there
+    s.indices[1].append(s.size(1))
     with pytest.raises(IndexError):
         s.validate_identities()
 
@@ -714,7 +797,8 @@ def test_rezk_sizes_are_counted_before_the_grids_are_built():
 
 
 def test_rezk_nerve_of_b2_holds_no_grid(monkeypatch):
-    # 74 MiB when every grid was built with the tables; tracing
+    # 74 MiB when every grid was built with the tables, 29 MiB while the
+    # columns' chains were spelled, 16 MiB as index tables; tracing
     # validate_identities too would take 15 times its 0.7 s, so it runs
     # untraced, with the grids made to raise
     import tracemalloc
@@ -729,7 +813,7 @@ def test_rezk_nerve_of_b2_holds_no_grid(monkeypatch):
     monkeypatch.setattr(sset.ClassificationNerve, "simplices", property(ungridded))
     assert b.validate_identities() == []
     assert sum(b.size(k, n) for k in range(5) for n in range(5)) == 111_022
-    assert peak < 45 * 2**20
+    assert peak < 24 * 2**20
 
 
 def test_sizes_outside_the_truncation_are_refused():
