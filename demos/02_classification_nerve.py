@@ -18,7 +18,8 @@ b = rezk_nerve(iw, 2, 2)
 for n in range(3):
     row = [b.size(k, n) for k in range(3)]
     print(f"  n={n}:", row)
-print("simplicial identities:", "all hold" if not b.validate_identities() else "VIOLATED")
+print("simplicial identities, checked on the face and degeneracy functors:",
+      "all hold" if not b.validate_identities() else "VIOLATED")
 
 print()
 print("level k = 0 against the nerve of the marked subcategory:")

@@ -24,7 +24,7 @@ from . import __version__
 from .fincat import StructuralError
 from .relcat import validate_relative, check_two_of_three, check_two_of_six
 from .pmc import PartialModelStructure, verify_partial_model
-from .sset import rezk_nerve, nerve, pi0
+from .sset import rezk_nerve, nerve, pi0, IDENTITIES_CHECKED_ON
 from .hammock import (
     homotopy_category, mapping_space, check_saturation, diagnostic_saturation,
     HoConsistencyError, ORACLE_MIN_BOUND,
@@ -87,24 +87,27 @@ def _write_json(value, out, nl):
         raise TypeError(f"a report cannot hold {type(value).__name__}")
 
 
-def _emit_text(report, indent=0):
-    pad = "  " * indent
-    if isinstance(report, dict):
-        for key in report:
-            value = report[key]
-            if isinstance(value, (dict, list)) and value:
-                sys.stdout.write(f"{pad}{key}:\n")
-                _emit_text(value, indent + 1)
+def _emit_text(value, pad="", out=None):
+    """Write ``value`` as text indented by ``pad``: a dict as ``key: value``
+    lines, a list or tuple as one ``- `` item per element, and a nested one
+    on the lines under its key or from its item's line on, two further in."""
+    lines = [] if out is None else out
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            if isinstance(item, (dict, list, tuple)) and item:
+                lines.append(f"{pad}{key}:")
+                _emit_text(item, pad + "  ", lines)
             else:
-                sys.stdout.write(f"{pad}{key}: {value}\n")
-    elif isinstance(report, list):
-        for value in report:
-            if isinstance(value, (dict, list)):
-                _emit_text(value, indent)
-            else:
-                sys.stdout.write(f"{pad}- {value}\n")
+                lines.append(f"{pad}{key}: {[] if item == () else item}")
+    elif isinstance(value, (list, tuple)) and value:
+        for item in value:
+            first = len(lines)
+            _emit_text(item, pad + "  ", lines)
+            lines[first] = f"{pad}- {lines[first][len(pad) + 2:]}"
     else:
-        sys.stdout.write(f"{pad}{report}\n")
+        lines.append(f"{pad}{[] if value == () else value}")
+    if out is None:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _report(command, args, result, exit_code):
@@ -178,6 +181,7 @@ def cmd_nerve(args):
         "identity_violations": violations[:10],
         "identity_violations_total": len(violations),
         "identities_ok": not violations,
+        "identities_checked_on": IDENTITIES_CHECKED_ON,
     }
     return _report("nerve", args, result, 0 if not violations else 1)
 
@@ -265,13 +269,12 @@ def cmd_export(args):
             "kind": "bisimplicial-set",
             "k_max": b.k_max,
             "n_max": b.n_max,
-            "simplices": {
-                f"({k},{n})": [_grid_dict(g) for g in b.simplices[(k, n)]]
-                for k in range(b.k_max + 1) for n in range(b.n_max + 1)},
-            "h_faces": {f"({k},{n},{i})": v for (k, n, i), v in sorted(b.hfaces.items())},
-            "v_faces": {f"({k},{n},{i})": v for (k, n, i), v in sorted(b.vfaces.items())},
-            "h_degeneracies": {f"({k},{n},{i})": v for (k, n, i), v in sorted(b.hdegens.items())},
-            "v_degeneracies": {f"({k},{n},{i})": v for (k, n, i), v in sorted(b.vdegens.items())},
+            "simplices": {f"({k},{n})": [dict(zip(("objects", "horizontal", "vertical"), g))
+                                         for g in grids] for (k, n), grids in b.simplices.items()},
+            "h_faces": _by_key(b.hfaces),
+            "v_faces": _by_key(b.vfaces),
+            "h_degeneracies": _by_key(b.hdegens),
+            "v_degeneracies": _by_key(b.vdegens),
         }
     else:
         _value, rc = _load(args)
@@ -279,21 +282,16 @@ def cmd_export(args):
         data = {
             "kind": "simplicial-set",
             "n_max": s.n_max,
-            "simplices": {str(n): [list(c) if isinstance(c, tuple) else c
-                                   for c in s.simplices[n]]
-                          for n in range(s.n_max + 1)},
-            "faces": {f"({n},{i})": v for (n, i), v in sorted(s.faces.items())},
-            "degeneracies": {f"({n},{i})": v
-                             for (n, i), v in sorted(s.degeneracies.items())},
+            "simplices": dict(zip(map(str, range(s.n_max + 1)), s.simplices)),
+            "faces": _by_key(s.faces),
+            "degeneracies": _by_key(s.degeneracies),
         }
     return _report("export", args, data, 0)
 
 
-def _grid_dict(grid):
-    objs, hs, vs = grid
-    return {"objects": [list(r) for r in objs],
-            "horizontal": [list(r) for r in hs],
-            "vertical": [list(r) for r in vs]}
+def _by_key(tables):
+    """Operator tables keyed "(k,n,i)" or "(n,i)", in key order."""
+    return {f"({','.join(map(str, key))})": t for key, t in sorted(tables.items())}
 
 
 def _at_least(low):
@@ -337,7 +335,7 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("nerve", help="classification nerve with identity checks")
+    p = sub.add_parser("nerve", help="classification nerve sizes, identities checked on functors")
     common(p)
     p.add_argument("--kmax", type=_at_least(0), default=4)
     p.add_argument("--nmax", type=_at_least(0), default=4)

@@ -312,8 +312,8 @@ class FinCategory:
         return self._opposite
 
     def full_subcategory(self, objects):
-        """Full subcategory on the listed objects, ids preserved,
-        composing through this category."""
+        """Full subcategory on the listed objects, in this category's
+        order, ids preserved, composing through this category."""
         wanted = set(objects)
         keep = [o for o in self.objects if o in wanted]
         rows = [(m, self.src[m], self.tgt[m]) for m in self.morphisms

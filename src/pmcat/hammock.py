@@ -34,6 +34,7 @@ from .sset import nerve
 
 
 HAMMOCK = (WEQ_BACK, ARROW, WEQ_BACK)
+ORACLE_WORD_CAP = 500_000     # words one oracle call may enumerate
 
 
 def zigzag_category(rc, a, b):
@@ -168,7 +169,7 @@ class OracleReport:
         return None
 
 
-def _enumerate_words(rc, a, b, bound, cap=500_000):
+def _enumerate_words(rc, a, b, bound):
     cat = rc.cat
     fwd_steps = {o: [m for m in cat.out_of(o) if not cat.is_identity(m)]
                  for o in cat.objects}
@@ -177,7 +178,7 @@ def _enumerate_words(rc, a, b, bound, cap=500_000):
     words = []
 
     def dfs(at, word):
-        if len(words) > cap:
+        if len(words) > ORACLE_WORD_CAP:
             raise StructuralError("oracle word space exceeds cap")
         if at == b:
             words.append(tuple(word))

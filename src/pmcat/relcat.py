@@ -341,13 +341,14 @@ def preorder_category(elements, pairs, name):
     return FinCategory.build(elements, rows, comp)
 
 
-def random_preorder_relcat(seed, max_objects=6, edge_p=0.35, weq_p=0.5):
+def random_preorder_relcat(seed, max_objects=6):
     """Seeded random finite relative category for property testing.
 
-    The category is a random preorder (so hom-sets are forced and the
-    table is automatically lawful) and the marking is a random
-    composition-closed subset.  Preorders allow genuine isomorphism
-    cycles, which gives the two-out-of-six consequence checks teeth.
+    The category is a random preorder (each ordered pair drawn with
+    probability 0.35, then closed; its table is forced and lawful), and
+    the marking is the closure of a random set of maps (each 0.5).
+    Preorders allow genuine isomorphism cycles, which gives the
+    two-out-of-six consequence checks teeth.
     """
     import random as _random
     rng = _random.Random(seed)
@@ -356,7 +357,7 @@ def random_preorder_relcat(seed, max_objects=6, edge_p=0.35, weq_p=0.5):
     rel = {(o, o) for o in objs}
     for a in objs:
         for b in objs:
-            if a != b and rng.random() < edge_p:
+            if a != b and rng.random() < 0.35:
                 rel.add((a, b))
     for b in objs:          # transitive closure, one middle object at a time
         for a in objs:
@@ -368,16 +369,8 @@ def random_preorder_relcat(seed, max_objects=6, edge_p=0.35, weq_p=0.5):
     # random marking, closed under composition
     marked = {cat.identity[o] for o in objs}
     for m in cat.morphisms:
-        if not cat.is_identity(m) and rng.random() < weq_p:
+        if not cat.is_identity(m) and rng.random() < 0.5:
             marked.add(m)
-    changed = True
-    while changed:
-        changed = False
-        for f in list(marked):
-            for g in list(marked):
-                if cat.composable(f, g):
-                    h = cat.compose(g, f)
-                    if h not in marked:
-                        marked.add(h)
-                        changed = True
+    while unclosed := unclosed_pairs(cat, marked):
+        marked.update(cat.compose(g, f) for f, g in unclosed)
     return RelCategory(cat, sorted(marked))

@@ -82,8 +82,7 @@ def embedding_parts(rc, k):
         return (objs[0],) + (objs[1],) * 4 + objs[2:], (arrows[0], i1, i1, i1) + arrows[1:]
 
     h = diagram_functor(a_k, b_k, fill, lambda c: (c[0],) + (c[1],) * 4 + c[2:])
-    a_prime = b_k.full_subcategory(sorted(set(h.obj_map.values()),
-                                          key=b_k.objects.index))
+    a_prime = b_k.full_subcategory(h.obj_map.values())
     return h, a_k, b_k, a_prime
 
 

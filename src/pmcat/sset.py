@@ -2,8 +2,8 @@
 
 Simplex sets are stored per (bi)dimension up to a hard truncation bound,
 with face and degeneracy operators as index tables into the adjacent
-dimensions.  All simplicial identities among operators that stay inside
-the truncation can be (and in the tests are) checked exhaustively.
+dimensions.  A nerve's simplicial identities are checked on its tables,
+a classification nerve's on the functors that induce its operators.
 
 A nerve numbers its n-chains by their last face: the extensions of one
 (n-1)-chain by a morphism sit next to each other, in the order of the
@@ -41,7 +41,7 @@ from functools import cached_property
 from itertools import accumulate, chain, repeat
 
 from ._util import UnionFind
-from .fincat import StructuralError, check_functor_typing
+from .fincat import StructuralError, check_functor, check_functor_typing
 from .relcat import diagram_category, diagram_functor, ARROW
 from .smith import smith_invariants
 
@@ -610,65 +610,6 @@ def _nerve_tables(cat, n_max):
     return indices, lasts, faces, degeneracies, starts, ranks
 
 
-# -- bisimplicial sets --------------------------------------------------------
-
-class TruncatedBisimplicialSet:
-    """Simplex sets per bidegree (k, n) up to (k_max, n_max), with
-    horizontal and vertical operator index tables."""
-
-    def __init__(self, k_max, n_max, simplices, hfaces, vfaces, hdegens, vdegens):
-        self.k_max = k_max
-        self.n_max = n_max
-        self.simplices = simplices
-        self.hfaces = hfaces      # (k, n, i) -> indices into (k-1, n)
-        self.vfaces = vfaces      # (k, n, j) -> indices into (k, n-1)
-        self.hdegens = hdegens    # (k, n, i) -> indices into (k+1, n)
-        self.vdegens = vdegens    # (k, n, j) -> indices into (k, n+1)
-
-    def size(self, k, n):
-        if not (0 <= k <= self.k_max and 0 <= n <= self.n_max):
-            raise TruncationError(f"no level ({k}, {n}) at truncation {self.k_max, self.n_max}")
-        return self._count(k, n)
-
-    def _count(self, k, n):
-        return len(self.simplices[(k, n)])
-
-    def validate_identities(self):
-        """Horizontal and vertical simplicial identities, and every
-        horizontal face and degeneracy as a simplicial map between
-        vertical columns; list of violations."""
-        k_max, n_max = self.k_max, self.n_max
-        bad = []
-        rows = [({(k, i): self.hfaces[(k, n, i)]
-                  for k in range(1, k_max + 1) for i in range(k + 1)},
-                 {(k, i): self.hdegens[(k, n, i)]
-                  for k in range(k_max) for i in range(k + 1)})
-                for n in range(n_max + 1)]
-        columns = [({(n, j): self.vfaces[(k, n, j)]
-                     for n in range(1, n_max + 1) for j in range(n + 1)},
-                    {(n, j): self.vdegens[(k, n, j)]
-                     for n in range(n_max) for j in range(n + 1)})
-                   for k in range(k_max + 1)]
-        for n, (faces, degs) in enumerate(rows):
-            sizes = [self.size(k, n) for k in range(k_max + 1)]
-            bad.extend(f"h at level {n}: {msg}"
-                       for msg in _identity_violations(k_max, sizes, faces, degs))
-        for k, (faces, degs) in enumerate(columns):
-            sizes = [self.size(k, n) for n in range(n_max + 1)]
-            bad.extend(f"v at level {k}: {msg}"
-                       for msg in _identity_violations(n_max, sizes, faces, degs))
-
-        for k in range(k_max + 1):
-            for i in range(k + 1):
-                for name, ops, other in (("dh", self.hfaces, k - 1), ("sh", self.hdegens, k + 1)):
-                    if 0 <= other <= k_max:
-                        tables = [ops[(k, n, i)] for n in range(n_max + 1)]
-                        bad.extend(f"{name}{i} out of column {k}: {msg}" for msg in
-                                   simplicial_map_violations(tables, columns[k],
-                                                             columns[other], n_max))
-        return bad
-
-
 def nerve_map_tables(F, source, target):
     """Index tables, per dimension, of the simplicial map between the
     nerves ``source`` and ``target`` induced by the functor F.
@@ -707,21 +648,75 @@ def nerve_map_tables(F, source, target):
     return tables
 
 
-class ClassificationNerve(TruncatedBisimplicialSet):
-    """The classification nerve of :func:`rezk_nerve`.  ``columns[k]``
-    is the nerve of A_k: its tables are the vertical ones and its sizes
-    are column k's, so ``size`` and ``validate_identities`` build no
-    grid.  ``simplices`` is built on its first read."""
+# -- bisimplicial sets --------------------------------------------------------
 
-    def __init__(self, columns, hfaces, hdegens):
+IDENTITIES_CHECKED_ON = {
+    "check": "functors: the face and degeneracy functors between the chain "
+             "categories A_k keep the functor laws and the simplicial identities",
+    "theorem": "the nerve is a functor, N(G.F) = N(G).N(F): the identities hold on "
+               "every cell, each horizontal map is simplicial, and the vertical ones "
+               "hold in any nerve (Rezk, Trans. AMS 353, 2001)"}
+
+
+class TruncatedBisimplicialSet:
+    """The classification nerve of :func:`rezk_nerve` up to (k_max,
+    n_max).  Column k is the nerve of A_k; the functors
+    ``face_functors[(k, i)]``: A_k -> A_(k-1) and
+    ``degeneracy_functors[(k, i)]``: A_k -> A_(k+1) induce the horizontal
+    operators.  The tables ``hfaces``, ``vfaces``, ``hdegens`` and
+    ``vdegens``, keyed (k, n, i), and the grids ``simplices`` are each
+    built on their first read; ``size`` and ``validate_identities`` build
+    no table."""
+
+    def __init__(self, columns, face_functors, degeneracy_functors):
         self.k_max, self.n_max = len(columns) - 1, columns[0].n_max
-        self.columns, self.hfaces, self.hdegens = columns, hfaces, hdegens
-        self.vfaces = {(k, *nj): t for k, c in enumerate(columns) for nj, t in c.faces.items()}
-        self.vdegens = {(k, *nj): t for k, c in enumerate(columns)
-                        for nj, t in c.degeneracies.items()}
+        self.columns = columns
+        self.face_functors, self.degeneracy_functors = face_functors, degeneracy_functors
 
-    def _count(self, k, n):
+    def size(self, k, n):
+        if not (0 <= k <= self.k_max and 0 <= n <= self.n_max):
+            raise TruncationError(f"no level ({k}, {n}) at truncation {self.k_max, self.n_max}")
         return self.columns[k].size(n)
+
+    def _induced(self, functors, step):
+        return {(k, n, i): t for (k, i), F in functors.items() for n, t in
+                nerve_map_tables(F, self.columns[k], self.columns[k + step]).items()}
+
+    def _vertical(self, tables):
+        return {(k, *nj): t for k, c in enumerate(self.columns)
+                for nj, t in getattr(c, tables).items()}
+
+    hfaces = cached_property(lambda self: self._induced(self.face_functors, -1))
+    hdegens = cached_property(lambda self: self._induced(self.degeneracy_functors, 1))
+    vfaces = cached_property(lambda self: self._vertical("faces"))
+    vdegens = cached_property(lambda self: self._vertical("degeneracies"))
+
+    def validate_identities(self):
+        """Each horizontal face and degeneracy must pass ``check_functor``;
+        then the horizontal simplicial identities are compared as
+        functors, on the objects and on the morphisms of the A_k.  A list
+        of violations; if it is empty, every (bi)simplicial identity holds
+        on every cell (:data:`IDENTITIES_CHECKED_ON`)."""
+        bad = []
+        for name, functors in (("dh", self.face_functors), ("sh", self.degeneracy_functors)):
+            for (k, i), F in functors.items():
+                report = check_functor(F)
+                if not report.ok:
+                    bad += [f"{name}{i} out of column {k}: {line}"
+                            for line in report.describe().splitlines()]
+        if bad:
+            return bad            # the identities compose functors
+        chains = [c.category for c in self.columns]
+        for part, image in (("objects", "obj_map"), ("morphisms", "mor_map")):
+            where = [{x: p for p, x in enumerate(getattr(a, part))} for a in chains]
+            tables = [{(k, i): [where[k + step][getattr(F, image)[x]]
+                                for x in getattr(chains[k], part)]
+                       for (k, i), F in functors.items()}
+                      for functors, step in ((self.face_functors, -1),
+                                             (self.degeneracy_functors, 1))]
+            bad += [f"h on {part}: {msg}" for msg in
+                    _identity_violations(self.k_max, list(map(len, where)), *tables)]
+        return bad
 
     @cached_property
     def simplices(self):
@@ -729,8 +724,7 @@ class ClassificationNerve(TruncatedBisimplicialSet):
         for k, s in enumerate(self.columns):
             cat = s.category
             diagrams, components = cat.diagrams, cat.components
-            grids = [((objs,), (arrows,), ()) for objs, arrows in map(diagrams.__getitem__,
-                                                                       cat.objects)]
+            grids = [((o,), (a,), ()) for o, a in map(diagrams.__getitem__, cat.objects)]
             simplices[(k, 0)] = grids
             # a grid is the grid of its last face with one more row: the
             # target diagram and the components of the last morphism
@@ -757,22 +751,17 @@ def rezk_nerve(rc, k_max=4, n_max=4):
     vertical operators; the horizontal ones are induced by the functors
     A_k -> A_{k-1} (drop or compose at a vertex) and A_k -> A_{k+1}
     (repeat a vertex).  A grid is stored canonically as (object rows,
-    horizontal arrow rows, vertical step rows); the operator tables are
-    built here, the grids on their first read (:class:`ClassificationNerve`).
+    horizontal arrow rows, vertical step rows).  Only the chain
+    categories and the functors are built here.
     """
     cat = rc.cat
     chains = [diagram_category(rc, (ARROW,) * k) for k in range(k_max + 1)]
-    nerves = [nerve(a_k, n_max) for a_k in chains]
 
     def face(k, i):
         def objects(objs, arrows):
-            if i == 0:
-                new = arrows[1:]
-            elif i == k:
-                new = arrows[:-1]
-            else:
-                new = arrows[:i - 1] + (cat.compose(arrows[i], arrows[i - 1]),) + arrows[i + 1:]
-            return objs[:i] + objs[i + 1:], new
+            # an end vertex drops its arrow; an inner one composes its two
+            inner = (cat.compose(arrows[i], arrows[i - 1]),) if 0 < i < k else ()
+            return objs[:i] + objs[i + 1:], arrows[:max(i - 1, 0)] + inner + arrows[i + 1:]
         return diagram_functor(chains[k], chains[k - 1], objects,
                                lambda c: c[:i] + c[i + 1:])
 
@@ -783,14 +772,7 @@ def rezk_nerve(rc, k_max=4, n_max=4):
         return diagram_functor(chains[k], chains[k + 1], objects,
                                lambda c: c[:i + 1] + c[i:])
 
-    hfaces, hdegens = {}, {}
-    for k in range(1, k_max + 1):
-        for i in range(k + 1):
-            tables = nerve_map_tables(face(k, i), nerves[k], nerves[k - 1])
-            hfaces.update(((k, n, i), t) for n, t in tables.items())
-    for k in range(k_max):
-        for i in range(k + 1):
-            tables = nerve_map_tables(degeneracy(k, i), nerves[k], nerves[k + 1])
-            hdegens.update(((k, n, i), t) for n, t in tables.items())
-    return ClassificationNerve(nerves, hfaces, hdegens)
-
+    return TruncatedBisimplicialSet(
+        [nerve(a_k, n_max) for a_k in chains],
+        {(k, i): face(k, i) for k in range(1, k_max + 1) for i in range(k + 1)},
+        {(k, i): degeneracy(k, i) for k in range(k_max) for i in range(k + 1)})

@@ -1,6 +1,7 @@
 """Shared builders for the small categories the tests lean on."""
 
 from pmcat.fincat import FinCategory, Functor
+from pmcat.sset import _identity_violations, simplicial_map_violations
 
 
 def poset_category(elements, leq, name=None):
@@ -72,3 +73,40 @@ def thin_functor(source, target, obj_map):
                                        obj_map[source.tgt[m]])), None)
                for m in source.morphisms}
     return Functor(source, target, obj_map, mor_map)
+
+
+def cell_violations(b):
+    """Reference for ``TruncatedBisimplicialSet.validate_identities``,
+    which checks the horizontal identities on the functors: the
+    horizontal and vertical simplicial identities on every cell of the
+    index tables, and every horizontal face and degeneracy as a
+    simplicial map between columns; list of violations."""
+    k_max, n_max = b.k_max, b.n_max
+    bad = []
+    rows = [({(k, i): b.hfaces[(k, n, i)]
+              for k in range(1, k_max + 1) for i in range(k + 1)},
+             {(k, i): b.hdegens[(k, n, i)]
+              for k in range(k_max) for i in range(k + 1)})
+            for n in range(n_max + 1)]
+    columns = [({(n, j): b.vfaces[(k, n, j)]
+                 for n in range(1, n_max + 1) for j in range(n + 1)},
+                {(n, j): b.vdegens[(k, n, j)]
+                 for n in range(n_max) for j in range(n + 1)})
+               for k in range(k_max + 1)]
+    for n, (faces, degs) in enumerate(rows):
+        sizes = [b.size(k, n) for k in range(k_max + 1)]
+        bad.extend(f"h at level {n}: {msg}"
+                   for msg in _identity_violations(k_max, sizes, faces, degs))
+    for k, (faces, degs) in enumerate(columns):
+        sizes = [b.size(k, n) for n in range(n_max + 1)]
+        bad.extend(f"v at level {k}: {msg}"
+                   for msg in _identity_violations(n_max, sizes, faces, degs))
+    for k in range(k_max + 1):
+        for i in range(k + 1):
+            for name, ops, other in (("dh", b.hfaces, k - 1), ("sh", b.hdegens, k + 1)):
+                if 0 <= other <= k_max:
+                    tables = [ops[(k, n, i)] for n in range(n_max + 1)]
+                    bad.extend(f"{name}{i} out of column {k}: {msg}" for msg in
+                               simplicial_map_violations(tables, columns[k],
+                                                         columns[other], n_max))
+    return bad

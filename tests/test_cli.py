@@ -1,8 +1,11 @@
 import io
+import os
+import sys
 import json
 import contextlib
 import dataclasses
 import builtins
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -287,7 +290,8 @@ def _endpoints(name):
 
 
 def _nerve_flags(name):
-    # J has 35.8 million cells at the default (4, 4)
+    # J's golden is pinned at (2, 2); its default (4, 4) has 35.8 million
+    # cells and is checked by test_nerve_of_j_at_defaults_fits_in_a_gigabyte
     return ("--kmax", "2", "--nmax", "2") if name == "J" else ()
 
 
@@ -329,16 +333,19 @@ def test_consecutive_calls_keep_defaults():
 
 
 def test_nerve_builds_no_grid(monkeypatch):
+    # the sizes are counted and the identities checked on the functors:
+    # no grid, no chain, no column table and no horizontal table is built
     import pathlib
-    from pmcat.sset import ClassificationNerve, Nerve
+    from pmcat.sset import TruncatedBisimplicialSet, Nerve
 
-    def ungridded(b):
-        raise AssertionError("grids were built")
-
-    def unspelled(s):
-        raise AssertionError("chains were spelled")
-    monkeypatch.setattr(ClassificationNerve, "simplices", property(ungridded))
-    monkeypatch.setattr(Nerve, "simplices", property(unspelled))
+    def unbuilt(what):
+        def raising(obj):
+            raise AssertionError(f"{what} was built")
+        return property(raising)
+    for attr in ("simplices", "hfaces", "hdegens", "vfaces", "vdegens"):
+        monkeypatch.setattr(TruncatedBisimplicialSet, attr, unbuilt(attr))
+    monkeypatch.setattr(Nerve, "simplices", unbuilt("a spelled chain"))
+    monkeypatch.setattr(Nerve, "_tables", unbuilt("a nerve table"))
     for name in FIXTURES:
         golden = pathlib.Path(fixture_path(name)).parent / "expected" / f"{name}.nerve.json"
         code, out = run_cli("nerve", str(fixture_path(name)), *_nerve_flags(name),
@@ -369,6 +376,24 @@ def test_nerve_reports_the_total_of_its_truncated_list(monkeypatch):
     assert code == 1 and not result["identities_ok"]
     assert result["identity_violations"] == [f"violation {i}" for i in range(10)]
     assert result["identity_violations_total"] == 12
+
+
+def test_nerve_of_j_at_defaults_fits_in_a_gigabyte():
+    # 35.8 million cells, 2^25 of them at (4, 4); A_4 has 32 objects and
+    # 1,024 morphisms, which is all that the sizes and the check read
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from pmcat.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", code, "nerve", str(fixture_path("J")),
+                             "--format", "json"], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)["result"]
+    assert report["bidegree_counts"]["(4,4)"] == 2 ** 25 == 33_554_432
+    assert sum(report["bidegree_counts"].values()) == 35_794_186
+    assert report["identities_ok"]
 
 
 def test_nerve_subcommand():
@@ -546,9 +571,9 @@ def test_every_subcommand_keeps_the_exit_contract(fmt):
 
 # -- fuzzed flags keep the exit contract ---------------------------------------
 
-# flag values, each drawn as (valid, malformed): sizes stay in 0..3, since
-# ``nerve J`` at its defaults needs over 2 GB; the malformed ones are not
-# integers, negative, or broken --k lists
+# flag values, each drawn as (valid, malformed): sizes stay in 0..3, which
+# keeps every call small; the malformed ones are not integers, negative,
+# or broken --k lists
 SIZES = (("0", "1", "2", "3"), ("x", "1.5", "", " ", "-1", "-12", "2e1", "0x2"))
 K_LISTS = (("2", "3", "2,3", "3,2,3"),
            ("", ",", "2,", "2,,3", "1,2", "0", "-2", "2;3", "a,2", "2.5", "5"))
@@ -556,9 +581,8 @@ K_LISTS = (("2", "3", "2,3", "3,2,3"),
 # "--allow" would abbreviate --allow-large
 UNKNOWN_FLAGS = ("--bogus", "-q", "--kmax", "--k=", "--no-such-flag")
 
-# per subcommand, each flag and its values (None: a switch); ``nerve``
-# always gets both sizes, so that no call runs at its defaults, and
-# ``export`` a k_max of at most 2 (J's (3, 3) grids take 190 MB).
+# per subcommand, each flag and its values (None: a switch); ``export``
+# gets a k_max of at most 2 (J's (3, 3) grids take 190 MB).
 # ``segal --allow-large`` is never drawn: with k = 5 it is unbounded
 FLAG_DRAWS = {
     "check": {},
@@ -585,7 +609,7 @@ def fuzzed_flags(rng, command, objects):
         draws.update({"--from": (objects, ("ghost", "")), "--to": (objects, ("ghost", ""))})
     argv = []
     for flag, values in draws.items():
-        if command == "nerve" or rng.random() < 0.8:
+        if rng.random() < 0.8:
             argv += [flag] if values is None else [flag, draw(values)]
     if rng.random() < 0.1:
         argv.append(rng.choice(UNKNOWN_FLAGS))
@@ -683,3 +707,43 @@ def test_fuzzed_documents_keep_the_exit_contract(seed, calculus, data):
                 except SystemExit as e:
                     code = e.code
             assert code in (0, 1, 2), argv
+
+
+def test_text_reports_keep_list_structure(tmp_path):
+    # each two-of-six witness is one item whose three maps sit under it,
+    # and a tuple prints as a list
+    doc = tmp_path / "seed0.relcat"
+    doc.write_text(serialize_document(random_preorder_relcat(0, max_objects=4)))
+    code, out = run_cli("check", str(doc))
+    lines = out.splitlines()
+    start = lines.index("    witnesses:", lines.index("  two_of_six:")) + 1
+    assert code == 1
+    assert lines[start:start + 31] == [
+        "      - - id:x2", "        - x2<x0", "        - x0<x2",
+        "      - - x0<x2", "        - x2<x0", "        - id:x0",
+        "      - - x0<x2", "        - x2<x0", "        - x0<x2",
+        "      - - x0<x3", "        - x3<x0", "        - x0<x3",
+        "      - - x2<x0", "        - x0<x2", "        - x2<x0",
+        "      - - x2<x3", "        - x3<x0", "        - x0<x3",
+        "      - - x2<x3", "        - x3<x2", "        - x2<x3",
+        "      - - x3<x0", "        - x0<x3", "        - x3<x0",
+        "      - - x3<x2", "        - x2<x3", "        - x3<x0",
+        "      - - x3<x2", "        - x2<x3", "        - x3<x2",
+        "    notes: []",
+    ]
+    code, out = run_cli("segal", str(fixture_path("Iw")), "--k", "2")
+    assert code == 0
+    assert "        pi0:\n          - 1\n          - 1\n" in out
+    assert out.count("\n            - name: ") == 7
+
+
+def test_a_composite_with_the_wrong_ends_is_not_a_category(tmp_path):
+    # g.f is given as f, which ends at b, not c
+    doc = tmp_path / "wrong_ends.relcat"
+    doc.write_text("relcat-version 1\nobject a\nobject b\nobject c\nmorphism f a b\n"
+                   "morphism g b c\nmorphism k a c\ncompose f g f\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("check", str(doc))
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("input error: line 0: not a category: ")

@@ -16,7 +16,7 @@ from pmcat.sset import (
 from pmcat import sset
 from conftest import (
     chain_poset, boolean_lattice, walking_iso, terminal_category, cyclic_group,
-    poset_category,
+    poset_category, cell_violations,
 )
 
 
@@ -191,7 +191,9 @@ def test_induced_tables_match_the_formula_on_spelled_chains(monkeypatch):
         calls.append((F, source, target, tables))
         return tables
     monkeypatch.setattr(sset, "nerve_map_tables", recorded)
-    rezk_nerve(build("B2").rc, 2, 2)
+    b = rezk_nerve(build("B2").rc, 2, 2)
+    assert not calls            # the horizontal tables are built on first read
+    b.hfaces, b.hdegens
     assert len(calls) == 8      # faces 2 + 3, degeneracies 1 + 2
     for F, source, target, tables in calls:
         assert tables == tables_on_spelled_chains(F, source, target)
@@ -664,11 +666,10 @@ def test_rezk_bidegree_zero_is_object_set():
 
 
 def test_rezk_identities_hold():
-    assert rezk_nerve(iw(), 2, 2).validate_identities() == []
-    assert rezk_nerve(i1(), 2, 2).validate_identities() == []
     cat = chain_poset(3)
-    p4 = RelCategory(cat, ["02", "13"])
-    assert rezk_nerve(p4, 2, 2).validate_identities() == []
+    for rc in (iw(), i1(), RelCategory(cat, ["02", "13"])):
+        b = rezk_nerve(rc, 2, 2)
+        assert b.validate_identities() == [] and cell_violations(b) == []
 
 
 @pytest.mark.parametrize("tables, key, target, expected", [
@@ -678,14 +679,49 @@ def test_rezk_identities_hold():
     ("vdegens", (1, 1, 1), (1, 2), 32),
 ])
 def test_rezk_identities_catch_a_corrupted_entry(tables, key, target, expected):
-    # the law checks must fail when one operator entry is wrong; the
-    # counts pin how many identities and commutations that entry breaks
+    # the per-cell reference must fail when one operator entry is wrong;
+    # the counts pin how many identities and commutations that entry
+    # breaks.  validate_identities reads the functors, not the tables
     cat = boolean_lattice()
     b = rezk_nerve(RelCategory(cat, cat.morphisms), 3, 3)
-    assert b.validate_identities() == []
+    assert cell_violations(b) == []
     table = getattr(b, tables)[key]
     table[0] = (table[0] + 1) % b.size(*target)
-    assert len(b.validate_identities()) == expected
+    assert len(cell_violations(b)) == expected
+    assert b.validate_identities() == []
+
+
+def test_rezk_identities_catch_a_face_functor_with_swapped_objects():
+    # two objects of A_1 trade images under d0: F is no functor, which
+    # the functor check names and nerve_map_tables refuses
+    from pmcat.fixtures import build
+    b = rezk_nerve(build("B2").rc, 2, 2)
+    F = b.face_functors[(1, 0)]
+    x, y = F.source.objects[:2]
+    assert F.obj_map[x] != F.obj_map[y]
+    F.obj_map[x], F.obj_map[y] = F.obj_map[y], F.obj_map[x]
+    bad = b.validate_identities()
+    # 13 morphisms now miss their ends' images; identities among
+    # functors are compared only once every face and degeneracy is one
+    assert len(bad) == 13
+    assert all(v.startswith("dh0 out of column 1: violation: source-target") for v in bad)
+    with pytest.raises(StructuralError, match="not a functor"):
+        nerve_map_tables(F, b.columns[1], b.columns[0])
+    with pytest.raises(StructuralError, match="not a functor"):
+        cell_violations(b)
+
+
+def test_rezk_identities_catch_swapped_face_functors():
+    # d0 and d1 out of column 1 trade places: each is still a functor,
+    # but the identities among them fail, on the functors and on the cells
+    cat = boolean_lattice()
+    b = rezk_nerve(RelCategory(cat, cat.morphisms), 2, 2)
+    faces = b.face_functors
+    faces[(1, 0)], faces[(1, 1)] = faces[(1, 1)], faces[(1, 0)]
+    bad = b.validate_identities()
+    assert bad and bad[0].startswith("h on objects: d0 d1 != d0 d0 at dim 2")
+    assert any(v.startswith("h on morphisms: ") for v in bad)
+    assert cell_violations(b)
 
 
 def test_identity_violations_name_every_index_in_order():
@@ -798,9 +834,9 @@ def test_rezk_sizes_are_counted_before_the_grids_are_built():
 
 def test_rezk_nerve_of_b2_holds_no_grid(monkeypatch):
     # 74 MiB when every grid was built with the tables, 29 MiB while the
-    # columns' chains were spelled, 16 MiB as index tables; tracing
-    # validate_identities too would take 15 times its 0.7 s, so it runs
-    # untraced, with the grids made to raise
+    # columns' chains were spelled, 16 MiB as index tables, and now no
+    # table before its first read; validate_identities runs untraced,
+    # with the grids made to raise
     import tracemalloc
     from pmcat.fixtures import build
     rc = build("B2").rc
@@ -810,7 +846,7 @@ def test_rezk_nerve_of_b2_holds_no_grid(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(sset.ClassificationNerve, "simplices", property(ungridded))
+    monkeypatch.setattr(sset.TruncatedBisimplicialSet, "simplices", property(ungridded))
     assert b.validate_identities() == []
     assert sum(b.size(k, n) for k in range(5) for n in range(5)) == 111_022
     assert peak < 24 * 2**20
@@ -818,13 +854,10 @@ def test_rezk_nerve_of_b2_holds_no_grid(monkeypatch):
 
 def test_sizes_outside_the_truncation_are_refused():
     b = rezk_nerve(iw(), 1, 2)
-    plain = sset.TruncatedBisimplicialSet(b.k_max, b.n_max, b.simplices, b.hfaces,
-                                          b.vfaces, b.hdegens, b.vdegens)
-    assert plain.validate_identities() == []
+    assert b.validate_identities() == [] and cell_violations(b) == []
     for level in ((2, 0), (0, -1), (-1, 0), (0, 3)):
-        for s in (b, plain):
-            with pytest.raises(TruncationError):
-                s.size(*level)
+        with pytest.raises(TruncationError):
+            b.size(*level)
     c = nerve(chain_poset(1), 2)
     flat = sset.TruncatedSimplicialSet(c.n_max, c.simplices, c.faces, c.degeneracies)
     assert flat.validate_identities() == []
