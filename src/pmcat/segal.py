@@ -23,8 +23,13 @@ For a relative category (C, W):
   the identity of A'_k, and certifies every single ingredient: every
   transformation component is a morphism of B_k (marked in every vertex
   and commuting with both diagrams), every naturality square commutes
-  in B_k's own composition against every morphism, and every
-  pushout/pullback witness re-passes its universal property.
+  against every morphism, and every pushout/pullback witness re-passes
+  its universal property.  When C is thin, so is B_k, and any two
+  parallel morphisms of B_k are equal: a functor's image of a morphism
+  is then the one morphism between the images of its ends, and a square
+  commutes when its two paths compose and share their ends.  Otherwise
+  each image is composed in C from the recorded comparisons and looked
+  up in B_k, and each square is composed in B_k.
 
 The composites written with overlines in informal accounts of this
 construction are read here as the recorded pushout/pullback legs and
@@ -114,6 +119,7 @@ class SegalCertificate:
     witnesses: list               # (kind, f, g, apex, leg_f, leg_g, reverified)
     factorizations: dict          # w -> (u, mid, v)
     reading: str
+    morphisms_checked_on: str     # _THIN or _COMPONENTWISE
     errors: list = field(default_factory=list)
 
     @property
@@ -157,6 +163,7 @@ class SegalCertificate:
             "witnesses_total": len(self.witnesses),
             "factorizations": {w: list(f) for w, f in self.factorizations.items()},
             "reading": self.reading,
+            "morphisms_checked_on": self.morphisms_checked_on,
             "errors": self.errors[:20],
             "errors_total": len(self.errors),
         }
@@ -182,9 +189,10 @@ def check_transformation(rc, rec, F, G, domain):
     unmarked entries as (o, c), and ``missing`` the objects whose
     component is absent or is not such a morphism; squares at those
     objects are skipped.  Every other naturality square is read through
-    D's compose, and ``naturality_failures`` lists (m, i) for each
-    square that does not commute, i the first vertex where its two
-    composites differ.
+    D's compose, or, when D is thin, by typing: its two paths compose,
+    share their ends F(s) and G(t), and D has a morphism F(s) -> G(t).
+    ``naturality_failures`` lists (m, i) for each square that does not
+    commute, i the first vertex where its two composites differ.
     """
     D = G.target
     ids = {}
@@ -195,18 +203,23 @@ def check_transformation(rc, rec, F, G, domain):
             ids[o] = D.lookup(F.obj_map[o], G.obj_map[o], comps)
         if ids.get(o) is None:
             rec.missing.append(o)
-    base, compose = rc.cat.compose, D.compose
+    base, compose, src, tgt, thin = rc.cat.compose, D.compose, D.src, D.tgt, D.is_thin()
     for m in domain.morphisms:
         left, right = ids.get(domain.src[m]), ids.get(domain.tgt[m])
         if left is None or right is None:
             continue
         f_m, g_m = F.mor_map[m], G.mor_map[m]
-        # a composite is absent only where the marking is not closed
-        # under composition; the vertices then decide
-        try:
-            natural = compose(g_m, left) == compose(right, f_m)
-        except StructuralError:
-            natural = False
+        if thin:
+            natural = (tgt[left] == src[g_m] and tgt[f_m] == src[right]
+                       and src[f_m] == src[left] and tgt[g_m] == tgt[right]
+                       and D.hom(src[left], tgt[right]))
+        else:
+            # a composite is absent only where the marking is not closed
+            # under composition; the vertices then decide
+            try:
+                natural = compose(g_m, left) == compose(right, f_m)
+            except StructuralError:
+                natural = False
         if not natural:
             vertices = zip(D.components[left], D.components[g_m],
                            D.components[f_m], D.components[right])
@@ -227,10 +240,19 @@ def build_retraction(pms, k, parts=None):
 
     Returns (r, certificate).  ``parts`` may carry a prebuilt
     (h, a_k, b_k, a_prime) tuple to avoid re-enumeration.
+
+    T1, T2, T3 and r send each morphism m: s -> t of B_k to a morphism
+    between the images of s and t.  When C is thin, that is the one
+    morphism of B_k between them, once the recorded middle map of m's
+    w-square runs M1(s) -> M1(t).  Otherwise its components are composed
+    in C from the recorded pushout and pullback comparisons and looked
+    up in B_k.
     """
     rc = pms.rc
     cat = rc.cat
     ident = cat.identity
+    thin = cat.is_thin()
+    lemma = _THIN if thin else _COMPONENTWISE
     if parts is None:
         parts = embedding_parts(rc, k)
     h, a_k, b_k, a_prime = parts
@@ -301,7 +323,7 @@ def build_retraction(pms, k, parts=None):
         maps[name] = (obj_map, {})
     if errors:
         return None, SegalCertificate(k, object_rows, [], {}, witnesses,
-                                      factorizations, _READING, errors)
+                                      factorizations, _READING, lemma, errors)
 
     for m in b_k.morphisms:
         comps = b_k.components[m]
@@ -310,31 +332,43 @@ def build_retraction(pms, k, parts=None):
         try:
             mu = [pms.middle_map((b_k.diagrams[s][1][2], b_k.diagrams[t][1][2],
                                   comps[3], comps[2]))]
-            # comparisons into the pushout tower of the target
-            for j, arrow in enumerate(object_rows[s]["row3:compose-y"][1][4:]):
-                mu.append(pms.pushout(d_s["us"][j], arrow).comparison(
-                    d_t["mids"][j + 1], cat.compose(d_t["bars"][j], mu[-1]),
-                    cat.compose(d_t["us"][j + 1], comps[5 + j])))
-                if mu[-1] is None:
-                    raise CalculusError("pushout comparison missing for recorded cocone")
+            if thin:
+                if (cat.src[mu[0]], cat.tgt[mu[0]]) != (d_s["mids"][0], d_t["mids"][0]):
+                    raise CalculusError(
+                        f"middle map {mu[0]} does not run M1({s}) -> M1({t})")
+            else:
+                # comparisons into the pushout tower of the target
+                for j, arrow in enumerate(object_rows[s]["row3:compose-y"][1][4:]):
+                    mu.append(pms.pushout(d_s["us"][j], arrow).comparison(
+                        d_t["mids"][j + 1], cat.compose(d_t["bars"][j], mu[-1]),
+                        cat.compose(d_t["us"][j + 1], comps[5 + j])))
+                    if mu[-1] is None:
+                        raise CalculusError(
+                            "pushout comparison missing for recorded cocone")
         except (CalculusError, KeyError, StructuralError) as e:
             errors.append(f"comparison data missing for morphism {m}: {e}")
             continue
-        # express the source pullback cone as a competitor of the target one
-        pb_s = d_s["pullback"]
-        pi = d_t["pullback"].comparison(pb_s.apex, cat.compose(mu[0], pb_s.leg_f),
-                                        cat.compose(comps[0], pb_s.leg_g))
-        if pi is None:
-            errors.append(f"pullback comparison missing for morphism {m}")
-            continue
-        tower = tuple(mu[1:])
-        images = {"T1": (comps[0], comps[2], comps[2], comps[3], comps[4]) + comps[5:],
-                  "T2": (comps[0], comps[2], comps[2], comps[3], comps[3]) + comps[5:],
-                  "T3": (comps[0], comps[2], comps[2], mu[0], mu[0]) + tower,
-                  "r": (pi, mu[0], mu[0], mu[0], mu[0]) + tower}
+        if thin:
+            images = dict.fromkeys(maps)
+        else:
+            # express the source pullback cone as a competitor of the target one
+            pb_s = d_s["pullback"]
+            pi = d_t["pullback"].comparison(pb_s.apex, cat.compose(mu[0], pb_s.leg_f),
+                                            cat.compose(comps[0], pb_s.leg_g))
+            if pi is None:
+                errors.append(f"pullback comparison missing for morphism {m}")
+                continue
+            tower = tuple(mu[1:])
+            images = {"T1": (comps[0], comps[2], comps[2], comps[3], comps[4]) + comps[5:],
+                      "T2": (comps[0], comps[2], comps[2], comps[3], comps[3]) + comps[5:],
+                      "T3": (comps[0], comps[2], comps[2], mu[0], mu[0]) + tower,
+                      "r": (pi, mu[0], mu[0], mu[0], mu[0]) + tower}
         for name, image in images.items():
             obj_map, mor_map = maps[name]
-            mor_map[m] = b_k.lookup(obj_map[s], obj_map[t], image)
+            if thin:        # the one morphism between the images of s and t
+                mor_map[m] = (b_k.hom(obj_map[s], obj_map[t]) or (None,))[0]
+            else:
+                mor_map[m] = b_k.lookup(obj_map[s], obj_map[t], image)
             if mor_map[m] is None:
                 errors.append(
                     f"{name}({m}) has no matching morphism in B_{k} "
@@ -342,7 +376,7 @@ def build_retraction(pms, k, parts=None):
 
     if errors:
         return None, SegalCertificate(k, object_rows, [], {}, witnesses,
-                                      factorizations, _READING, errors)
+                                      factorizations, _READING, lemma, errors)
 
     T1, T2, T3 = (Functor(b_k, b_k, *maps[name]) for name in ("T1", "T2", "T3"))
     r = Functor(b_k, a_prime, *maps["r"])
@@ -383,13 +417,16 @@ def build_retraction(pms, k, parts=None):
             ("tau: T3|A' => 1", "T3|A'", "1|A'", T3, one, tau, a_prime),
             ("psi = tau . phi4: r.i => 1 (on A')", "r.i", "1|A'", r, one, psi, a_prime))]
     cert = SegalCertificate(k, object_rows, transformations, functor_reports,
-                            witnesses, factorizations, _READING, errors)
+                            witnesses, factorizations, _READING, lemma, errors)
     return r, cert
 
 
 _READING = ("overline composites are the recorded pushout/pullback legs; "
             "the retracted chain is (pullback leg of the v-part along the "
             "composed first map, then the pushed-forward tail arrows)")
+_THIN = ("thin lemma: parallel morphisms of B_k are equal, so each image is "
+         "the one morphism between the images of its ends")
+_COMPONENTWISE = "componentwise: comparisons composed in C, looked up in B_k"
 
 
 # -- the fiber-square report ---------------------------------------------------

@@ -296,13 +296,15 @@ def _nerve_flags(name):
 
 
 def test_command_reports_match_goldens():
-    """``segal --full`` pins the B_k object ids, ``export`` the
+    """``segal --full`` pins the B_k object ids, ``segal`` of J and B2
+    the certificates of the two largest B_k, ``export`` the
     classification nerve's simplex order and operator tables, ``nerve``
     its sizes and identity checks, and ho/saturate/yoneda/mapspace every
     report the zigzag categories feed (P4 ``ho`` exits 2, so it has no
     report)."""
     import pathlib
     calls = [(name, "segal", ("--full",)) for name in ("pt", "I1", "Iw")]
+    calls += [(name, "segal", ()) for name in ("J", "B2")]
     calls += [(name, "export", ()) for name in ("pt", "I1", "Iw", "P4")]
     calls += [(name, "nerve", _nerve_flags(name)) for name in FIXTURES]
     for name in FIXTURES:

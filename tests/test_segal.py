@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import pathlib
@@ -19,7 +20,9 @@ from pmcat.segal import (
     check_strict_segal_identity, verify_segal, check_transformation,
     TransformationRecord,
 )
-from conftest import chain_poset, boolean_lattice, walking_iso, terminal_category
+from conftest import (
+    chain_poset, boolean_lattice, walking_iso, terminal_category, cyclic_group,
+)
 
 
 def iw_rc():
@@ -226,20 +229,93 @@ def test_retraction_lands_in_image_subcategory():
         assert val in image
 
 
-def test_certificate_catches_sabotaged_calculus_data():
-    # corrupting one middle map must fail the axioms and must not let a
-    # certificate through
-    from pmcat.pmc import PartialModelStructure, verify_partial_model
+def sabotaged_iw():
+    """Iw with U = V = W and one middle map replaced by a map between
+    the wrong objects."""
+    from pmcat.pmc import PartialModelStructure
     base = pms_of(iw_rc(), groupoid=False)
     pms = trivial_partial_model_structure(base.rc, v_sub=base.rc.weq)
     middle = dict(pms.middle)
     middle[("id:0", "01", "id:0", "01")] = "id:1"
-    bad = PartialModelStructure(pms.rc, pms.u_sub, pms.v_sub,
-                                dict(pms.factorization), middle)
+    return PartialModelStructure(pms.rc, pms.u_sub, pms.v_sub,
+                                 dict(pms.factorization), middle)
+
+
+def test_certificate_catches_sabotaged_calculus_data():
+    # corrupting one middle map must fail the axioms and must not let a
+    # certificate through
+    from pmcat.pmc import verify_partial_model
+    bad = sabotaged_iw()
     report = verify_partial_model(bad)
     assert not report.passed
     r, cert = build_retraction(bad, 2)
     assert not cert.valid
+
+
+_IS_THIN = FinCategory.is_thin
+
+
+def certified(pms, k, parts, monkeypatch):
+    """build_retraction's certificate and the (obj_map, mor_map) of each
+    functor it hands to check_functor, by the name it reports it under.
+    The functors are checked with the real ``is_thin``: that check is
+    the same on both paths, and its composite scan over J's B_3 alone
+    takes 10 s."""
+    seen = []
+
+    def recording(F):
+        seen.append((F.obj_map, F.mor_map))
+        with monkeypatch.context() as patch:
+            patch.setattr(FinCategory, "is_thin", _IS_THIN)
+            return check_functor(F)
+    with monkeypatch.context() as patch:
+        patch.setattr(segal, "check_functor", recording)
+        _r, cert = build_retraction(pms, k, parts)
+    return cert, dict(zip(cert.functor_reports, seen))
+
+
+@contextlib.contextmanager
+def componentwise(monkeypatch):
+    """No category is thin inside: the certificate composes each image
+    in C and looks it up in B_k, and composes each square in B_k."""
+    with monkeypatch.context() as patch:
+        patch.setattr(FinCategory, "is_thin", lambda self: False)
+        yield
+
+
+@pytest.mark.parametrize("name, k", [("Iw", 2), ("Iw", 3), ("J", 2), ("J", 3), ("B2", 2)])
+def test_thin_certificate_agrees_with_the_componentwise_one(monkeypatch, name, k):
+    from pmcat.fixtures import build
+    pms = build(name)
+    parts = embedding_parts(pms.rc, k)
+    thin_cert, thin_maps = certified(pms, k, parts, monkeypatch)
+    with componentwise(monkeypatch):
+        cert, maps = certified(pms, k, parts, monkeypatch)
+    assert thin_cert.morphisms_checked_on == segal._THIN
+    assert cert.morphisms_checked_on == segal._COMPONENTWISE
+    assert set(maps) == {"h", "r", "T1", "T2", "T3"} and thin_maps == maps
+    thin, reference = thin_cert.to_dict(full=True), cert.to_dict(full=True)
+    del thin["morphisms_checked_on"], reference["morphisms_checked_on"]
+    assert thin == reference and thin["valid"]
+
+
+def test_both_certificates_catch_sabotaged_calculus_data(monkeypatch):
+    bad = sabotaged_iw()
+    r, cert = build_retraction(bad, 2)
+    assert cert.morphisms_checked_on == segal._THIN and not cert.valid
+    with componentwise(monkeypatch):
+        r, cert = build_retraction(bad, 2)
+    assert cert.morphisms_checked_on == segal._COMPONENTWISE and not cert.valid
+
+
+def test_componentwise_certificate_on_a_category_that_is_not_thin():
+    # B(Z/2), everything marked, U = V = W: its B_2 is not thin, so the
+    # componentwise certificate runs without a patch
+    z2 = cyclic_group(2)
+    rc = RelCategory(z2, z2.morphisms)
+    r, cert = build_retraction(trivial_partial_model_structure(rc, v_sub=rc.weq), 2)
+    assert cert.morphisms_checked_on == segal._COMPONENTWISE
+    assert cert.valid, cert.summary()
 
 
 # -- one transformation -------------------------------------------------------------
