@@ -23,13 +23,13 @@ For a relative category (C, W):
   the identity of A'_k, and certifies every single ingredient: every
   transformation component is a morphism of B_k (marked in every vertex
   and commuting with both diagrams), every naturality square commutes
-  against every morphism, and every pushout/pullback witness re-passes
-  its universal property.  When C is thin, so is B_k, and any two
-  parallel morphisms of B_k are equal: a functor's image of a morphism
-  is then the one morphism between the images of its ends, and a square
-  commutes when its two paths compose and share their ends.  Otherwise
+  in B_k's own composition against every morphism, and every
+  pushout/pullback witness re-passes its universal property.  When C is
+  thin, so is B_k, and any two parallel morphisms of B_k are equal: a
+  functor's image of a morphism is then the one morphism between the
+  images of its ends (and B_k's composition reads only ends).  Otherwise
   each image is composed in C from the recorded comparisons and looked
-  up in B_k, and each square is composed in B_k.
+  up in B_k.
 
 The composites written with overlines in informal accounts of this
 construction are read here as the recorded pushout/pullback legs and
@@ -189,10 +189,9 @@ def check_transformation(rc, rec, F, G, domain):
     unmarked entries as (o, c), and ``missing`` the objects whose
     component is absent or is not such a morphism; squares at those
     objects are skipped.  Every other naturality square is read through
-    D's compose, or, when D is thin, by typing: its two paths compose,
-    share their ends F(s) and G(t), and D has a morphism F(s) -> G(t).
-    ``naturality_failures`` lists (m, i) for each square that does not
-    commute, i the first vertex where its two composites differ.
+    D's compose, and ``naturality_failures`` lists (m, i) for each
+    square that does not commute, i the first vertex where its two
+    composites differ.
     """
     D = G.target
     ids = {}
@@ -203,23 +202,18 @@ def check_transformation(rc, rec, F, G, domain):
             ids[o] = D.lookup(F.obj_map[o], G.obj_map[o], comps)
         if ids.get(o) is None:
             rec.missing.append(o)
-    base, compose, src, tgt, thin = rc.cat.compose, D.compose, D.src, D.tgt, D.is_thin()
+    base, compose = rc.cat.compose, D.compose
     for m in domain.morphisms:
         left, right = ids.get(domain.src[m]), ids.get(domain.tgt[m])
         if left is None or right is None:
             continue
         f_m, g_m = F.mor_map[m], G.mor_map[m]
-        if thin:
-            natural = (tgt[left] == src[g_m] and tgt[f_m] == src[right]
-                       and src[f_m] == src[left] and tgt[g_m] == tgt[right]
-                       and D.hom(src[left], tgt[right]))
-        else:
-            # a composite is absent only where the marking is not closed
-            # under composition; the vertices then decide
-            try:
-                natural = compose(g_m, left) == compose(right, f_m)
-            except StructuralError:
-                natural = False
+        # a composite is absent only where the marking is not closed
+        # under composition; the vertices then decide
+        try:
+            natural = compose(g_m, left) == compose(right, f_m)
+        except StructuralError:
+            natural = False
         if not natural:
             vertices = zip(D.components[left], D.components[g_m],
                            D.components[f_m], D.components[right])
@@ -348,31 +342,29 @@ def build_retraction(pms, k, parts=None):
         except (CalculusError, KeyError, StructuralError) as e:
             errors.append(f"comparison data missing for morphism {m}: {e}")
             continue
-        if thin:
-            images = dict.fromkeys(maps)
-        else:
-            # express the source pullback cone as a competitor of the target one
-            pb_s = d_s["pullback"]
-            pi = d_t["pullback"].comparison(pb_s.apex, cat.compose(mu[0], pb_s.leg_f),
-                                            cat.compose(comps[0], pb_s.leg_g))
-            if pi is None:
-                errors.append(f"pullback comparison missing for morphism {m}")
-                continue
-            tower = tuple(mu[1:])
-            images = {"T1": (comps[0], comps[2], comps[2], comps[3], comps[4]) + comps[5:],
-                      "T2": (comps[0], comps[2], comps[2], comps[3], comps[3]) + comps[5:],
-                      "T3": (comps[0], comps[2], comps[2], mu[0], mu[0]) + tower,
-                      "r": (pi, mu[0], mu[0], mu[0], mu[0]) + tower}
+        if thin:        # the one morphism between the images of s and t
+            for name, (obj_map, mor_map) in maps.items():
+                mor_map[m] = (b_k.hom(obj_map[s], obj_map[t]) or (None,))[0]
+                if mor_map[m] is None:
+                    errors.append(_NO_MATCH.format(name=name, m=m, k=k))
+            continue
+        # express the source pullback cone as a competitor of the target one
+        pb_s = d_s["pullback"]
+        pi = d_t["pullback"].comparison(pb_s.apex, cat.compose(mu[0], pb_s.leg_f),
+                                        cat.compose(comps[0], pb_s.leg_g))
+        if pi is None:
+            errors.append(f"pullback comparison missing for morphism {m}")
+            continue
+        tower = tuple(mu[1:])
+        images = {"T1": (comps[0], comps[2], comps[2], comps[3], comps[4]) + comps[5:],
+                  "T2": (comps[0], comps[2], comps[2], comps[3], comps[3]) + comps[5:],
+                  "T3": (comps[0], comps[2], comps[2], mu[0], mu[0]) + tower,
+                  "r": (pi, mu[0], mu[0], mu[0], mu[0]) + tower}
         for name, image in images.items():
             obj_map, mor_map = maps[name]
-            if thin:        # the one morphism between the images of s and t
-                mor_map[m] = (b_k.hom(obj_map[s], obj_map[t]) or (None,))[0]
-            else:
-                mor_map[m] = b_k.lookup(obj_map[s], obj_map[t], image)
+            mor_map[m] = b_k.lookup(obj_map[s], obj_map[t], image)
             if mor_map[m] is None:
-                errors.append(
-                    f"{name}({m}) has no matching morphism in B_{k} "
-                    "(a component is unmarked or a square fails)")
+                errors.append(_NO_MATCH.format(name=name, m=m, k=k))
 
     if errors:
         return None, SegalCertificate(k, object_rows, [], {}, witnesses,
@@ -427,6 +419,8 @@ _READING = ("overline composites are the recorded pushout/pullback legs; "
 _THIN = ("thin lemma: parallel morphisms of B_k are equal, so each image is "
          "the one morphism between the images of its ends")
 _COMPONENTWISE = "componentwise: comparisons composed in C, looked up in B_k"
+_NO_MATCH = ("{name}({m}) has no matching morphism in B_{k} "
+             "(a component is unmarked or a square fails)")
 
 
 # -- the fiber-square report ---------------------------------------------------

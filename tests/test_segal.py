@@ -277,7 +277,9 @@ def certified(pms, k, parts, monkeypatch):
 @contextlib.contextmanager
 def componentwise(monkeypatch):
     """No category is thin inside: the certificate composes each image
-    in C and looks it up in B_k, and composes each square in B_k."""
+    of T1, T2, T3 and r in C and looks it up in B_k.  A B_k built
+    outside keeps the composition its constructor chose, so squares are
+    read the same way on both paths."""
     with monkeypatch.context() as patch:
         patch.setattr(FinCategory, "is_thin", lambda self: False)
         yield
