@@ -283,10 +283,6 @@ class FinCategory:
                 except StructuralError:
                     pass
 
-    def composable(self, f, g):
-        """True when f can be followed by g."""
-        return self.tgt[f] == self.src[g]
-
     def inverse(self, m):
         """Two-sided inverse of m, or None."""
         for g in self.hom(self.tgt[m], self.src[m]):

@@ -122,31 +122,6 @@ def _identity_violations(n_max, sizes, faces, degeneracies):
     return bad
 
 
-def simplicial_map_violations(tables, source, target, n_max):
-    """Where index tables fail to be a simplicial map.
-
-    ``tables[n]`` sends the n-simplices of the source to those of the
-    target; ``source`` and ``target`` are (faces, degeneracies) pairs
-    keyed (n, i).  Every face and degeneracy up to dimension ``n_max``
-    must commute with the tables; returns a list of violation strings
-    (empty = pass).
-    """
-    bad = []
-    # faces go one level down, degeneracies one level up
-    for kind, which, levels, step in (("face", 0, range(1, n_max + 1), -1),
-                                      ("degeneracy", 1, range(n_max), 1)):
-        for n in levels:
-            here, there = tables[n], tables[n + step]
-            for i in range(n + 1):
-                op = target[which][(n, i)]
-                before = [op[y] for y in here]
-                after = [there[y] for y in source[which][(n, i)]]
-                if before != after:
-                    bad.extend(f"{kind} ({n},{i}) at {x}"
-                               for x, (p, q) in enumerate(zip(before, after)) if p != q)
-    return bad
-
-
 class TruncatedSimplicialSet:
     """Simplex sets per dimension 0..n_max with operator index tables.
 

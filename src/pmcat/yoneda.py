@@ -7,9 +7,12 @@ into the zigzag's left leg.  Only the marked part of the action is
 materialized: the width-one model does not support precomposition along
 arbitrary maps without further calculus moves, and the relative-functor
 content only involves the marked maps.  Every report states this model
-explicitly.  For every A the report checks the action's functor laws
-over the marked maps: each acts by a simplicial map, identities act as
-identities and composites as composites.
+explicitly.  Every map here is the nerve of a functor between zigzag
+categories, and the nerve is a functor, N(G.F) = N(G).N(F) (Rezk,
+Trans. AMS 353, 2001): each law is checked on the functors, and then
+holds on every simplex.  For every A the report checks the action over
+the marked maps: each acts by a functor, identities as identities and
+composites as composites.
 
 A marked map w: A -> A' induces, by precomposition into the right leg,
 a map of presheaves; the verifier checks it is levelwise a bijection on
@@ -24,11 +27,10 @@ action, the induced maps and the hom comparison all read that table.
 
 from dataclasses import dataclass, field
 
-from .fincat import StructuralError
-from .relcat import diagram_functor
+from .fincat import StructuralError, check_functor
+from .relcat import diagram_functor, validate_relative
 from .sset import (
-    nerve, nerve_map_tables, pi0, normalized_boundaries,
-    homology_of_boundaries, simplicial_map_violations,
+    nerve, nerve_map_tables, pi0, normalized_boundaries, homology_of_boundaries,
 )
 from .hammock import zigzag_category, bounded_localization_oracle
 
@@ -38,33 +40,6 @@ MODEL_NOTE = ("width-one zigzag model; presheaf action materialized on marked "
 
 # word-length bound of the localization oracle behind the hom comparison
 ORACLE_BOUND = 7
-
-
-class SSetMap:
-    """A simplicial map between truncated simplicial sets, stored as
-    index tables per dimension."""
-
-    def __init__(self, source, target, tables):
-        self.source = source
-        self.target = target
-        self.tables = {n: list(t) for n, t in tables.items()}
-
-    def check_simplicial(self):
-        """Commutation with every face and degeneracy inside the
-        truncation; list of violations."""
-        s, t = self.source, self.target
-        return simplicial_map_violations(
-            self.tables, (s.faces, s.degeneracies), (t.faces, t.degeneracies),
-            min(s.n_max, t.n_max))
-
-    def compose(self, other):
-        """self after other."""
-        tables = {n: [self.tables[n][v] for v in other.tables[n]]
-                  for n in other.tables}
-        return SSetMap(other.source, self.target, tables)
-
-    def is_identity_map(self):
-        return all(t == list(range(len(t))) for t in self.tables.values())
 
 
 class PresheafValue:
@@ -89,10 +64,11 @@ def presheaf_values(rc, n_max):
 
 
 def _leg_map(rc, source, target, f, left):
-    """The map from the value ``source`` to the value ``target`` induced
-    by f on the zigzags' legs: with ``left``, f: B' -> B sends the left
-    leg l: X -> B' to f.l; otherwise f: A -> A' sends the right leg
-    r: A' -> Y to r.f.  The moved end's component becomes an identity."""
+    """The functor from the zigzags of the value ``source`` to those of
+    the value ``target`` induced by f on the legs: with ``left``,
+    f: B' -> B sends the left leg l: X -> B' to f.l; otherwise
+    f: A -> A' sends the right leg r: A' -> Y to r.f.  The moved end's
+    component becomes an identity."""
     cat = rc.cat
     if left:
         b = cat.tgt[f]
@@ -102,43 +78,54 @@ def _leg_map(rc, source, target, f, left):
         a = cat.src[f]
         move = lambda objs, arrows: (objs[:-1] + (a,), arrows[:-1] + (cat.compose(arrows[-1], f),))
         steps = lambda comps: comps[:-1] + (cat.identity[a],)
-    F = diagram_functor(source.zigzags, target.zigzags, move, steps)
-    return SSetMap(source.nerve, target.nerve,
-                   nerve_map_tables(F, source.nerve, target.nerve))
+    return diagram_functor(source.zigzags, target.zigzags, move, steps)
 
 
 def presheaf_action(rc, a, table):
     """The action on the presheaf of ``a``, read from ``table``: each
-    marked g: B' -> B as the map from the value at (B', a) to the value
-    at (B, a) that sends the left leg l: X -> B' to g.l."""
+    marked g: B' -> B as the functor from the zigzags of the value at
+    (B', a) to those of the value at (B, a) that sends the left leg
+    l: X -> B' to g.l."""
     cat = rc.cat
     return {g: _leg_map(rc, table[(cat.src[g], a)], table[(cat.tgt[g], a)], g, True)
             for g in rc.weq}
 
 
 def check_presheaf_action(rc, action):
-    """Functor laws of an action table over the marked subcategory;
-    list of violations."""
+    """Functor laws of an action table over the marked subcategory,
+    checked on the functors (so on every simplex of their nerves): each
+    must pass ``check_functor``, an identity must act as the identity and
+    g2.g1 as the composite of the two actions, on objects and on
+    morphisms.  A list of violations."""
     cat = rc.cat
     bad = []
-    for g, mp in action.items():
-        for msg in mp.check_simplicial():
-            bad.append(f"action of {g} is not simplicial: {msg}")
-        if cat.is_identity(g) and not mp.is_identity_map():
+    for g, F in action.items():
+        report = check_functor(F)
+        if not report.ok:
+            bad += [f"action of {g} is not a functor: {line}"
+                    for line in report.describe().splitlines()]
+        if cat.is_identity(g) and any(x != y for part in _parts(F) for x, y in part.items()):
             bad.append(f"action of identity {g} is not the identity")
     for g1, first in action.items():
         for g2 in cat.out_of(cat.tgt[g1]):
             if g2 in action:
-                g21 = cat.compose(g2, g1)
-                if action[g2].compose(first).tables != action[g21].tables:
+                parts = zip(_parts(first), _parts(action[g2]),
+                            _parts(action[cat.compose(g2, g1)]))
+                if any({x: after.get(y) for x, y in before.items()} != composite
+                       for before, after, composite in parts):
                     bad.append(f"action of {g2}.{g1} differs from the composite")
     return bad
 
 
+def _parts(F):
+    """F on objects and on morphisms."""
+    return F.obj_map, F.mor_map
+
+
 def weq_induced_presheaf_maps(rc, w, table):
-    """The levelwise maps induced by a marked w: A -> A', keyed by B,
-    from the value at (B, A') to the value at (B, A) in ``table``: the
-    zigzag right leg r: A' -> Y is precomposed to r.w."""
+    """The functors induced by a marked w: A -> A', keyed by B, from the
+    zigzags of the value at (B, A') to those of the value at (B, A) in
+    ``table``: the zigzag right leg r: A' -> Y is precomposed to r.w."""
     cat = rc.cat
     if not rc.is_weq(w):
         raise StructuralError(f"{w} is not marked")
@@ -147,26 +134,24 @@ def weq_induced_presheaf_maps(rc, w, table):
             for b in cat.objects}
 
 
-def _pi0_bijective(mp, src_classes, tgt_classes):
-    """Whether ``mp`` induces a bijection between the given components
-    of its source and of its target; a simplicial map sends each
-    component into one, so a vertex per component suffices."""
+def _pi0_bijective(F, src_classes, tgt_classes):
+    """Whether the functor F induces a bijection between the given
+    components of its source and of its target; a functor sends each
+    component into one, so an object per component suffices."""
     class_of = {v: i for i, cls in enumerate(tgt_classes) for v in cls}
-    vertex = {v: i for i, v in enumerate(mp.source.category.objects)}
-    image, into = mp.tables[0], mp.target.category.objects
-    images = {class_of[into[image[vertex[cls[0]]]]] for cls in src_classes}
+    images = {class_of[F.obj_map[cls[0]]] for cls in src_classes}
     return len(src_classes) == len(images) == len(tgt_classes)
 
 
-def _cone_acyclic(mp, source_boundaries, target_boundaries, up_to):
-    """H_i of the algebraic mapping cone vanishes for 1 <= i <= up_to.
+def _cone_acyclic(s, t, tables, source_boundaries, target_boundaries, up_to):
+    """H_i of the algebraic mapping cone of the simplicial map ``tables``
+    from the nerve ``s`` to the nerve ``t`` vanishes for 1 <= i <= up_to.
 
     The boundaries are ``normalized_boundaries`` of the source up to
     degree up_to (at least) and of the target up to up_to + 1.  The map
     is then an isomorphism on H_i for i < up_to (and injective at
     up_to); combined with equal invariants this certifies the range.
     """
-    s, t, tables = mp.source, mp.target, mp.tables
     depth = up_to + 1
     dims_s, bnd_s = source_boundaries
     dims_t, bnd_t = target_boundaries
@@ -224,7 +209,12 @@ def verify_yoneda_relative(rc, n_dims):
     every marked map, the action's functor laws on every presheaf, and
     the component-level hom comparison against the bounded word oracle
     at every pair of objects; every check reads one table of presheaf
-    values, built at truncation n_dims + 2."""
+    values, built at truncation n_dims + 2.  Each map is checked on the
+    functor that induces it (the nerve is a functor); only the mapping
+    cone builds a nerve map's tables.  Refuses with StructuralError,
+    naming the first violation, unless the marked maps form a wide
+    subcategory: the action of g2.g1 is compared with g2's after g1's."""
+    validate_relative(rc).require("the weak equivalences are not a subcategory")
     cat = rc.cat
     report = YonedaReport(n_dims, notes=[MODEL_NOTE])
     table = presheaf_values(rc, n_dims + 2)
@@ -234,18 +224,21 @@ def verify_yoneda_relative(rc, n_dims):
         a, a_prime = cat.src[w], cat.tgt[w]
         maps = weq_induced_presheaf_maps(rc, w, table)
         report.checked_weqs += 1
-        for b, mp in maps.items():
-            bad = mp.check_simplicial()
-            if bad:
-                report.failures.append((w, b, "not simplicial", bad[0]))
+        for b, F in maps.items():
+            functor = check_functor(F)
+            if not functor.ok:
+                report.failures.append((w, b, "not a functor",
+                                        functor.describe().splitlines()[0]))
                 continue
             source, target = table[(b, a_prime)], table[(b, a)]
-            if not _pi0_bijective(mp, source.components, target.components):
+            if not _pi0_bijective(F, source.components, target.components):
                 report.failures.append((w, b, "pi0", "not a bijection"))
             for i, (h_src, h_tgt) in enumerate(zip(source.homology, target.homology)):
                 if h_src != h_tgt:
                     report.failures.append((w, b, f"H_{i}", f"{h_src} != {h_tgt}"))
-            if not _cone_acyclic(mp, source.boundaries, target.boundaries, n_dims + 1):
+            if not _cone_acyclic(source.nerve, target.nerve,
+                                 nerve_map_tables(F, source.nerve, target.nerve),
+                                 source.boundaries, target.boundaries, n_dims + 1):
                 report.failures.append((w, b, "cone", "mapping cone not acyclic"))
 
     for a in cat.objects:

@@ -1,7 +1,7 @@
 """Shared builders for the small categories the tests lean on."""
 
 from pmcat.fincat import FinCategory, Functor
-from pmcat.sset import _identity_violations, simplicial_map_violations
+from pmcat.sset import _identity_violations
 
 
 def poset_category(elements, leq, name=None):
@@ -73,6 +73,32 @@ def thin_functor(source, target, obj_map):
                                        obj_map[source.tgt[m]])), None)
                for m in source.morphisms}
     return Functor(source, target, obj_map, mor_map)
+
+
+def simplicial_map_violations(tables, source, target, n_max):
+    """Where index tables fail to be a simplicial map: the per-simplex
+    reference for the checks that the library runs on functors.
+
+    ``tables[n]`` sends the n-simplices of the source to those of the
+    target; ``source`` and ``target`` are (faces, degeneracies) pairs
+    keyed (n, i).  Every face and degeneracy up to dimension ``n_max``
+    must commute with the tables; returns a list of violation strings
+    (empty = pass).
+    """
+    bad = []
+    # faces go one level down, degeneracies one level up
+    for kind, which, levels, step in (("face", 0, range(1, n_max + 1), -1),
+                                      ("degeneracy", 1, range(n_max), 1)):
+        for n in levels:
+            here, there = tables[n], tables[n + step]
+            for i in range(n + 1):
+                op = target[which][(n, i)]
+                before = [op[y] for y in here]
+                after = [there[y] for y in source[which][(n, i)]]
+                if before != after:
+                    bad.extend(f"{kind} ({n},{i}) at {x}"
+                               for x, (p, q) in enumerate(zip(before, after)) if p != q)
+    return bad
 
 
 def cell_violations(b):

@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -101,31 +102,33 @@ def test_only_fincat_reads_the_hom_index():
 
 
 def _unreached_public_names(root):
-    """Public module-level functions and classes of ``src/pmcat`` that no
-    other top-level statement of the library reads (as a name or an
-    attribute) and that ``perfbench/*.py`` and ``BENCHMARK.json`` do not
-    name: code only the tests and demos reach."""
-    statements = []
+    """Public module-level functions and classes of ``src/pmcat``, and
+    public methods of those classes, that the library reads (as a name
+    or an attribute) nowhere outside their own definition and that
+    ``perfbench/*.py`` and ``BENCHMARK.json`` do not name: code only the
+    tests and demos reach."""
+    def reads(node):
+        return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                       for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+    definitions = []   # (label, node)
+    library = Counter()
     for path in sorted((root / "src" / "pmcat").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        statements.extend((path.name, node) for node in tree.body)
-    used_by = {}       # name -> the top-level statements that read it
-    for i, (_file, node) in enumerate(statements):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                used_by.setdefault(sub.id, set()).add(i)
-            elif isinstance(sub, ast.Attribute):
-                used_by.setdefault(sub.attr, set()).add(i)
+        library += reads(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                definitions.append((f"{path.name}:{node.name}", node))
+                if isinstance(node, ast.ClassDef):
+                    definitions.extend(
+                        (f"{path.name}:{node.name}.{method.name}", method)
+                        for method in node.body
+                        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"))
     outside = "\n".join(path.read_text(encoding="utf-8") for path in
                         [*sorted((root / "perfbench").glob("*.py")), root / "BENCHMARK.json"])
-    unreached = []
-    for i, (file, node) in enumerate(statements):
-        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")
-                and not used_by.get(node.name, set()) - {i}
-                and not re.search(rf"\b{node.name}\b", outside)):
-            unreached.append(f"{file}:{node.name}")
-    return unreached
+    return [label for label, node in definitions
+            if library[node.name] == reads(node)[node.name]
+            and not re.search(rf"\b{node.name}\b", outside)]
 
 
 def test_every_public_name_has_a_use_outside_the_tests():
@@ -137,6 +140,14 @@ def test_the_unreached_name_guard_sees_a_name_used_only_by_itself(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "src" / "pmcat" / "a.py").write_text(
         "def lonely(n):\n    return lonely(n - 1)\n\n"
-        "def used():\n    pass\n\nclass Timed:\n    pass\n\nTABLE = [used]\n")
-    (tmp_path / "BENCHMARK.json").write_text('{"per_layer": [{"name": "a.Timed.s"}]}')
-    assert _unreached_public_names(tmp_path) == ["a.py:lonely"]
+        "def used():\n    pass\n\nclass Timed:\n    pass\n\nTABLE = [used]\n\n"
+        "class Graph:\n"
+        "    def step(self):\n        return self.step()\n\n"
+        "    def walk(self):\n        return self.visit()\n\n"
+        "    def visit(self):\n        pass\n\n"
+        "    def timed(self):\n        pass\n\n"
+        "    def _hidden(self):\n        pass\n\n"
+        "GRAPH = Graph().walk\n")
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"per_layer": [{"name": "a.Timed.s"}, {"name": "a.Graph.timed.s"}]}')
+    assert _unreached_public_names(tmp_path) == ["a.py:lonely", "a.py:Graph.step"]

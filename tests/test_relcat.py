@@ -33,7 +33,7 @@ def test_validate_relative_non_closed_pair_absent():
     rc = RelCategory(cat, ["01"])
     marked = set(rc.weq)
     assert not any(
-        cat.composable(f, g) and not cat.is_identity(f) and not cat.is_identity(g)
+        cat.tgt[f] == cat.src[g] and not cat.is_identity(f) and not cat.is_identity(g)
         for f in marked for g in marked)
     assert validate_relative(rc).ok
 
