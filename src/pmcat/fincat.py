@@ -371,13 +371,26 @@ def _no_composite(g, f):
 
 
 class Functor:
-    """A functor given by explicit object and morphism tables."""
+    """A functor given by explicit object and morphism tables.
 
-    def __init__(self, source, target, obj_map, mor_map):
+    Into a thin category the object table may come alone: by the thin
+    lemma each morphism then goes to the one morphism between the images
+    of its ends (None where there is none), and ``mor_map`` is built from
+    the hom index on its first read.
+    """
+
+    def __init__(self, source, target, obj_map, mor_map=None):
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
-        self.mor_map = dict(mor_map)
+        if mor_map is not None:
+            self.mor_map = dict(mor_map)
+
+    @cached_property
+    def mor_map(self):
+        hom, obj, src, tgt = self.target.hom, self.obj_map, self.source.src, self.source.tgt
+        return {m: (hom(obj[src[m]], obj[tgt[m]]) or (None,))[0]
+                for m in self.source.morphisms}
 
     @classmethod
     def identity(cls, cat):

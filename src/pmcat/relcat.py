@@ -171,12 +171,16 @@ class DiagramCategory(ComponentwiseCategory):
     Objects and morphisms are looked up by their parts with
     :meth:`object_of` and :meth:`lookup`; only this module knows how ids
     are spelled.  A composite is missing only where the marking is not
-    closed under composition.
+    closed under composition.  Over a thin base, ``relation`` holds the
+    category as its relation: bit j of ``relation[i]`` is set when there
+    is a morphism from the i-th object to the j-th; otherwise it is None.
     """
 
-    def __init__(self, objects, rows, identity, factors, components, diagrams):
+    def __init__(self, objects, rows, identity, factors, components, diagrams,
+                 relation=None):
         super().__init__(objects, rows, identity, factors, components)
         self.diagrams = diagrams
+        self.relation = relation
         self._object_of = {d: o for o, d in diagrams.items()}
 
     def object_of(self, objs, arrows):
@@ -214,20 +218,90 @@ def diagram_transitions(rc, slots, fixed=None):
     ``diagrams`` lists every (vertices, arrows) of the shape, the first
     arrow in category order and later arrows out of (forward) or into
     (backward) the last vertex reached.  ``transitions`` lists every
-    (source index, target index, components).  From each source diagram
-    the components are extended one vertex at a time through marked maps,
-    and each slot's target arrow is sought only among the morphisms
-    between the two target vertices; components at a fixed end are
-    identities.  On a thin category every such arrow closes its square,
-    whose two paths are parallel, so nothing is composed.  Per source,
-    transitions are stably sorted by target index.  See
-    :func:`diagram_category` for ``slots`` and ``fixed``.
+    (source index, target index, components), by source, then by target
+    index.  Components at a fixed end are identities.
+
+    On a thin category the maps are read off the relation of
+    :func:`_up_sets`: by the thin lemma (parallel morphisms are equal)
+    every square of components commutes, so d maps to d' exactly when
+    each vertex has a marked arrow d_i -> d'_i, and that arrow is the
+    component.  Otherwise :func:`_extended_transitions` extends the
+    components one vertex at a time.  See :func:`diagram_category` for
+    ``slots`` and ``fixed``.
     """
-    cat = rc.cat
+    return _transitions(rc, slots, fixed)[:2]
+
+
+def _transitions(rc, slots, fixed):
+    """(diagrams, transitions, up-sets); the up-sets are None unless the
+    category is thin."""
     slots = tuple(slots)
     first, last = fixed if fixed is not None else (None, None)
     diagrams = _shaped_diagrams(rc, slots, first, last)
-    compose, tgt, is_weq, thin = cat.compose, cat.tgt, rc.is_weq, cat.is_thin()
+    if not rc.cat.is_thin():
+        return diagrams, _extended_transitions(rc, slots, fixed, diagrams), None
+    up = _up_sets(rc, diagrams)
+    marked = {o: {} for o in rc.cat.objects}       # x -> y -> the marked x -> y
+    for m in rc.weq:
+        marked[rc.cat.src[m]][rc.cat.tgt[m]] = m
+    vertices = [objs for objs, _arrows in diagrams]
+    positions = list(range(len(diagrams)))     # one int per target, shared
+    component, out = dict.__getitem__, []
+    for a, objs in enumerate(vertices):
+        steps = [marked[o] for o in objs]
+        out += [(a, positions[b], tuple(map(component, steps, vertices[b])))
+                for b in bit_positions(up[a])]
+    return diagrams, out, up
+
+
+def _up_sets(rc, diagrams):
+    """The relation of the diagrams over a thin category, one bitset per
+    diagram: bit j of ``up[i]`` is set when diagram i maps to diagram j.
+    Each is the AND, over the vertices, of one mask per (vertex, base
+    object o): the diagrams whose vertex is reached from o by a marked
+    arrow.  At a fixed end every diagram has the same vertex o, so the
+    mask is o itself and the component its identity."""
+    cat = rc.cat
+    at = [{} for _ in (diagrams[0][0] if diagrams else ())]  # vertex -> object -> diagrams
+    for j, (objs, _arrows) in enumerate(diagrams):
+        for i, o in enumerate(objs):
+            at[i][o] = at[i].get(o, 0) | 1 << j
+    reached = {o: [o] for o in cat.objects}
+    for m in rc.weq:
+        if not cat.is_identity(m):
+            reached[cat.src[m]].append(cat.tgt[m])
+    # the diagrams at distinct objects are disjoint sets, so their sum is
+    # their union
+    masks = [{o: sum(here.get(y, 0) for y in reached[o]) for o in here} for here in at]
+    up = []
+    for objs, _arrows in diagrams:
+        row = -1
+        for mask, o in zip(masks, objs):
+            row &= mask[o]
+        up.append(row)
+    return up
+
+
+def bit_positions(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    bits = bin(mask)[:1:-1]
+    out, i = [], bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
+
+
+def _extended_transitions(rc, slots, fixed, diagrams):
+    """The transitions of :func:`diagram_transitions` on any category.
+    From each source diagram the components are extended one vertex at a
+    time through marked maps, and each slot's target arrow is sought
+    only among the morphisms between the two target vertices whose
+    square commutes.  Per source, transitions are stably sorted by
+    target index."""
+    cat = rc.cat
+    first, last = fixed if fixed is not None else (None, None)
+    compose, tgt, is_weq = cat.compose, cat.tgt, rc.is_weq
     # a diagram is determined by its arrows, or by its vertex if it has none
     index = {arrows or objs: i for i, (objs, arrows) in enumerate(diagrams)}
     weq_out = {o: [m for m in cat.out_of(o) if is_weq(m)] for o in cat.objects}
@@ -249,15 +323,15 @@ def diagram_transitions(rc, slots, fixed=None):
                     # the square from the source arrow (vertex i+1 -> vertex i
                     # when backward) to a target arrow b
                     x, y = (c, prev) if slot.backward else (prev, c)
-                    side = None if thin else compose(y, arrow)
+                    side = compose(y, arrow)
                     for b in cat.hom(tgt[x], tgt[y]):
-                        if (thin or compose(b, x) == side) and (not slot.marked or is_weq(b)):
+                        if compose(b, x) == side and (not slot.marked or is_weq(b)):
                             nxt.append((comps + (c,), targets + (b,)))
             partial = nxt
         found = [(index[targets or (tgt[comps[0]],)], comps) for comps, targets in partial]
         found.sort(key=itemgetter(0))
         out.extend((a, b, comps) for b, comps in found)
-    return diagrams, out
+    return out
 
 
 def _parts_id(parts):
@@ -285,7 +359,7 @@ def diagram_category(rc, slots, fixed=None):
     """
     cat = rc.cat
     slots = tuple(slots)
-    diagrams, transitions = diagram_transitions(rc, slots, fixed)
+    diagrams, transitions, relation = _transitions(rc, slots, fixed)
     seen = set()
     obj_ids = [_fresh(_parts_id(arrows), seen) if slots else objs[0]
                for objs, arrows in diagrams]
@@ -307,7 +381,7 @@ def diagram_category(rc, slots, fixed=None):
         rows.append((mid, sid, tid))
         components[mid] = comps
     return DiagramCategory(obj_ids, rows, identity, (cat,) * (len(slots) + 1),
-                           components, dict(zip(obj_ids, diagrams)))
+                           components, dict(zip(obj_ids, diagrams)), relation)
 
 
 def diagram_functor(source, target, diagrams, components):

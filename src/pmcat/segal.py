@@ -22,14 +22,23 @@ For a relative category (C, W):
   three auxiliary functors) and the two-step zigzag connecting r.i with
   the identity of A'_k, and certifies every single ingredient: every
   transformation component is a morphism of B_k (marked in every vertex
-  and commuting with both diagrams), every naturality square commutes
-  in B_k's own composition against every morphism, and every
-  pushout/pullback witness re-passes its universal property.  When C is
-  thin, so is B_k, and any two parallel morphisms of B_k are equal: a
-  functor's image of a morphism is then the one morphism between the
-  images of its ends (and B_k's composition reads only ends).  Otherwise
-  each image is composed in C from the recorded comparisons and looked
-  up in B_k.
+  and commuting with both diagrams), every functor and every naturality
+  square is lawful, and every pushout/pullback witness re-passes its
+  universal property.
+
+When C is thin, so is B_k, and the certificate reads B_k as its
+relation (``b_k.relation``, one up-set bitset per object), visiting no
+morphism of B_k.  It rests on the thin lemma: any two parallel
+morphisms of a thin category are equal.  So a map of objects into B_k
+is a functor once it is monotone, each morphism going to the one
+morphism between the images of its ends; T1, T2, T3 and r are checked
+as monotone object maps.  Every naturality square commutes, so a
+transformation is checked by its components.  The middle map a
+morphism needs depends only on the w slots of its ends, and is checked
+once per such pair.  Otherwise each image is composed in C from the
+recorded comparisons and looked up in B_k, and every naturality square
+is composed in B_k.  Either way a failure names the first morphism of
+B_k that carries it.
 
 The composites written with overlines in informal accounts of this
 construction are read here as the recorded pushout/pullback legs and
@@ -40,11 +49,12 @@ reading explicitly so it can be audited.
 from dataclasses import dataclass, field
 
 from .fincat import (
-    Functor, StructuralError, check_functor, strict_pullback_category,
-    category_isomorphism, pair_id,
+    Functor, StructuralError, ValidationReport, Violation, check_functor,
+    strict_pullback_category, category_isomorphism, pair_id,
 )
 from .relcat import (
-    diagram_category, diagram_functor, validate_relative, ARROW, WEQ, WEQ_BACK,
+    bit_positions, diagram_category, diagram_functor, validate_relative,
+    ARROW, WEQ, WEQ_BACK,
 )
 from .pmc import CalculusError
 from .sset import count_chains, nerve, pi0, homology
@@ -187,11 +197,15 @@ def check_transformation(rc, rec, F, G, domain):
     must be a morphism F(o) -> G(o) of D: marked in every vertex and
     commuting with the arrows of both diagrams.  ``unmarked`` lists the
     unmarked entries as (o, c), and ``missing`` the objects whose
-    component is absent or is not such a morphism; squares at those
-    objects are skipped.  Every other naturality square is read through
-    D's compose, and ``naturality_failures`` lists (m, i) for each
-    square that does not commute, i the first vertex where its two
-    composites differ.
+    component is absent or is not such a morphism.
+
+    Over a thin D that is all: by the thin lemma the two paths of a
+    naturality square, both F(s) -> G(t), are equal, so only objects are
+    visited and the morphism maps are not read (a mistyped functor is
+    the functor check's to reject).  Otherwise every square away from
+    the missing objects is read through D's compose, and
+    ``naturality_failures`` lists (m, i) for each square that does not
+    commute, i the first vertex where its two composites differ.
     """
     D = G.target
     ids = {}
@@ -202,6 +216,8 @@ def check_transformation(rc, rec, F, G, domain):
             ids[o] = D.lookup(F.obj_map[o], G.obj_map[o], comps)
         if ids.get(o) is None:
             rec.missing.append(o)
+    if D.is_thin():
+        return rec
     base, compose = rc.cat.compose, D.compose
     for m in domain.morphisms:
         left, right = ids.get(domain.src[m]), ids.get(domain.tgt[m])
@@ -236,11 +252,12 @@ def build_retraction(pms, k, parts=None):
     (h, a_k, b_k, a_prime) tuple to avoid re-enumeration.
 
     T1, T2, T3 and r send each morphism m: s -> t of B_k to a morphism
-    between the images of s and t.  When C is thin, that is the one
-    morphism of B_k between them, once the recorded middle map of m's
-    w-square runs M1(s) -> M1(t).  Otherwise its components are composed
-    in C from the recorded pushout and pullback comparisons and looked
-    up in B_k.
+    between the images of s and t.  When C is thin, they are certified
+    as monotone object maps on B_k's relation (:func:`_relation_errors`),
+    and build their morphism maps from the hom index only when read.
+    Otherwise each image is composed in C from the recorded pushout and
+    pullback comparisons and looked up in B_k
+    (:func:`_componentwise_images`).
     """
     rc = pms.rc
     cat = rc.cat
@@ -308,73 +325,31 @@ def build_retraction(pms, k, parts=None):
         phi3[oid] = (ident[c[0]], i2, i2, u1, u1) + tuple(us[1:])
         phi4[oid] = (pb.leg_g, v1, v1, im, im) + tuple(ident[o] for o in mids[1:])
 
-    # -- functors: objects by their rows, morphisms by their components ----------
-    maps = {}
+    # -- functors: objects by their rows; morphisms by their ends or components -
+    obj_maps = {}
     for name, row in _FUNCTOR_ROWS:
-        obj_map = {o: b_k.object_of(*rows[row]) for o, rows in object_rows.items()}
+        obj_maps[name] = {o: b_k.object_of(*rows[row]) for o, rows in object_rows.items()}
         errors.extend(f"{name}({o}) is not an object of B_{k}"
-                      for o, t in obj_map.items() if t is None)
-        maps[name] = (obj_map, {})
+                      for o, t in obj_maps[name].items() if t is None)
+    if errors:
+        return None, SegalCertificate(k, object_rows, [], {}, witnesses,
+                                      factorizations, _READING, lemma, errors)
+    if thin:
+        errors = _relation_errors(pms, b_k, k, obj_maps)
+        mor_maps = dict.fromkeys(obj_maps)      # read off the ends, on demand
+    else:
+        mor_maps = _componentwise_images(pms, b_k, k, obj_maps, object_rows, data, errors)
     if errors:
         return None, SegalCertificate(k, object_rows, [], {}, witnesses,
                                       factorizations, _READING, lemma, errors)
 
-    for m in b_k.morphisms:
-        comps = b_k.components[m]
-        s, t = b_k.src[m], b_k.tgt[m]
-        d_s, d_t = data[s], data[t]
-        try:
-            mu = [pms.middle_map((b_k.diagrams[s][1][2], b_k.diagrams[t][1][2],
-                                  comps[3], comps[2]))]
-            if thin:
-                if (cat.src[mu[0]], cat.tgt[mu[0]]) != (d_s["mids"][0], d_t["mids"][0]):
-                    raise CalculusError(
-                        f"middle map {mu[0]} does not run M1({s}) -> M1({t})")
-            else:
-                # comparisons into the pushout tower of the target
-                for j, arrow in enumerate(object_rows[s]["row3:compose-y"][1][4:]):
-                    mu.append(pms.pushout(d_s["us"][j], arrow).comparison(
-                        d_t["mids"][j + 1], cat.compose(d_t["bars"][j], mu[-1]),
-                        cat.compose(d_t["us"][j + 1], comps[5 + j])))
-                    if mu[-1] is None:
-                        raise CalculusError(
-                            "pushout comparison missing for recorded cocone")
-        except (CalculusError, KeyError, StructuralError) as e:
-            errors.append(f"comparison data missing for morphism {m}: {e}")
-            continue
-        if thin:        # the one morphism between the images of s and t
-            for name, (obj_map, mor_map) in maps.items():
-                mor_map[m] = (b_k.hom(obj_map[s], obj_map[t]) or (None,))[0]
-                if mor_map[m] is None:
-                    errors.append(_NO_MATCH.format(name=name, m=m, k=k))
-            continue
-        # express the source pullback cone as a competitor of the target one
-        pb_s = d_s["pullback"]
-        pi = d_t["pullback"].comparison(pb_s.apex, cat.compose(mu[0], pb_s.leg_f),
-                                        cat.compose(comps[0], pb_s.leg_g))
-        if pi is None:
-            errors.append(f"pullback comparison missing for morphism {m}")
-            continue
-        tower = tuple(mu[1:])
-        images = {"T1": (comps[0], comps[2], comps[2], comps[3], comps[4]) + comps[5:],
-                  "T2": (comps[0], comps[2], comps[2], comps[3], comps[3]) + comps[5:],
-                  "T3": (comps[0], comps[2], comps[2], mu[0], mu[0]) + tower,
-                  "r": (pi, mu[0], mu[0], mu[0], mu[0]) + tower}
-        for name, image in images.items():
-            obj_map, mor_map = maps[name]
-            mor_map[m] = b_k.lookup(obj_map[s], obj_map[t], image)
-            if mor_map[m] is None:
-                errors.append(_NO_MATCH.format(name=name, m=m, k=k))
-
-    if errors:
-        return None, SegalCertificate(k, object_rows, [], {}, witnesses,
-                                      factorizations, _READING, lemma, errors)
-
-    T1, T2, T3 = (Functor(b_k, b_k, *maps[name]) for name in ("T1", "T2", "T3"))
-    r = Functor(b_k, a_prime, *maps["r"])
-    functor_reports = {"h": check_functor(h), "r": check_functor(r),
-                       "T1": check_functor(T1), "T2": check_functor(T2),
-                       "T3": check_functor(T3)}
+    functors = {name: Functor(b_k, a_prime if name == "r" else b_k,
+                              obj_maps[name], mor_maps[name])
+                for name, _row in _FUNCTOR_ROWS}
+    T1, T2, T3, r = functors.values()
+    check = _object_map_report if thin else check_functor
+    functor_reports = {"h": check_functor(h), "r": check(r),
+                       "T1": check(T1), "T2": check(T2), "T3": check(T3)}
 
     # -- the A'_k side -----------------------------------------------------------
     # On image objects the w slot is an identity; the composite of its
@@ -396,7 +371,7 @@ def build_retraction(pms, k, parts=None):
             tau[oid] = (ident[c[0]], ident[c[1]], ident[c[2]], vs[0], vs[0]) + tuple(vs[1:])
             psi[oid] = tuple(cat.compose(t, p) for p, t in zip(phi4[oid], tau[oid]))
 
-    one = Functor.identity(b_k)
+    one = Functor(b_k, b_k, {o: o for o in b_k.objects}) if thin else Functor.identity(b_k)
     transformations = [
         check_transformation(rc, TransformationRecord(name, src, tgt, comps), F, G, domain)
         for name, src, tgt, F, G, comps, domain in (
@@ -411,6 +386,121 @@ def build_retraction(pms, k, parts=None):
     cert = SegalCertificate(k, object_rows, transformations, functor_reports,
                             witnesses, factorizations, _READING, lemma, errors)
     return r, cert
+
+
+def _relation_errors(pms, b_k, k, obj_maps):
+    """The error lines of the certificate's morphism half over a thin
+    C, read on the up-sets ``b_k.relation``; no morphism is visited.
+
+    T1, T2, T3 and r must be monotone: for each image y the preimage of
+    y's up-set is taken once, and each source's up-set must lie inside
+    the preimage of its image's.  The middle map of a w-square, fixed
+    by the w slots of a morphism's ends, must run M1 -> M1', each fixed
+    by its w, and is checked once per square some morphism carries.
+    Each failure names the first morphism of B_k that carries it: B_k
+    lists its morphisms by source, then by target position.
+    """
+    cat = pms.rc.cat
+    up, objects = b_k.relation, b_k.objects
+    failures = []               # ((source, target position), kind, message)
+
+    def morphism(s, t):
+        return b_k.hom(objects[s], objects[t])[0]
+
+    with_w, reach = {}, {}      # w -> the objects with that w slot, their up-sets
+    for i, o in enumerate(objects):
+        w = b_k.diagrams[o][1][2]
+        with_w[w] = with_w.get(w, 0) | 1 << i
+        reach[w] = reach.get(w, 0) | up[i]
+    for w, sources in with_w.items():
+        for w2, targets in with_w.items():
+            if not reach[w] & targets:
+                continue
+            square = (w, w2, cat.hom(cat.src[w], cat.src[w2])[0],
+                      cat.hom(cat.tgt[w], cat.tgt[w2])[0])
+            try:
+                mu = pms.middle_map(square)
+                if (cat.src[mu], cat.tgt[mu]) == (pms.factor(w)[1], pms.factor(w2)[1]):
+                    continue
+                problem = None
+            except (CalculusError, KeyError) as e:
+                problem = e
+            s = next(s for s in bit_positions(sources) if up[s] & targets)
+            t = _lowest(up[s] & targets)
+            if problem is None:
+                problem = f"middle map {mu} does not run M1({objects[s]}) -> M1({objects[t]})"
+            failures.append(((s, t), 0, f"comparison data missing for morphism "
+                                        f"{morphism(s, t)}: {problem}"))
+
+    position = {o: i for i, o in enumerate(objects)}
+    for kind, (name, _row) in enumerate(_FUNCTOR_ROWS, 1):
+        image = [position[obj_maps[name][o]] for o in objects]
+        fibers = {}
+        for i, y in enumerate(image):
+            fibers[y] = fibers.get(y, 0) | 1 << i
+        hit = sum(1 << y for y in fibers)
+        # fibers are disjoint, so their sum is their union
+        above = {y: sum(fibers[z] for z in bit_positions(up[y] & hit)) for y in fibers}
+        s = next((s for s, y in enumerate(image) if up[s] & ~above[y]), None)
+        if s is not None:
+            t = _lowest(up[s] & ~above[image[s]])
+            failures.append(((s, t), kind, _NO_MATCH.format(name=name, m=morphism(s, t), k=k)))
+    return [message for _at, _kind, message in sorted(failures)]
+
+
+def _lowest(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def _object_map_report(F):
+    """:func:`check_functor`'s report on a functor into a thin category
+    whose object map is monotone: only the objects' typing is left."""
+    known = set(F.target.objects)
+    return ValidationReport([Violation("unknown-object", (o, t), "image object unknown")
+                             for o, t in F.obj_map.items() if t not in known], [])
+
+
+def _componentwise_images(pms, b_k, k, obj_maps, object_rows, data, errors):
+    """The morphism maps of T1, T2, T3 and r, each image composed in C
+    from the recorded pushout and pullback comparisons and looked up in
+    B_k; a failure is appended to ``errors`` for each morphism."""
+    cat = pms.rc.cat
+    mor_maps = {name: {} for name in obj_maps}
+    for m in b_k.morphisms:
+        comps = b_k.components[m]
+        s, t = b_k.src[m], b_k.tgt[m]
+        d_s, d_t = data[s], data[t]
+        try:
+            mu = [pms.middle_map((b_k.diagrams[s][1][2], b_k.diagrams[t][1][2],
+                                  comps[3], comps[2]))]
+            # comparisons into the pushout tower of the target
+            for j, arrow in enumerate(object_rows[s]["row3:compose-y"][1][4:]):
+                mu.append(pms.pushout(d_s["us"][j], arrow).comparison(
+                    d_t["mids"][j + 1], cat.compose(d_t["bars"][j], mu[-1]),
+                    cat.compose(d_t["us"][j + 1], comps[5 + j])))
+                if mu[-1] is None:
+                    raise CalculusError("pushout comparison missing for recorded cocone")
+        except (CalculusError, KeyError, StructuralError) as e:
+            errors.append(f"comparison data missing for morphism {m}: {e}")
+            continue
+        # express the source pullback cone as a competitor of the target one
+        pb_s = d_s["pullback"]
+        pi = d_t["pullback"].comparison(pb_s.apex, cat.compose(mu[0], pb_s.leg_f),
+                                        cat.compose(comps[0], pb_s.leg_g))
+        if pi is None:
+            errors.append(f"pullback comparison missing for morphism {m}")
+            continue
+        tower = tuple(mu[1:])
+        images = {"T1": (comps[0], comps[2], comps[2], comps[3], comps[4]) + comps[5:],
+                  "T2": (comps[0], comps[2], comps[2], comps[3], comps[3]) + comps[5:],
+                  "T3": (comps[0], comps[2], comps[2], mu[0], mu[0]) + tower,
+                  "r": (pi, mu[0], mu[0], mu[0], mu[0]) + tower}
+        for name, image in images.items():
+            obj_map = obj_maps[name]
+            mor_maps[name][m] = b_k.lookup(obj_map[s], obj_map[t], image)
+            if mor_maps[name][m] is None:
+                errors.append(_NO_MATCH.format(name=name, m=m, k=k))
+    return mor_maps
 
 
 _READING = ("overline composites are the recorded pushout/pullback legs; "

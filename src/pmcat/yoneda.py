@@ -96,7 +96,9 @@ def check_presheaf_action(rc, action):
     checked on the functors (so on every simplex of their nerves): each
     must pass ``check_functor``, an identity must act as the identity and
     g2.g1 as the composite of the two actions, on objects and on
-    morphisms.  A list of violations."""
+    morphisms.  A list of violations; where the marking is not closed
+    under composition, a marked pair whose composite has no action is
+    one of them."""
     cat = rc.cat
     bad = []
     for g, F in action.items():
@@ -109,8 +111,11 @@ def check_presheaf_action(rc, action):
     for g1, first in action.items():
         for g2 in cat.out_of(cat.tgt[g1]):
             if g2 in action:
-                parts = zip(_parts(first), _parts(action[g2]),
-                            _parts(action[cat.compose(g2, g1)]))
+                g = cat.compose(g2, g1)
+                if g not in action:
+                    bad.append(f"action of {g2}.{g1} is missing: {g} is not marked")
+                    continue
+                parts = zip(_parts(first), _parts(action[g2]), _parts(action[g]))
                 if any({x: after.get(y) for x, y in before.items()} != composite
                        for before, after, composite in parts):
                     bad.append(f"action of {g2}.{g1} differs from the composite")

@@ -4,12 +4,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from pmcat import segal
 from pmcat.fincat import FinCategory, Functor, check_functor, StructuralError
+from pmcat.fixtures import build
 from pmcat.relcat import (
     RelCategory, restrict_to_weq, diagram_functor, random_preorder_relcat,
 )
@@ -18,10 +20,11 @@ from pmcat.sset import nerve, pi0, homology
 from pmcat.segal import (
     chain_category, zigzag_chain_category, embedding_parts, build_retraction,
     check_strict_segal_identity, verify_segal, check_transformation,
-    TransformationRecord,
+    TransformationRecord, _NO_MATCH,
 )
 from conftest import (
     chain_poset, boolean_lattice, walking_iso, terminal_category, cyclic_group,
+    poset_category,
 )
 
 
@@ -229,14 +232,14 @@ def test_retraction_lands_in_image_subcategory():
         assert val in image
 
 
-def sabotaged_iw():
-    """Iw with U = V = W and one middle map replaced by a map between
-    the wrong objects."""
+def sabotaged_iw(broken=(("id:0", "01", "id:0", "01"), "id:1")):
+    """Iw with U = V = W and middle maps replaced by maps between the
+    wrong objects, by ``broken`` (square, map, square, map, ...)."""
     from pmcat.pmc import PartialModelStructure
     base = pms_of(iw_rc(), groupoid=False)
     pms = trivial_partial_model_structure(base.rc, v_sub=base.rc.weq)
     middle = dict(pms.middle)
-    middle[("id:0", "01", "id:0", "01")] = "id:1"
+    middle.update(zip(broken[::2], broken[1::2]))
     return PartialModelStructure(pms.rc, pms.u_sub, pms.v_sub,
                                  dict(pms.factorization), middle)
 
@@ -256,22 +259,26 @@ _IS_THIN = FinCategory.is_thin
 
 
 def certified(pms, k, parts, monkeypatch):
-    """build_retraction's certificate and the (obj_map, mor_map) of each
-    functor it hands to check_functor, by the name it reports it under.
-    The functors are checked with the real ``is_thin``: that check is
-    the same on both paths, and its composite scan over J's B_3 alone
-    takes 10 s."""
-    seen = []
+    """build_retraction's certificate, r, and T1, T2 and T3 as the
+    transformations receive them.  Functors are checked with the real
+    ``is_thin``: on the componentwise path that check composes every
+    pair of B_k, and its scan over J's B_3 alone takes 10 s."""
+    seen = {}
+    real = segal.check_transformation
 
-    def recording(F):
-        seen.append((F.obj_map, F.mor_map))
+    def recording(rc, rec, F, G, domain):
+        seen.update({rec.source: F, rec.target: G})
+        return real(rc, rec, F, G, domain)
+
+    def functor_check(F):
         with monkeypatch.context() as patch:
             patch.setattr(FinCategory, "is_thin", _IS_THIN)
             return check_functor(F)
     with monkeypatch.context() as patch:
-        patch.setattr(segal, "check_functor", recording)
-        _r, cert = build_retraction(pms, k, parts)
-    return cert, dict(zip(cert.functor_reports, seen))
+        patch.setattr(segal, "check_transformation", recording)
+        patch.setattr(segal, "check_functor", functor_check)
+        r, cert = build_retraction(pms, k, parts)
+    return cert, r, {name: seen[name] for name in ("T1", "T2", "T3")}
 
 
 @contextlib.contextmanager
@@ -287,27 +294,143 @@ def componentwise(monkeypatch):
 
 @pytest.mark.parametrize("name, k", [("Iw", 2), ("Iw", 3), ("J", 2), ("J", 3), ("B2", 2)])
 def test_thin_certificate_agrees_with_the_componentwise_one(monkeypatch, name, k):
-    from pmcat.fixtures import build
     pms = build(name)
     parts = embedding_parts(pms.rc, k)
-    thin_cert, thin_maps = certified(pms, k, parts, monkeypatch)
+    thin_cert, thin_r, thin_functors = certified(pms, k, parts, monkeypatch)
     with componentwise(monkeypatch):
-        cert, maps = certified(pms, k, parts, monkeypatch)
+        cert, r, functors = certified(pms, k, parts, monkeypatch)
     assert thin_cert.morphisms_checked_on == segal._THIN
     assert cert.morphisms_checked_on == segal._COMPONENTWISE
-    assert set(maps) == {"h", "r", "T1", "T2", "T3"} and thin_maps == maps
+    for name, F in functors.items():
+        assert thin_functors[name].obj_map == F.obj_map, name
+    # the thin r reads each image off the ends of the morphism
+    assert (thin_r.obj_map, thin_r.mor_map) == (r.obj_map, r.mor_map)
     thin, reference = thin_cert.to_dict(full=True), cert.to_dict(full=True)
     del thin["morphisms_checked_on"], reference["morphisms_checked_on"]
     assert thin == reference and thin["valid"]
 
 
 def test_both_certificates_catch_sabotaged_calculus_data(monkeypatch):
+    # the thin certificate checks the broken middle map once, naming the
+    # first morphism whose square needs it, as the composing path does
     bad = sabotaged_iw()
-    r, cert = build_retraction(bad, 2)
-    assert cert.morphisms_checked_on == segal._THIN and not cert.valid
+    r, thin = build_retraction(bad, 2)
+    assert thin.morphisms_checked_on == segal._THIN and not thin.valid
     with componentwise(monkeypatch):
         r, cert = build_retraction(bad, 2)
     assert cert.morphisms_checked_on == segal._COMPONENTWISE and not cert.valid
+    assert len(thin.errors) == 1
+    assert thin.errors[0].split(": ")[0] == cert.errors[0].split(": ")[0]
+
+
+def test_each_broken_square_is_named_once_at_its_first_morphism(monkeypatch):
+    # the composing path names every morphism whose square is broken; the
+    # thin one names each square once, at the first of them, in the order
+    # of those first morphisms
+    bad = sabotaged_iw((("id:0", "01", "id:0", "01"), "id:1",
+                        ("01", "id:1", "01", "id:1"), "id:0"))
+    b_k = embedding_parts(bad.rc, 2)[2]
+    _r, thin = build_retraction(bad, 2)
+    with componentwise(monkeypatch):
+        _r, cert = build_retraction(bad, 2)
+    prefix = "comparison data missing for morphism "
+
+    def square(error):
+        m = error[len(prefix):].split(": ")[0]
+        return b_k.diagrams[b_k.src[m]][1][2], b_k.diagrams[b_k.tgt[m]][1][2]
+    firsts = {}
+    for error in cert.errors:
+        firsts.setdefault(square(error), error.split(": ")[0])
+    assert len(firsts) == 2 and len(cert.errors) > 2
+    assert [error.split(": ")[0] for error in thin.errors] == list(firsts.values())
+
+
+class Unvisited(tuple):
+    """A tuple that may be indexed and counted, but not walked."""
+
+    def __iter__(self):
+        raise AssertionError("a pass over the morphisms")
+
+
+def test_the_thin_certificate_visits_no_morphism_of_b_k(monkeypatch):
+    pms = build("B2")
+    parts = embedding_parts(pms.rc, 3)
+    for cat in parts[2:]:
+        monkeypatch.setattr(cat, "morphisms", Unvisited(cat.morphisms))
+    with pytest.raises(AssertionError, match="a pass over the morphisms"):
+        list(parts[2].morphisms)
+    _r, cert = build_retraction(pms, 3, parts)
+    assert cert.valid and cert.morphisms_checked_on == segal._THIN
+
+
+def no_match(cert, name):
+    return [e for e in cert.errors if e.startswith(f"{name}(") and "no matching" in e]
+
+
+def test_a_moved_object_image_fails_both_paths_at_the_same_morphism(monkeypatch):
+    # move T1(s) to an object that T1(r) does not reach, r the first
+    # object with a morphism r -> s (r before s): the first morphism of
+    # B_2 that carries the break is r -> s on both paths.  The interval
+    # is listed top first: when B_2's first object maps to every other,
+    # as the all-0 diagram of Iw or B2 does, the composing path fails
+    # first at that morphism into s, which the object map still respects
+    cat = poset_category(["1", "0"], lambda a, b: a <= b, name=lambda a, b: a + b)
+    pms = pms_of(RelCategory(cat, cat.morphisms), groupoid=True)
+    parts = embedding_parts(pms.rc, 2)
+    b_k = parts[2]
+    _r, clean = build_retraction(pms, 2, parts)
+    # each functor's row of each object; a T1 row that no other row
+    # repeats is moved alone by a patched object_of
+    rows = [(name, o, tuple(map(tuple, by_row[row]))) for o, by_row in clean.object_rows.items()
+            for name, row in segal._FUNCTOR_ROWS]
+    seen = Counter(row for _name, _o, row in rows)
+    t1 = {o: b_k.object_of(*row) for name, o, row in rows if name == "T1"}
+    position = {o: i for i, o in enumerate(b_k.objects)}
+
+    def breaks():
+        for name, s, row in rows:
+            if name != "T1" or seen[row] != 1:
+                continue
+            r = min((b_k.src[m] for m in b_k.into(s)), key=position.get)
+            if position[r] < position[s]:
+                for moved in b_k.objects:
+                    if moved != t1[s] and not b_k.hom(t1[r], moved):
+                        yield s, r, row, moved
+    s, r, row, moved = next(breaks())
+    real = b_k.object_of
+    monkeypatch.setattr(b_k, "object_of", lambda objs, arrows: (
+        moved if (tuple(objs), tuple(arrows)) == row else real(objs, arrows)))
+    _r, thin = build_retraction(pms, 2, parts)
+    with componentwise(monkeypatch):
+        _r, reference = build_retraction(pms, 2, parts)
+    first = _NO_MATCH.format(name="T1", m=b_k.hom(r, s)[0], k=2)
+    assert not thin.valid and not reference.valid
+    assert no_match(thin, "T1") == [first]
+    assert no_match(reference, "T1")[0] == first
+    assert thin.errors == [first]
+
+
+def test_a_component_that_is_no_morphism_is_missing_on_both_paths(monkeypatch):
+    # phi1's component at o, with its vertex-1 entry replaced by an
+    # identity: still marked, but no morphism o -> T1(o)
+    pms = build("Iw")
+    parts = embedding_parts(pms.rc, 2)
+    b_k = parts[2]
+    o = next(o for o in b_k.objects if b_k.diagrams[o][1][1] == "01")
+    real = segal.check_transformation
+
+    def breaking(rc, rec, F, G, domain):
+        if rec.name.startswith("phi1"):
+            rec.components[o] = (rec.components[o][0], "id:0") + rec.components[o][2:]
+        return real(rc, rec, F, G, domain)
+    monkeypatch.setattr(segal, "check_transformation", breaking)
+    _r, thin = build_retraction(pms, 2, parts)
+    with componentwise(monkeypatch):
+        _r, reference = build_retraction(pms, 2, parts)
+    for cert in (thin, reference):
+        phi1 = cert.transformations[0]
+        assert (phi1.unmarked, phi1.missing, phi1.naturality_failures) == ([], [o], [])
+        assert not cert.valid and all(t.ok for t in cert.transformations[1:])
 
 
 def test_componentwise_certificate_on_a_category_that_is_not_thin():
@@ -367,20 +490,39 @@ def test_check_transformation_lists_a_marked_component_that_is_no_morphism():
     assert not rec.ok
 
 
-def test_check_transformation_reports_a_broken_square():
-    # send one morphism m: s -> t of B_2 to a morphism out of T1(s) that
-    # misses T1(t); in a poset the two composites of the square at m then
-    # differ exactly at the vertices where the two targets differ
+def mistyped_t1():
+    """Iw's T1 at k = 2 with one morphism m: s -> t of B_2 sent to a
+    morphism n out of T1(s) that misses T1(t)."""
     rc, b2, t1, phi1 = iw_phi1()
     m, n = next((m, n) for m in b2.morphisms if not b2.is_identity(m)
                 for n in b2.out_of(t1.obj_map[b2.src[m]])
                 if b2.tgt[n] != t1.obj_map[b2.tgt[m]])
-    broken = Functor(b2, b2, t1.obj_map, {**t1.mor_map, m: n})
-    rec = check_transformation(rc, phi1_record(phi1), Functor.identity(b2), broken, b2)
+    return rc, b2, t1, phi1, m, n, Functor(b2, b2, t1.obj_map, {**t1.mor_map, m: n})
+
+
+def test_check_transformation_reports_a_broken_square(monkeypatch):
+    # on the componentwise path the square at m is composed; in a poset
+    # its two composites differ exactly at the vertices where the two
+    # targets differ
+    rc, b2, t1, phi1, m, n, broken = mistyped_t1()
+    with componentwise(monkeypatch):
+        rec = check_transformation(rc, phi1_record(phi1), Functor.identity(b2), broken, b2)
     wrong, right = b2.diagrams[b2.tgt[n]][0], b2.diagrams[t1.obj_map[b2.tgt[m]]][0]
     i = next(i for i in range(len(wrong)) if wrong[i] != right[i])
     assert rec.naturality_failures == [(m, i)]
     assert rec.unmarked == [] and rec.missing == []
+
+
+def test_a_mistyped_functor_into_a_thin_category_fails_its_functor_check():
+    # over a thin D naturality follows from the components alone (any two
+    # parallel morphisms are equal), so the broken image is the functor
+    # check's to reject
+    rc, b2, t1, phi1, m, n, broken = mistyped_t1()
+    assert b2.is_thin()
+    rec = check_transformation(rc, phi1_record(phi1), Functor.identity(b2), broken, b2)
+    assert rec.ok
+    report = check_functor(broken)
+    assert [(v.law, v.witness) for v in report.violations] == [("source-target", (m, n))]
 
 
 # -- strict fiber identity ----------------------------------------------------------

@@ -20,9 +20,11 @@ from pmcat.pmc import (
     CalculusError, PartialModelStructure, trivial_partial_model_structure,
     verify_partial_model,
 )
+from pmcat.fixtures import FIXTURES, build
+from pmcat.hammock import HAMMOCK
 from pmcat.relcat import (
-    ARROW, WEQ, WEQ_BACK, RelCategory, _shaped_diagrams, diagram_transitions,
-    random_preorder_relcat, unclosed_pairs,
+    ARROW, WEQ, WEQ_BACK, RelCategory, _extended_transitions, _shaped_diagrams,
+    diagram_category, diagram_transitions, random_preorder_relcat, unclosed_pairs,
 )
 from conftest import cyclic_group
 
@@ -126,6 +128,57 @@ def test_thin_b2_shape_transitions_match_the_composing_scan(seed):
     # composing scan takes seconds over; three objects keep it under 0.5 s
     rc = random_preorder_relcat(seed, max_objects=3)
     assert diagram_transitions(rc, B2_SHAPE) == composing_transitions(rc, B2_SHAPE)
+
+
+def extension_loop(rc, slots, fixed=None):
+    """diagram_transitions by the loop that extends the components one
+    vertex at a time, the path of a category that is not thin."""
+    first, last = fixed if fixed is not None else (None, None)
+    diagrams = _shaped_diagrams(rc, slots, first, last)
+    return diagrams, _extended_transitions(rc, slots, fixed, diagrams)
+
+
+def hammocks(rc):
+    return [(HAMMOCK, (a, b)) for a in rc.cat.objects for b in rc.cat.objects]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_the_relation_lists_what_the_extension_loop_lists_on_the_fixtures(name):
+    # A_k and B_k for k <= 3, every hammock with fixed ends, Arr(W)
+    built = build(name)
+    rc = getattr(built, "rc", built)
+    assert rc.cat.is_thin()
+    shapes = ([((ARROW,) * k, None) for k in range(4)]
+              + [(B2_SHAPE[:4] + (ARROW,) * (k - 1), None) for k in (2, 3)]
+              + [((WEQ,), None)] + hammocks(rc))
+    for slots, fixed in shapes:
+        assert diagram_transitions(rc, slots, fixed) == extension_loop(rc, slots, fixed), (
+            slots, fixed)
+
+
+def test_the_relation_lists_what_the_extension_loop_lists_on_random_preorders():
+    inputs = 0
+    for seed in range(200):
+        rc = random_preorder_relcat(seed, max_objects=6)
+        assert rc.cat.is_thin()
+        for slots, fixed in [((WEQ,), None)] + hammocks(rc):
+            assert diagram_transitions(rc, slots, fixed) == extension_loop(rc, slots, fixed), (
+                seed, slots, fixed)
+            inputs += 1
+    assert inputs > 1500
+
+
+def test_a_diagram_category_keeps_its_relation():
+    # bit j of relation[i] is set exactly when hom(i-th, j-th) is not empty
+    rc = build("B2").rc
+    for slots in ((WEQ,), (ARROW, ARROW), B2_SHAPE):
+        cat = diagram_category(rc, slots)
+        objects = cat.objects
+        assert len(cat.relation) == len(objects)
+        for i, a in enumerate(objects):
+            assert cat.relation[i] == sum(1 << j for j, b in enumerate(objects)
+                                          if cat.hom(a, b))
+    assert diagram_category(z2(), (WEQ,)).relation is None
 
 
 def test_a_group_still_composes(monkeypatch):

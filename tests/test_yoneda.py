@@ -355,3 +355,13 @@ def test_an_unclosed_marking_is_refused():
     # the action of 12.01 has no action to be compared with
     with pytest.raises(StructuralError, match="not a subcategory: not-closed"):
         verify_yoneda_relative(RelCategory(chain_poset(2), ["01", "12"]), 1)
+
+
+def test_the_action_check_names_a_composite_that_is_not_marked():
+    # called directly on the same marking, the action check names the
+    # pair instead of failing on the missing action of 02
+    rc = RelCategory(chain_poset(2), ["01", "12"])
+    for a in rc.cat.objects:
+        bad = check_presheaf_action(rc, presheaf_action(rc, a, presheaf_values(rc, 2)))
+        assert [line for line in bad if "missing" in line] == [
+            "action of 12.01 is missing: 02 is not marked"], a
