@@ -97,7 +97,7 @@ def parse_document(text):
             f, g, h = parts[1:]
             if comp.setdefault((f, g), h) != h:
                 raise DocumentError(line_no, f"conflicting composite for ({f}, {g})")
-            line_of[("compose", f, g)] = line_no
+            line_of.setdefault(("compose", f, g), line_no)
         elif head == "factor":
             w, entry = parts[1], tuple(parts[2:])
             if factor.setdefault(w, entry) != entry:
@@ -115,7 +115,7 @@ def parse_document(text):
             morphisms.append((mid, src, tgt))
         elif head == "weq":
             weq.append(parts[1])
-            line_of[("weq", parts[1])] = line_no
+            line_of.setdefault(("weq", parts[1]), line_no)
         elif head == "u" or head == "v":
             (u_sub if head == "u" else v_sub).append(parts[1])
             line_of.setdefault((head, parts[1]), line_no)

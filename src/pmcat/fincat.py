@@ -18,9 +18,10 @@ competitor.
 One lemma is used throughout: in a thin category (every hom-set has at
 most one element) any two parallel morphisms are equal.  So a thin
 category composes from its hom index, is associative once its table is
-typed, and a functor into one is checked by its typing alone.  Its
-pushout (pullback) search composes nothing and reads only the targets
-of the span (sources of the cospan), the ends pmc keys witnesses by.
+typed, and a functor into one is checked by its typing alone.  It
+keeps its relation, one up-set bitset per object; a pushout (pullback)
+there is a join (meet) read from the rows of the targets of the span
+(sources of the cospan), the ends pmc keys witnesses by.
 
 All values are immutable after construction; every operation is a pure
 function of its inputs, and ties are broken by input order, never by
@@ -261,6 +262,25 @@ class FinCategory:
         """True when every hom-set has at most one element."""
         return len(self._hom) == len(self.morphisms)
 
+    @cached_property
+    def object_index(self):
+        """Each object's position in ``objects``."""
+        return {o: i for i, o in enumerate(self.objects)}
+
+    @cached_property
+    def relation(self):
+        """A thin category as its relation, one up-set bitset per object:
+        bit j of ``relation[i]`` is set when there is a morphism from the
+        i-th object to the j-th, so each row holds its own bit.  None
+        when some hom-set has two elements.  Built on the first read."""
+        if not self.is_thin():
+            return None
+        where = self.object_index
+        up = [0] * len(self.objects)
+        for s, t in self._hom:
+            up[where[s]] |= 1 << where[t]
+        return up
+
     def compose(self, g, f):
         """Classical order: ``compose(g, f)`` is g after f.  Raises
         StructuralError when there is no composite."""
@@ -364,6 +384,16 @@ class ComponentwiseCategory(FinCategory):
             if h is not None:
                 return h
         raise _no_composite(g, f)
+
+
+def bit_positions(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    bits = bin(mask)[:1:-1]
+    out, i = [], bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
 
 
 def _no_composite(g, f):
@@ -537,12 +567,15 @@ def find_pushout(cat, f, g):
     one whose apex comes first in the category's object order wins, and
     within an apex legs are scanned in morphism input order.
 
-    On a thin category the search composes nothing: parallel morphisms
-    are equal, so a cocone is any apex with a morphism from both targets
-    and a comparison is the one morphism between two apexes.  The scan
-    order is the same, and so is the witness; :meth:`CoconeWitness.verify`
-    still composes.  In the poset 0 < 1, 0 < 2, 1 < 12, 2 < 12 the
-    pushout of the span 1 <- 0 -> 2 is 12:
+    On a thin category a pushout is a join, read from the rows of
+    :attr:`FinCategory.relation`: parallel morphisms are equal, so the
+    apexes of cocones are the common upper bounds of the two targets (the
+    AND of their rows), and a comparison is the one morphism between two
+    apexes.  The pushout is the first bound whose row holds every other
+    bound.  Nothing is composed and no other object is scanned, and the
+    witness is the one the general scan finds;
+    :meth:`CoconeWitness.verify` still composes.  In the poset 0 < 1,
+    0 < 2, 1 < 12, 2 < 12 the pushout of the span 1 <- 0 -> 2 is 12:
 
     >>> square = FinCategory.build(
     ...     ["0", "1", "2", "12"],
@@ -563,15 +596,20 @@ def find_pushout(cat, f, g):
 def _universal_cocone(cat, f, g, witness):
     """The first cocone in scan order with a comparison to every
     competitor, as a ``witness``; None if there is none.  On a thin
-    category a cocone is an apex reached from both targets, and it is
-    universal when the hom index has a morphism from it to every other."""
-    if cat.is_thin():
-        hom, a, b = cat._hom, cat.tgt[f], cat.tgt[g]
-        competitors = [(x, hom[a, x][0], hom[b, x][0])
-                       for x in cat.objects if (a, x) in hom and (b, x) in hom]
-        for apex, p, q in competitors:
-            if all((apex, c[0]) in hom for c in competitors):
-                return witness(apex, p, q, tuple((c, hom[apex, c[0]][0]) for c in competitors))
+    category a cocone is an apex reached from both targets, a common
+    upper bound, and it is universal when its row of the relation holds
+    every other: the first such bound is read off the rows."""
+    up = cat.relation
+    if up is not None:
+        hom, objects, where, a, b = cat._hom, cat.objects, cat.object_index, cat.tgt[f], cat.tgt[g]
+        bounds = up[where[a]] & up[where[b]]
+        positions = bit_positions(bounds)
+        for x in positions:
+            if not bounds & ~up[x]:
+                apex = objects[x]
+                return witness(apex, hom[a, apex][0], hom[b, apex][0], tuple(
+                    ((y, hom[a, y][0], hom[b, y][0]), hom[apex, y][0])
+                    for y in map(objects.__getitem__, positions)))
         return None
     competitors = _cocones(cat, f, g)
     for apex, p, q in competitors:

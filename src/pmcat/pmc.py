@@ -6,7 +6,8 @@ table splitting every weak equivalence as w = v.u with u in U and
 v in V.  The axioms verified exhaustively:
 
 (a)   the underlying data is a relative category;
-(b)   two-out-of-six;
+(b)   two-out-of-six, read on a thin C from the rows of its relation and
+      of the marked sub-relation (:attr:`RelCategory.marked_relation`);
 (c-i) every u in U has a pushout along every morphism out of its
       source, and the pushed-out leg is again in U;
 (c-ii) dually for V and pullbacks;
@@ -16,8 +17,12 @@ v in V.  The axioms verified exhaustively:
       sub-squares commute, and the middle maps form a functor
       Arr(W) -> C.  On a thin C, where parallel morphisms are equal, the
       typing of each factorization and middle map decides all of that,
-      composing nothing: the squares are listed by :func:`weq_squares`
-      and Arr(W) is not built.  Otherwise check_functor runs on Arr(W).
+      composing nothing, and a square is a pair of weak equivalences
+      related by the marked relation at both ends.  One walk over the
+      middle maps tells the squares from the keys naming none and checks
+      each map's typing; the squares are counted by popcount, listed
+      (by :func:`weq_squares`) only to name a missing middle map, and
+      Arr(W) is not built.  Otherwise check_functor runs on Arr(W).
       On the poset 0 < 1, everything marked, Arr(W) has three objects:
 
 >>> from pmcat.fincat import FinCategory
@@ -36,7 +41,8 @@ maps are forced.
 from dataclasses import dataclass
 
 from .fincat import (
-    Functor, StructuralError, Violation, check_functor, find_pushout, find_pullback,
+    Functor, StructuralError, Violation, bit_positions, check_functor, find_pushout,
+    find_pullback,
 )
 from .relcat import (
     RelCategory, validate_relative, check_two_of_six, unclosed_pairs, PropertyReport,
@@ -174,7 +180,10 @@ class AxiomReport:
 def verify_partial_model(pms):
     """Exhaustively verify every axiom, (c-iii) as a functor Arr(W) -> C:
     through check_functor, or on a thin C by the typing of each
-    factorization and middle map, without building Arr(W).  Structural
+    factorization and middle map, read against the marked relation in
+    one walk over the middle maps, without listing Arr(W) (see
+    :func:`_thin_middle_maps`).  On a thin C, two-of-six and the pushout
+    and pullback searches read the rows of the relation too.  Structural
     problems (unknown ids, mistyped factorizations) are reported apart
     from axiom failures; unread calculus data, in a (c-iii) note."""
     rc = pms.rc
@@ -245,12 +254,38 @@ def verify_partial_model(pms):
     # on a thin C the typing checked here decides both sub-squares and is
     # all of check_functor, so Arr(W) itself is built only when C is not thin
     if thin:
-        squares = dict(enumerate(weq_squares(rc)))
+        square_wit, typed, squares, unread_middle = _thin_middle_maps(pms, usable)
+        f_wit += square_wit
     else:
-        arr = diagram_category(rc, (WEQ,))
-        w_of = {o: arrows[0] for o, (_, arrows) in arr.diagrams.items()}
-        squares = {s: (w_of[arr.src[s]], w_of[arr.tgt[s]]) + arr.components[s]
-                   for s in arr.morphisms}
+        typed, squares, unread_middle = _middle_map_functor(pms, usable, f_wit)
+    # a functor needs a typed middle map on every square, identity squares
+    # included, and so every w usably factored: its identity square is skipped if not
+    notes = []
+    if typed < squares:
+        notes.append("identity and pasting laws not checked: "
+                     "the middle maps do not define a functor Arr(W) -> C")
+    for what, unread in (("middle key(s) naming no square of Arr(W)", unread_middle),
+                         ("factor key(s) not a weak equivalence",
+                          [w for w in pms.factorization if not rc.is_weq(w)])):
+        if unread:
+            notes.append(f"{len(unread)} {what}, not checked; the first: {', '.join(unread[:3])}")
+    verdicts.append(("c-iii:functorial-factorization", PropertyReport(
+        "functorial-factorization", not f_wit, f_wit, notes)))
+
+    return AxiomReport(structural, verdicts)
+
+
+def _middle_map_functor(pms, usable, f_wit):
+    """(c-iii)'s middle maps on a C that is not thin, checked on Arr(W):
+    typing and both sub-squares per square, then check_functor when the
+    map is total.  Appends witnesses to ``f_wit``; returns (typed
+    squares, squares, the middle keys naming no square)."""
+    rc = pms.rc
+    cat = rc.cat
+    arr = diagram_category(rc, (WEQ,))
+    w_of = {o: arrows[0] for o, (_, arrows) in arr.diagrams.items()}
+    squares = {s: (w_of[arr.src[s]], w_of[arr.tgt[s]]) + arr.components[s]
+               for s in arr.morphisms}
     mor_map = {}
     for s, sq in squares.items():
         w, w2, a, b = sq
@@ -266,17 +301,11 @@ def verify_partial_model(pms):
             f_wit.append((sq, f"middle map {m} mistyped"))
             continue
         mor_map[s] = m
-        if not thin and cat.compose(m, u1) != cat.compose(u2, a):
+        if cat.compose(m, u1) != cat.compose(u2, a):
             f_wit.append((sq, "top sub-square does not commute"))
-        if not thin and cat.compose(b, v1) != cat.compose(v2, m):
+        if cat.compose(b, v1) != cat.compose(v2, m):
             f_wit.append((sq, "bottom sub-square does not commute"))
-    # a functor needs a typed middle map on every square, identity squares
-    # included, and so every w usably factored: its identity square is skipped if not
-    notes = []
-    if len(mor_map) < len(squares):
-        notes.append("identity and pasting laws not checked: "
-                     "the middle maps do not define a functor Arr(W) -> C")
-    elif not thin:
+    if len(mor_map) == len(squares):
         obj_map = {o: pms.factorization[w][1] for o, w in w_of.items()}
         for v in check_functor(Functor(arr, cat, obj_map, mor_map)).violations:
             if v.law == "identity":
@@ -285,15 +314,67 @@ def verify_partial_model(pms):
             else:
                 f, g = v.witness
                 f_wit.append((squares[f], squares[g], "middle maps do not paste"))
-    listed = set(squares.values())     # to name the calculus data no axiom reads
-    for what, unread in (("middle key(s) naming no square of Arr(W)",
-                          [" ".join(sq) for sq in pms.middle if sq not in listed]),
-                         ("factor key(s) not a weak equivalence",
-                          [w for w in pms.factorization if not rc.is_weq(w)])):
-        if unread:
-            notes.append(f"{len(unread)} {what}, not checked; the first: {', '.join(unread[:3])}")
-    verdicts.append(("c-iii:functorial-factorization", PropertyReport(
-        "functorial-factorization", not f_wit, f_wit, notes)))
+    listed = set(squares.values())
+    return len(mor_map), len(squares), [" ".join(sq) for sq in pms.middle if sq not in listed]
 
-    return AxiomReport(structural, verdicts)
+
+def _thin_middle_maps(pms, usable):
+    """(c-iii)'s middle maps on a thin C, read against the marked
+    relation without listing Arr(W).
+
+    A square (w, w2, a, b) is a pair of weak equivalences with marked
+    a: src(w) -> src(w2) and b: tgt(w) -> tgt(w2), which then commutes
+    and is fixed by (w, w2).  So one walk over the middle keys tells the
+    squares from the keys naming none and checks the typing of each
+    middle map; the squares are counted per w by popcount, and listed
+    only when some middle map is missing, to name it.  Returns (the
+    witnesses in square order, typed squares, squares, the middle keys
+    naming no square)."""
+    rc = pms.rc
+    cat = rc.cat
+    src, tgt, middle = cat.src, cat.tgt, pms.middle
+    position = {w: i for i, w in enumerate(rc.weq)}
+    mid = {w: pms.factorization[w][1] for w in usable}
+    found = {}            # (position of w, of w2) -> witness
+    present = typed = 0
+    unread = []
+    for sq, m in middle.items():
+        if len(sq) == 4:
+            w, w2, a, b = sq
+            square = (w in position and w2 in position and a in position and b in position
+                      and src[a] == src[w] and tgt[a] == src[w2]
+                      and src[b] == tgt[w] and tgt[b] == tgt[w2])
+        else:
+            square = False
+        if not square:
+            unread.append(" ".join(sq))
+        elif w in mid and w2 in mid and m is not None:
+            present += 1
+            if m in src and src[m] == mid[w] and tgt[m] == mid[w2]:
+                typed += 1
+            else:
+                found[position[w], position[w2]] = (sq, f"middle map {m} mistyped")
+
+    # the w2 of the squares out of w: the AND of two masks over the
+    # weak equivalences, those with a marked arrow into their source from
+    # src(w) and those with one into their target from tgt(w)
+    where, marked = cat.object_index, rc.marked_relation
+    at_src, at_tgt = [0] * len(cat.objects), [0] * len(cat.objects)
+    for i, w in enumerate(rc.weq):
+        at_src[where[src[w]]] |= 1 << i
+        at_tgt[where[tgt[w]]] |= 1 << i
+    from_src = [sum(at_src[y] for y in bit_positions(row)) for row in marked]
+    from_tgt = [sum(at_tgt[y] for y in bit_positions(row)) for row in marked]
+    usable_mask = sum(1 << position[w] for w in usable)
+    squares = usable_squares = 0
+    for i, w in enumerate(rc.weq):
+        out = from_src[where[src[w]]] & from_tgt[where[tgt[w]]]
+        squares += out.bit_count()
+        if usable_mask >> i & 1:
+            usable_squares += (out & usable_mask).bit_count()
+    if present < usable_squares:
+        for sq in weq_squares(rc):
+            if sq[0] in usable and sq[1] in usable and middle.get(sq) is None:
+                found[position[sq[0]], position[sq[1]]] = (sq, "no middle map")
+    return [found[k] for k in sorted(found)], typed, squares, unread
 

@@ -16,11 +16,12 @@ functors between them that move diagrams and components.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .fincat import (
     ComponentwiseCategory, FinCategory, Functor, StructuralError, Violation,
-    ValidationReport,
+    ValidationReport, bit_positions,
 )
 
 
@@ -43,6 +44,21 @@ class RelCategory:
 
     def is_weq(self, m):
         return m in self._weq_set
+
+    @cached_property
+    def marked_relation(self):
+        """On a thin category, the weak equivalences as a sub-relation of
+        ``cat.relation``: bit j of row i is set when the morphism from the
+        i-th object to the j-th is marked.  None when the category is not
+        thin.  Built on the first read."""
+        cat = self.cat
+        if cat.relation is None:
+            return None
+        where, src, tgt = cat.object_index, cat.src, cat.tgt
+        rows = [0] * len(cat.objects)
+        for m in self.weq:
+            rows[where[src[m]]] |= 1 << where[tgt[m]]
+        return rows
 
     def __repr__(self):
         return f"RelCategory({len(self.cat.objects)} objects, {len(self.weq)}/{len(self.cat.morphisms)} marked)"
@@ -87,10 +103,26 @@ class PropertyReport:
 
 def check_two_of_three(rc):
     """Scan all composable pairs (r, s): if two of r, s, s.r are marked,
-    the third must be.  Witness is the offending pair."""
+    the third must be.  Witness is the offending pair.
+
+    On a thin category the pairs are read from the relations, composing
+    nothing: for r: a -> b, the ends c of the offending s: b -> c are the
+    row of b masked by the rows of a and b in the marked relation.  The
+    witnesses come in the order of the scan."""
     cat = rc.cat
-    compose = cat.compose
     witnesses = []
+    marked = rc.marked_relation
+    if marked is not None:
+        up, where, src, tgt, out_of = cat.relation, cat.object_index, cat.src, cat.tgt, cat.out_of
+        for r in cat.morphisms:
+            a, b = where[src[r]], where[tgt[r]]
+            s_marked, sr_marked = marked[b], marked[a]
+            # r marked: exactly one of s, s.r; r unmarked: both
+            bad = up[b] & (s_marked ^ sr_marked if sr_marked >> b & 1 else s_marked & sr_marked)
+            if bad:
+                witnesses += [(r, s) for s in out_of(tgt[r]) if bad >> where[tgt[s]] & 1]
+        return PropertyReport("two-of-three", not witnesses, witnesses, [])
+    compose = cat.compose
     for r in cat.morphisms:
         for s in cat.out_of(cat.tgt[r]):
             sr = compose(s, r)
@@ -106,7 +138,40 @@ def check_two_of_six(rc):
 
     On a pass the two stated consequences are re-verified and recorded:
     two-of-three holds, and every isomorphism is marked.
+
+    On a thin category the triples are read from the relations, composing
+    nothing: for r: a -> b and s: b -> c with s.r marked, the ends d of
+    the offending t: c -> d are the row of c masked by the marked rows of
+    b (t.s marked) and, when r and s are marked, of c and a (t and t.s.r
+    unmarked).  A morphism a -> b is an isomorphism when b is related to
+    a.  The witnesses come in the order of the scan.
     """
+    cat = rc.cat
+    marked = rc.marked_relation
+    if marked is not None:
+        witnesses = _thin_two_of_six(rc, marked)
+    else:
+        witnesses = _two_of_six(rc)
+    notes = []
+    if not witnesses:
+        two_of_three = check_two_of_three(rc)
+        notes.append(f"consequence two-of-three: {'pass' if two_of_three.passed else 'FAIL'}")
+        if marked is not None:
+            up, where, src, tgt = cat.relation, cat.object_index, cat.src, cat.tgt
+            unmarked_isos = [m for m in cat.morphisms
+                             if up[where[tgt[m]]] >> where[src[m]] & 1
+                             and not marked[where[src[m]]] >> where[tgt[m]] & 1]
+        else:
+            unmarked_isos = [m for m in cat.isos() if not rc.is_weq(m)]
+        notes.append("consequence isomorphisms marked: "
+                     + ("pass" if not unmarked_isos else f"FAIL {unmarked_isos}"))
+        if not two_of_three.passed or unmarked_isos:
+            return PropertyReport("two-of-six", False, [], notes)
+    return PropertyReport("two-of-six", not witnesses, witnesses, notes)
+
+
+def _two_of_six(rc):
+    """The witnesses of :func:`check_two_of_six`, composing each triple."""
     cat = rc.cat
     compose, is_weq, out_of, tgt = cat.compose, rc.is_weq, cat.out_of, cat.tgt
     marked_after = {}     # s -> each t after s, in out_of order, with t.s marked
@@ -124,16 +189,29 @@ def check_two_of_six(rc):
             for t in after:
                 if not (rs_marked and is_weq(t) and is_weq(compose(t, sr))):
                     witnesses.append((r, s, t))
-    notes = []
-    if not witnesses:
-        two_of_three = check_two_of_three(rc)
-        notes.append(f"consequence two-of-three: {'pass' if two_of_three.passed else 'FAIL'}")
-        unmarked_isos = [m for m in cat.isos() if not rc.is_weq(m)]
-        notes.append("consequence isomorphisms marked: "
-                     + ("pass" if not unmarked_isos else f"FAIL {unmarked_isos}"))
-        if not two_of_three.passed or unmarked_isos:
-            return PropertyReport("two-of-six", False, [], notes)
-    return PropertyReport("two-of-six", not witnesses, witnesses, notes)
+    return witnesses
+
+
+def _thin_two_of_six(rc, marked):
+    """The witnesses of :func:`check_two_of_six` on a thin category, read
+    from the relation and its marked rows ``marked``."""
+    cat = rc.cat
+    up, where, src, tgt, out_of = cat.relation, cat.object_index, cat.src, cat.tgt, cat.out_of
+    witnesses = []
+    for r in cat.morphisms:
+        a, b = where[src[r]], where[tgt[r]]
+        sr_marked, ts_marked = marked[a], marked[b]
+        r_marked = sr_marked >> b & 1
+        for s in out_of(tgt[r]):
+            c = where[tgt[s]]
+            if not sr_marked >> c & 1:
+                continue
+            bad = up[c] & ts_marked
+            if r_marked and ts_marked >> c & 1:
+                bad &= ~(marked[c] & sr_marked)
+            if bad:
+                witnesses += [(r, s, t) for t in out_of(tgt[s]) if bad >> where[tgt[t]] & 1]
+    return witnesses
 
 
 def restrict_to_weq(rc):
@@ -172,15 +250,16 @@ class DiagramCategory(ComponentwiseCategory):
     :meth:`object_of` and :meth:`lookup`; only this module knows how ids
     are spelled.  A composite is missing only where the marking is not
     closed under composition.  Over a thin base, ``relation`` holds the
-    category as its relation: bit j of ``relation[i]`` is set when there
-    is a morphism from the i-th object to the j-th; otherwise it is None.
+    category as its relation (:attr:`FinCategory.relation`), as the
+    enumeration of its maps built it.
     """
 
     def __init__(self, objects, rows, identity, factors, components, diagrams,
                  relation=None):
         super().__init__(objects, rows, identity, factors, components)
         self.diagrams = diagrams
-        self.relation = relation
+        if relation is not None:
+            self.relation = relation
         self._object_of = {d: o for o, d in diagrams.items()}
 
     def object_of(self, objs, arrows):
@@ -280,16 +359,6 @@ def _up_sets(rc, diagrams):
             row &= mask[o]
         up.append(row)
     return up
-
-
-def bit_positions(mask):
-    """The positions of the set bits of ``mask``, ascending."""
-    bits = bin(mask)[:1:-1]
-    out, i = [], bits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = bits.find("1", i + 1)
-    return out
 
 
 def _extended_transitions(rc, slots, fixed, diagrams):

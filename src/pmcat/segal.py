@@ -49,11 +49,11 @@ reading explicitly so it can be audited.
 from dataclasses import dataclass, field
 
 from .fincat import (
-    Functor, StructuralError, ValidationReport, Violation, check_functor,
+    Functor, StructuralError, ValidationReport, Violation, bit_positions, check_functor,
     strict_pullback_category, category_isomorphism, pair_id,
 )
 from .relcat import (
-    bit_positions, diagram_category, diagram_functor, validate_relative,
+    diagram_category, diagram_functor, validate_relative,
     ARROW, WEQ, WEQ_BACK,
 )
 from .pmc import CalculusError

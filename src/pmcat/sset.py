@@ -41,7 +41,7 @@ from functools import cached_property
 from itertools import accumulate, chain, repeat
 
 from ._util import UnionFind
-from .fincat import StructuralError, check_functor, check_functor_typing
+from .fincat import StructuralError, bit_positions, check_functor, check_functor_typing
 from .relcat import diagram_category, diagram_functor, ARROW
 from .smith import smith_invariants
 
@@ -176,18 +176,45 @@ class TruncatedSimplicialSet:
 def pi0(s):
     """Connected components of the 0-simplices under 1-simplices.
 
-    Returns the partition as a tuple of sorted tuples of simplex values.
-    The ends come from ``s.edge_ends()``: a nerve answers from its
-    category, so its components are those of the category and no table
-    is read or built.
+    Returns the partition as a tuple of tuples of simplex values, each in
+    index order, ordered by their first index.  The components of a
+    nerve are those of its category, and no table is read or built.
+    When the category is thin they are taken from the rows of its
+    relation, each row an up-set holding its own object: a row joins
+    every component it meets, so no morphism is visited.  Otherwise the
+    ends of the 1-simplices come from ``s.edge_ends()`` into a
+    union-find.
     """
     if s.n_max < 1:
         raise TruncationError("pi0 needs 1-simplices")
+    rel = s.category.relation if isinstance(s, Nerve) else None
+    if rel is not None:
+        return _row_components(s.category.objects, rel)
     vals, edges = s.edge_ends()
     uf = UnionFind(range(len(vals)))
     for a, b in edges:
         uf.union(a, b)
     return tuple(tuple(vals[i] for i in cls) for cls in uf.classes())
+
+
+def _row_components(vals, rows):
+    """The components of a relation given by reflexive rows, as
+    :func:`pi0` returns them: each row is merged with the components
+    found so far that it meets."""
+    components, seen = [], 0
+    for row in rows:
+        if row & seen:
+            kept = []
+            for c in components:
+                if c & row:
+                    row |= c
+                else:
+                    kept.append(c)
+            components = kept
+        components.append(row)
+        seen |= row
+    components.sort(key=lambda c: c & -c)
+    return tuple(tuple(vals[i] for i in bit_positions(c)) for c in components)
 
 
 def normalized_boundaries(s, up_to):

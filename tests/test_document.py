@@ -196,10 +196,10 @@ PARSE_ERRORS = [
     (HEAD + "morphism f 1 0\n", 5, "morphism f declared twice"),
     (HEAD + "morphism id:x 0 1\n", 5, "id: ids are reserved for identities"),
     (HEAD + "morphism g 0 ghost\n", 5, "unknown object ghost"),
-    # an unknown id in a repeated entry: compose and weq name the last
-    # line, u, v, factor and middle the first
-    (HEAD + "compose f ghost f\n# x\ncompose f ghost f\n", 7, "unknown morphism ghost"),
-    (HEAD + "weq ghost\nweq f\nweq ghost\n", 7, "unknown morphism ghost"),
+    # an unknown id in a repeated entry names the entry's first line,
+    # whatever its directive
+    (HEAD + "compose f ghost f\n# x\ncompose f ghost f\n", 5, "unknown morphism ghost"),
+    (HEAD + "weq ghost\nweq f\nweq ghost\n", 5, "unknown morphism ghost"),
     (HEAD + "u ghost\nu f\nu ghost\n", 5, "unknown morphism ghost in u block"),
     (HEAD + "v ghost\nv f\nv ghost\n", 5, "unknown morphism ghost in v block"),
     (HEAD + "factor f ghost 1 id:1\nfactor f ghost 1 id:1\n", 5,
