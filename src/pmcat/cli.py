@@ -249,7 +249,11 @@ def cmd_saturate(args):
                 "note": "structure does not satisfy the axioms; "
                         "run with --diagnostic for the oracle mode",
                 "axioms": axioms.to_dict()}, 1)
-        report = check_saturation(value)
+        try:
+            report = check_saturation(value)
+        except HoConsistencyError as e:
+            return _report("saturate", args, {"kind": "saturation",
+                                              "consistency_error": str(e)}, 1)
     else:
         report = diagnostic_saturation(rc, args.bound)
     result = {"kind": "saturation", **report.to_dict()}

@@ -19,9 +19,10 @@ One lemma is used throughout: in a thin category (every hom-set has at
 most one element) any two parallel morphisms are equal.  So a thin
 category composes from its hom index, is associative once its table is
 typed, and a functor into one is checked by its typing alone.  It
-keeps its relation, one up-set bitset per object; a pushout (pullback)
-there is a join (meet) read from the rows of the targets of the span
-(sources of the cospan), the ends pmc keys witnesses by.
+keeps its relation, one up-set bitset per object, and its transpose,
+one down-set bitset per object; a pushout there is a join read from the
+up-sets of the targets of the span, and a pullback a meet read from the
+down-sets of the sources of the cospan, the ends pmc keys witnesses by.
 
 All values are immutable after construction; every operation is a pure
 function of its inputs, and ties are broken by input order, never by
@@ -281,6 +282,20 @@ class FinCategory:
             up[where[s]] |= 1 << where[t]
         return up
 
+    @cached_property
+    def down_relation(self):
+        """:attr:`relation` transposed, one down-set bitset per object:
+        bit j of ``down_relation[i]`` is set when there is a morphism
+        from the j-th object to the i-th.  None when some hom-set has
+        two elements.  Built on the first read."""
+        if self.relation is None:
+            return None
+        where = self.object_index
+        down = [0] * len(self.objects)
+        for s, t in self._hom:
+            down[where[t]] |= 1 << where[s]
+        return down
+
     def compose(self, g, f):
         """Classical order: ``compose(g, f)`` is g after f.  Raises
         StructuralError when there is no composite."""
@@ -394,6 +409,23 @@ def bit_positions(mask):
         out.append(i)
         i = bits.find("1", i + 1)
     return out
+
+
+def join_index(rows, bounds):
+    """The index of the join of ``bounds`` in the relation given by its
+    ``rows``: the first set bit of ``bounds`` whose row holds every
+    other, or -1 if there is none.  Over up-sets
+    (:attr:`FinCategory.relation`) and common upper bounds this is a
+    join; over down-sets (:attr:`FinCategory.down_relation`) and common
+    lower bounds, a meet."""
+    rest = bounds
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        if not bounds & ~rows[x]:
+            return x
+        rest ^= low
+    return -1
 
 
 def _no_composite(g, f):
@@ -590,27 +622,17 @@ def find_pushout(cat, f, g):
     """
     if cat.src[f] != cat.src[g]:
         raise StructuralError(f"not a span: {f}, {g} have different sources")
+    up = cat.relation
+    if up is not None:
+        hom = cat._hom
+        return _thin_universal(cat, up, cat.tgt[f], cat.tgt[g],
+                               lambda s, t: hom[s, t][0], CoconeWitness)
     return _universal_cocone(cat, f, g, CoconeWitness)
 
 
 def _universal_cocone(cat, f, g, witness):
     """The first cocone in scan order with a comparison to every
-    competitor, as a ``witness``; None if there is none.  On a thin
-    category a cocone is an apex reached from both targets, a common
-    upper bound, and it is universal when its row of the relation holds
-    every other: the first such bound is read off the rows."""
-    up = cat.relation
-    if up is not None:
-        hom, objects, where, a, b = cat._hom, cat.objects, cat.object_index, cat.tgt[f], cat.tgt[g]
-        bounds = up[where[a]] & up[where[b]]
-        positions = bit_positions(bounds)
-        for x in positions:
-            if not bounds & ~up[x]:
-                apex = objects[x]
-                return witness(apex, hom[a, apex][0], hom[b, apex][0], tuple(
-                    ((y, hom[a, y][0], hom[b, y][0]), hom[apex, y][0])
-                    for y in map(objects.__getitem__, positions)))
-        return None
+    competitor, as a ``witness``; None if there is none."""
     competitors = _cocones(cat, f, g)
     for apex, p, q in competitors:
         comparisons = _comparisons(cat, apex, p, q, competitors)
@@ -619,11 +641,39 @@ def _universal_cocone(cat, f, g, witness):
     return None
 
 
+def _thin_universal(cat, rows, a, b, arrow, witness):
+    """The universal cocone under a span with targets a and b of a thin
+    category, read off ``rows``: a cocone is an apex that both targets
+    reach, a common bound (the AND of their rows), and it is universal
+    when its row holds every other bound, so the first such bound is the
+    join.  ``arrow(s, t)`` is the one morphism from s to t in the
+    direction the rows run; over down-sets this gives the cone of a
+    pullback.  None if there is no join."""
+    objects, where = cat.objects, cat.object_index
+    bounds = rows[where[a]] & rows[where[b]]
+    x = join_index(rows, bounds)
+    if x < 0:
+        return None
+    apex = objects[x]
+    return witness(apex, arrow(a, apex), arrow(b, apex), tuple(
+        ((y, arrow(a, y), arrow(b, y)), arrow(apex, y))
+        for y in map(objects.__getitem__, bit_positions(bounds))))
+
+
 def find_pullback(cat, f, g):
     """Pullback of the cospan src(f) -> tgt(f)=tgt(g) <- src(g); dual to
-    find_pushout with the same tie-breaking."""
+    find_pushout with the same tie-breaking: the pushout of the opposite
+    category, searched there.  On a thin category it is a meet, read
+    from the rows of :attr:`FinCategory.down_relation` at the two
+    sources with no opposite built, and the witness is the one the
+    search in the opposite finds."""
     if cat.tgt[f] != cat.tgt[g]:
         raise StructuralError(f"not a cospan: {f}, {g} have different targets")
+    down = cat.down_relation
+    if down is not None:
+        hom = cat._hom
+        return _thin_universal(cat, down, cat.src[f], cat.src[g],
+                               lambda s, t: hom[t, s][0], ConeWitness)
     return _universal_cocone(cat.opposite(), f, g, ConeWitness)
 
 

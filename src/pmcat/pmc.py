@@ -9,8 +9,12 @@ v in V.  The axioms verified exhaustively:
 (b)   two-out-of-six, read on a thin C from the rows of its relation and
       of the marked sub-relation (:attr:`RelCategory.marked_relation`);
 (c-i) every u in U has a pushout along every morphism out of its
-      source, and the pushed-out leg is again in U;
-(c-ii) dually for V and pullbacks;
+      source, and the pushed-out leg is again in U.  On a thin C the
+      pushout is the join of the two targets, read once per pair of
+      ends, and the leg is in U when its bit of U's marked relation is
+      set: no witness is built;
+(c-ii) dually for V and pullbacks, a pullback on a thin C being the
+      meet of the two sources, read on the down-sets;
 (c-iii) the factorization is total, correct, and functorial: every
       commutative square between weak equivalences (with weak
       equivalence legs) carries a recorded middle map making both
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 from .fincat import (
     Functor, StructuralError, Violation, bit_positions, check_functor, find_pushout,
-    find_pullback,
+    find_pullback, join_index,
 )
 from .relcat import (
     RelCategory, validate_relative, check_two_of_six, unclosed_pairs, PropertyReport,
@@ -182,8 +186,10 @@ def verify_partial_model(pms):
     through check_functor, or on a thin C by the typing of each
     factorization and middle map, read against the marked relation in
     one walk over the middle maps, without listing Arr(W) (see
-    :func:`_thin_middle_maps`).  On a thin C, two-of-six and the pushout
-    and pullback searches read the rows of the relation too.  Structural
+    :func:`_thin_middle_maps`).  On a thin C, two-of-six reads the rows
+    of the relation too, and (c-i) and (c-ii) one join or meet per pair
+    of ends and a bit of U's or V's marked relation, building no
+    witness (see :func:`_thin_unclosed_moves`).  Structural
     problems (unknown ids, mistyped factorizations) are reported apart
     from axiom failures; unread calculus data, in a (c-iii) note."""
     rc = pms.rc
@@ -207,23 +213,16 @@ def verify_partial_model(pms):
     # (c-i) U is a subcategory of W, closed under pushout along every map
     # out of a source; (c-ii) dually V, under pullback along every map into
     # a target
-    for axiom, sub, in_sub, maps_at, move, words in (
-            ("c-i:u-pushout-closure", pms.u_sub, pms.in_u, lambda u: cat.out_of(cat.src[u]),
-             pms.pushout, ("pushout", "pushed-out", "U")),
-            ("c-ii:v-pullback-closure", pms.v_sub, pms.in_v, lambda v: cat.into(cat.tgt[v]),
-             pms.pullback, ("pullback", "pulled-back", "V"))):
-        kind, moved, name = words
+    for axiom, sub, marking, pushout, (kind, moved, name) in (
+            ("c-i:u-pushout-closure", pms.u_sub, pms._u, True, ("pushout", "pushed-out", "U")),
+            ("c-ii:v-pullback-closure", pms.v_sub, pms._v, False,
+             ("pullback", "pulled-back", "V"))):
         unclosed = w_unclosed if sub == rc.weq else unclosed_pairs(cat, sub)
         wit = unclosed + [(x,) for x in sub if not rc.is_weq(x)]
-        for x in sub:
-            for f in maps_at(x):
-                try:
-                    leg = move(x, f).leg_g
-                except CalculusError:
-                    wit.append((x, f, f"no {kind}"))
-                    continue
-                if not in_sub(leg):
-                    wit.append((x, f, f"{moved} leg {leg} not in {name}"))
+        moves = _thin_unclosed_moves if thin else _unclosed_moves
+        for x, f, leg in moves(pms, sub, marking, pushout):
+            wit.append((x, f, f"no {kind}" if leg is None
+                        else f"{moved} leg {leg} not in {name}"))
         verdicts.append((axiom, PropertyReport(axiom.split(":")[1], not wit, wit, [])))
 
     # (c-iii) factorization: totality, correctness, functoriality
@@ -273,6 +272,58 @@ def verify_partial_model(pms):
         "functorial-factorization", not f_wit, f_wit, notes)))
 
     return AxiomReport(structural, verdicts)
+
+
+def _unclosed_moves(pms, sub, marking, pushout):
+    """(c-i)'s failures when ``pushout``, else (c-ii)'s: each (x, f, leg)
+    with x in ``sub`` and f out of its source (into its target) whose
+    pushout (pullback) is missing, leg None, or whose pushed-out
+    (pulled-back) leg is not in ``marking``, in the order of ``sub``
+    and then of f.  Each witness is the structure's own search."""
+    cat = pms.rc.cat
+    move, maps_at, shared = ((pms.pushout, cat.out_of, cat.src) if pushout
+                             else (pms.pullback, cat.into, cat.tgt))
+    for x in sub:
+        for f in maps_at(shared[x]):
+            try:
+                leg = move(x, f).leg_g
+            except CalculusError:
+                yield x, f, None
+                continue
+            if not marking.is_weq(leg):
+                yield x, f, leg
+
+
+def _thin_unclosed_moves(pms, sub, marking, pushout):
+    """:func:`_unclosed_moves` on a thin C, building no witness.  The
+    pushout of x along f is the join p of their targets, read once per
+    pair of ends, and the pushed-out leg runs from tgt(f) to p, so it is
+    in U exactly when bit p of row tgt(f) of U's marked relation is set.
+    Dually a pullback is the meet of the sources on the down-sets, and
+    its leg p -> src(f) is in V when bit src(f) of row p is set."""
+    cat = pms.rc.cat
+    objects, where, marked = cat.objects, cat.object_index, marking.marked_relation
+    if pushout:
+        rows, maps_at, shared, far = cat.relation, cat.out_of, cat.src, cat.tgt
+    else:
+        rows, maps_at, shared, far = cat.down_relation, cat.into, cat.tgt, cat.src
+    legs = {}       # (far end of x, of f) -> the leg outside the marking, True, or None
+    for x in sub:
+        i = where[far[x]]
+        for f in maps_at(shared[x]):
+            j = where[far[f]]
+            if (i, j) not in legs:
+                p = join_index(rows, rows[i] & rows[j])
+                a, b = (j, p) if pushout else (p, j)      # the leg runs a -> b
+                if p < 0:
+                    legs[i, j] = None
+                elif marked[a] >> b & 1:
+                    legs[i, j] = True
+                else:
+                    legs[i, j] = cat.hom(objects[a], objects[b])[0]
+            leg = legs[i, j]
+            if leg is not True:
+                yield x, f, leg
 
 
 def _middle_map_functor(pms, usable, f_wit):

@@ -540,6 +540,22 @@ def test_ho_subcommand():
     assert all(v == 1 for v in hom.values())
 
 
+@pytest.mark.parametrize("command, kind", [("ho", "homotopy-category"),
+                                           ("saturate", "saturation")])
+def test_an_inconsistent_homotopy_category_exits_one(monkeypatch, command, kind):
+    from pmcat import cli, hammock
+
+    def inconsistent(pms):
+        raise hammock.HoConsistencyError("class-level laws fail: forced")
+    # ho calls it through cli, saturate through hammock.check_saturation
+    monkeypatch.setattr(cli, "homotopy_category", inconsistent)
+    monkeypatch.setattr(hammock, "homotopy_category", inconsistent)
+    code, out = run_cli(command, str(fixture_path("Iw")), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["result"] == {"kind": kind,
+                                         "consistency_error": "class-level laws fail: forced"}
+
+
 def test_conflicting_factor_line_exits_two(tmp_path):
     doc = tmp_path / "twice.relcat"
     doc.write_text("relcat-version 1\nobject 0\nobject 1\nmorphism f 0 1\nweq f\n"

@@ -15,7 +15,7 @@ from pmcat.fixtures import build
 from pmcat.relcat import (
     RelCategory, restrict_to_weq, diagram_functor, random_preorder_relcat,
 )
-from pmcat.pmc import trivial_partial_model_structure
+from pmcat.pmc import PartialModelStructure, trivial_partial_model_structure
 from pmcat.sset import nerve, pi0, homology
 from pmcat.segal import (
     chain_category, zigzag_chain_category, embedding_parts, build_retraction,
@@ -343,6 +343,33 @@ def test_each_broken_square_is_named_once_at_its_first_morphism(monkeypatch):
         firsts.setdefault(square(error), error.split(": ")[0])
     assert len(firsts) == 2 and len(cert.errors) > 2
     assert [error.split(": ")[0] for error in thin.errors] == list(firsts.values())
+
+
+def test_a_broken_square_is_named_at_the_first_source_that_reaches_it(monkeypatch):
+    # p below a, b and t, a and b below t, only p -> a and p -> b marked,
+    # identities listed last: the first diagrams with w = id:p take
+    # y = p -> a, and none of them maps to a diagram with w = id:b, since
+    # no marked map leaves a.  The broken square (id:p, id:b) is named at
+    # the first source that does map there, as the composing path names it
+    rows = [("pa", "p", "a"), ("pb", "p", "b"), ("pt", "p", "t"), ("at", "a", "t"),
+            ("bt", "b", "t")] + [(f"id:{o}", o, o) for o in "pabt"]
+    cat = FinCategory.build(["p", "a", "b", "t"], rows,
+                            {("pa", "at"): "pt", ("pb", "bt"): "pt"})
+    pms = trivial_partial_model_structure(RelCategory(cat, ["pa", "pb"]))
+    middle = {**pms.middle, ("id:p", "id:b", "pb", "pb"): "id:p"}
+    bad = PartialModelStructure(pms.rc, pms.u_sub, pms.v_sub, pms.factorization, middle)
+    b_k = embedding_parts(bad.rc, 2)[2]
+    sources = [o for o in b_k.objects if b_k.diagrams[o][1][2] == "id:p"]
+    assert sources[:3] == ["(id:p,id:p,id:p,pa,at)", "(id:p,id:p,id:p,pa,id:a)",
+                           "(id:p,id:p,id:p,pb,bt)"]
+    named = ("comparison data missing for morphism "
+             "(id:p,pb,pb,pb,id:b,id:t):(id:p,id:p,id:p,pb,bt)=>(pb,id:b,id:b,id:b,bt)")
+    _r, thin = build_retraction(bad, 2)
+    with componentwise(monkeypatch):
+        _r, cert = build_retraction(bad, 2)
+    squares = [e for e in thin.errors if e.startswith("comparison")]
+    assert [e.split(": ")[0] for e in squares] == [named]
+    assert next(e for e in cert.errors if e.startswith("comparison")).startswith(named)
 
 
 class Unvisited(tuple):

@@ -549,6 +549,17 @@ def test_corrupted_witness_fails_the_recheck():
     assert core_violations(cat, replace(core, steps=core.steps[:2])) != []
 
 
+@pytest.mark.parametrize("step", [("1", "0", "down"), ("2", "1", "down"), ("9", "0", "up"),
+                                  ("2", "9", "down"), ("0", "0", "down")])
+def test_a_step_needs_two_distinct_remaining_objects(step):
+    # after the first step 1 is gone; 9 is no object of the lattice
+    cat = boolean_lattice()
+    core = preorder_core(cat)
+    broken = replace(core, steps=core.steps[:1] + (step,) + core.steps[1:])
+    assert core_violations(cat, broken)[0] == (
+        f"step ({step[0]}, {step[1]}): not two distinct remaining objects")
+
+
 def test_a_wrong_search_is_refused(monkeypatch):
     # take the first candidate below or above, whether or not it is a top
     monkeypatch.setattr(sset, "_top", lambda rest, rel: (rest & -rest).bit_length() - 1

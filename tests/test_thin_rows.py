@@ -1,15 +1,20 @@
 """Decisions read from the rows of a thin category's relation: two-of-six
-and two-of-three, pushouts and pullbacks, the middle maps of (c-iii) and
-pi0.  Each must give what its composing or union-find reference in
-conftest gives, on the fixtures, on random preorders, on the codiscrete
+and two-of-three, pushouts and pullbacks, axioms (c-i) and (c-ii), the
+middle maps of (c-iii) and pi0.  Each must give what its composing or
+union-find reference in conftest gives, on the fixtures, on random preorders, on the codiscrete
 4- and 5-point preorders with everything marked, and on calculus data
 broken on purpose."""
+
+import contextlib
+import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmcat.fincat import FinCategory, find_pullback, find_pushout
-from pmcat.fixtures import FIXTURES, build
+from pmcat.cli import main
+from pmcat.document import serialize_document
+from pmcat.fincat import FinCategory, find_pullback, find_pushout, join_index
+from pmcat.fixtures import FIXTURES, build, fixture_path
 from pmcat.hammock import zigzag_category
 from pmcat.pmc import (
     PartialModelStructure, trivial_partial_model_structure, verify_partial_model,
@@ -75,10 +80,28 @@ def test_the_relation_and_its_marked_rows_are_the_hom_sets(rc):
                                             if any(rc.is_weq(m) for m in cat.hom(a, b)))
 
 
+@pytest.mark.parametrize("rc", THIN_INPUTS, ids=list(FIXTURES) + ["codiscrete4", "codiscrete5"])
+def test_the_down_relation_is_the_relation_transposed(rc):
+    cat = rc.cat
+    n = len(cat.objects)
+    assert cat.down_relation == [sum(1 << i for i in range(n) if cat.relation[i] >> j & 1)
+                                 for j in range(n)]
+
+
 def test_a_category_that_is_not_thin_keeps_no_relation():
     cat = cyclic_group(2)
-    assert cat.relation is None
+    assert cat.relation is None and cat.down_relation is None
     assert RelCategory(cat, cat.morphisms).marked_relation is None
+
+
+def test_join_index_is_the_first_bound_below_every_other():
+    # up-sets of the chain 0 < 1 < 2 and of two incomparable tops over 0
+    chain = [0b111, 0b110, 0b100]
+    assert join_index(chain, 0b110) == 1 and join_index(chain, 0b100) == 2
+    assert join_index(chain, 0) == -1
+    assert join_index([0b111, 0b010, 0b100], 0b110) == -1
+    # isomorphic bounds: the first one wins
+    assert join_index([0b11, 0b11], 0b11) == 0
 
 
 # -- two-of-six, pushouts, pullbacks and pi0 -----------------------------------------
@@ -251,3 +274,48 @@ def test_the_cross_check_counts_what_it_compares():
     assert counts["axiom reports"] == 24
     assert counts["failing axiom reports"] > 0
     assert counts["pushouts and pullbacks"] > 100
+
+
+# -- no opposite on the thin paths of check, ho and saturate -------------------------
+
+def counted_opposites(monkeypatch):
+    calls = []
+
+    def counted(cat, _real=FinCategory.opposite):
+        calls.append(cat)
+        return _real(cat)
+    monkeypatch.setattr(FinCategory, "opposite", counted)
+    return calls
+
+
+def run_quietly(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+
+def test_check_ho_and_saturate_build_no_opposite_on_thin_documents(monkeypatch, tmp_path):
+    # the fixtures with calculus data, then 100 random preorders with the
+    # trivial structure: every pullback is a meet read off the down-sets
+    paths = [str(fixture_path(name)) for name in FIXTURES
+             if isinstance(build(name), PartialModelStructure)]
+    assert len(paths) == 5
+    for seed in range(100):
+        doc = tmp_path / f"r{seed}.relcat"
+        doc.write_text(serialize_document(trivial_partial_model_structure(
+            random_preorder_relcat(seed, max_objects=6))))
+        paths.append(str(doc))
+    calls = counted_opposites(monkeypatch)
+    codes = [run_quietly(command, path, "--format", "json")
+             for path in paths for command in ("check", "ho", "saturate")]
+    assert set(codes) == {0, 1} and calls == []
+
+
+def test_a_group_still_pulls_back_through_its_opposite(monkeypatch):
+    # B(Z/2), everything marked: not thin, so the general search runs in
+    # the opposite and agrees with the composing reference
+    cat = cyclic_group(2)
+    expected = {(f, g): reference_pullback(cat, f, g)
+                for f in cat.morphisms for g in cat.into(cat.tgt[f])}
+    calls = counted_opposites(monkeypatch)
+    assert {key: find_pullback(cat, *key) for key in expected} == expected
+    assert all(wit is not None for wit in expected.values()) and calls
